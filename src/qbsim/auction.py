@@ -22,17 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .bits import BitString
 from .commitment import Backend, parse_backend
-from .consensus import (
-    CodecDomain,
-    ConsensusInstance,
-    ConsensusResult,
-    FaultModel,
-    resolve_script,
-    run_consensus,
-)
+from .consensus import ConsensusResult
 from .encoding import (
+    MAX_BID_BITS,
+    MSG_OPEN_REQUEST,
     decode_payload,
     decode_verification_output,
     encode_auction_claim,
@@ -44,10 +41,16 @@ from .encoding import (
     encode_open_request,
     encode_verification_output,
 )
-from .errors import QbsimError
-from .ledger import MinerLedger, RecordKind, ledgers_consistent
+from .errors import ConfigError, QbsimError
+from .ledger import RecordKind, ledgers_consistent
 from .parties import PartyId, buyer, miner, seller
-from .runtime import SimContext, make_context
+from .runtime import (
+    SimContext,
+    committee_violations,
+    count_violations,
+    finalize,
+    make_context,
+)
 
 DEFAULT_BID_WIDTH = 32
 
@@ -59,10 +62,16 @@ DEFAULT_BID_WIDTH = 32
 class HonestBuyer:
     """Uniform random bid, opened faithfully."""
 
+    bids = ()  # drawn at run time
+
 
 @dataclass(frozen=True)
 class FixedBid:
     value: int
+
+    @property
+    def bids(self) -> tuple:
+        return (self.value,)
 
 
 @dataclass(frozen=True)
@@ -72,13 +81,15 @@ class ChangeBid:
     commit_value: int
     open_value: int
 
+    @property
+    def bids(self) -> tuple:
+        return (self.commit_value, self.open_value)
+
 
 @dataclass(frozen=True)
-class Complainer:
+class Complainer(FixedBid):
     """Bids honestly but complains during verification even though his
     value is in the published list; exercises the false-accuser check."""
-
-    value: int
 
 
 BuyerPolicy = HonestBuyer | FixedBid | ChangeBid | Complainer
@@ -213,25 +224,34 @@ class AuctionRunResult:
 # -------------------------------------------------------------- protocol
 
 
+def auction_violations(params: AuctionParams) -> list[str]:
+    """Every limit `params` breaks; the maxima are the encodings' field
+    widths."""
+    out = [*count_violations("buyers", params.buyers, 2),
+           *count_violations("bid_width", params.bid_width, 1, MAX_BID_BITS),
+           *count_violations("miners", params.miners, 1)]
+    width_ok = 1 <= params.bid_width <= MAX_BID_BITS
+    for i, policy in sorted(params.buyer_policies.items()):
+        if not 0 <= i < params.buyers:
+            out.append(f"buyer policy for unknown buyer {i}")
+        elif width_ok:
+            out += [f"buyer {i} bid {v} outside [1, {params.bid_cap}]"
+                    for v in policy.bids if not 1 <= v <= params.bid_cap]
+    return out + committee_violations(params.miners, params.byzantine_miners,
+                                      params.miner_scripts)
+
+
 def _choose_bids(params: AuctionParams, ctx: SimContext):
     commit_bids, open_bids = {}, {}
-    complainers = set()
     for i in range(params.buyers):
-        policy = params.buyer_policies.get(i, HonestBuyer())
-        if isinstance(policy, HonestBuyer):
-            value = int(ctx.rng("buyer", i).integers(1, params.bid_cap + 1))
-            commit_bids[i] = open_bids[i] = value
-        elif isinstance(policy, FixedBid):
-            commit_bids[i] = open_bids[i] = policy.value
-        elif isinstance(policy, Complainer):
-            commit_bids[i] = open_bids[i] = policy.value
-            complainers.add(buyer(i))
-        else:
-            commit_bids[i], open_bids[i] = policy.commit_value, policy.open_value
-        for v in (commit_bids[i], open_bids[i]):
-            if not 1 <= v <= params.bid_cap:
-                raise QbsimError(
-                    f"buyer {i} bid {v} outside [1, {params.bid_cap}]")
+        bids = params.buyer_policies.get(i, HonestBuyer()).bids
+        if not bids:
+            # uint64 reaches the 64-bit cap; below it the draw equals int64's
+            rng = ctx.rng("buyer", i)
+            bids = (int(rng.integers(1, params.bid_cap + 1, dtype=np.uint64)),)
+        commit_bids[i], open_bids[i] = bids[0], bids[-1]
+    complainers = {buyer(i) for i, policy in params.buyer_policies.items()
+                   if isinstance(policy, Complainer)}
     return commit_bids, open_bids, complainers
 
 
@@ -268,7 +288,7 @@ def _seller_forgery(params: AuctionParams, ctx: SimContext, accepted: dict,
             log.append("seller_policy_degenerate", policy=policy.value,
                        reason="no headroom above the true maximum")
             return true_winner, true_bid, honest_losers, True
-        inflated = int(rng.integers(true_bid + 1, params.bid_cap + 1))
+        inflated = int(rng.integers(true_bid + 1, params.bid_cap + 1, dtype=np.uint64))
         return true_winner, inflated, honest_losers, False
 
     # DROP_LOSER: replace one losing bid with another value <= the maximum
@@ -291,12 +311,9 @@ def _seller_forgery(params: AuctionParams, ctx: SimContext, accepted: dict,
 
 
 def run_auction(params: AuctionParams) -> AuctionRunResult:
-    if params.buyers < 2:
-        raise QbsimError("an auction needs at least 2 buyers")
-    if params.miners < 1:
-        raise QbsimError("an auction needs at least 1 miner")
-    if params.bid_width < 1 or params.bid_width > 64:
-        raise QbsimError("bid width must be in [1, 64]")
+    problems = auction_violations(params)
+    if problems:
+        raise ConfigError(problems)
 
     buyers = [buyer(i) for i in range(params.buyers)]
     miners = [miner(j) for j in range(params.miners)]
@@ -372,39 +389,13 @@ def run_auction(params: AuctionParams) -> AuctionRunResult:
 
     # phase 5: consensus on the verification outputs, then publication
     ctx.log.append("phase", protocol="auction", phase=5, name="publication")
-    byzantine = frozenset(params.byzantine_miners)
-    if len(byzantine & set(miners)) >= params.miners:
-        raise QbsimError("at least one honest miner is required")
-    instance = ConsensusInstance(1, miners, CodecDomain(decode_verification_output))
-    for m in miners:
-        if m not in byzantine:
-            instance.propose(m, encode_verification_output(outputs[m]))
-    candidates = [instance.inputs[m] for m in sorted(instance.inputs)]
-    scripts = {
-        m: resolve_script(spec, ctx.rng("miner-script", m.index), candidates)
-        for m, spec in sorted(params.miner_scripts.items())
-    }
-    fault_model = FaultModel(byzantine, scripts)
-    consensus_result = run_consensus(instance, fault_model, ctx.network, ctx.log)
-
-    ledgers = {m: MinerLedger(m) for m in miners}
-    reference = next(m for m in miners if consensus_result.decisions[m] is not None)
+    consensus_result, ledgers, reference = finalize(
+        ctx, params, "auction", 1, RecordKind.AUCTION_OUTCOME, decode_verification_output,
+        lambda m: encode_verification_output(outputs[m]))
     decided_body = consensus_result.decisions[reference]
-    if decided_body == b"":
-        # past the f < n/3 bound consensus may settle on the reserved
-        # "no valid input" element; record no outcome rather than a fake one
-        ctx.log.append("consensus_no_agreement", protocol="auction")
-        outcome = VerificationOutput(valid=False, cheater=None)
-    else:
-        for m in miners:
-            decided = consensus_result.decisions[m]
-            if decided is None or decided == b"":
-                continue
-            ledgers[m].append_finalized(RecordKind.AUCTION_OUTCOME, decided, 1,
-                                        decided_body=decided)
-            ctx.log.append("ledger_append", miner=str(m), kind="auction_outcome",
-                           height=0, body=decided.hex())
-        outcome = output_from_body(decided_body)
+    # no agreement records no outcome rather than a fake one
+    outcome = (VerificationOutput(valid=False, cheater=None) if decided_body == b""
+               else output_from_body(decided_body))
 
     cheaters = list(ctx.registry.cheat_detected_committers())
     if not outcome.valid and outcome.cheater is not None:
@@ -572,26 +563,11 @@ def posterior_privacy_violations(result: AuctionRunResult) -> list[str]:
                 if b in named:
                     violations.append(
                         f"ledger of {m} names losing buyer {b} at height {record.height}")
-    for rec in result.context.log.of_kind("send"):
-        payload_hex = rec.get("payload")
-        if payload_hex is None:
-            continue
-        payload = bytes.fromhex(payload_hex)
-        try:
-            msg = decode_payload(payload)
-        except Exception:
-            continue
-        if msg["kind"] == "auction_vlist":
-            # schema carries no identities; any party reference would have
-            # failed to decode. Nothing further to check structurally.
-            continue
     return violations
 
 
 def complaint_openings(result: AuctionRunResult) -> int:
     """Openings demanded during verification; zero in every honest run."""
-    from .encoding import MSG_OPEN_REQUEST
-
     count = 0
     for rec in result.context.log.of_kind("send"):
         payload_hex = rec.get("payload")

@@ -10,8 +10,8 @@ counts.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-
-from scipy.stats import chisquare
+from dataclasses import replace
+from math import erfc, sqrt
 
 from .auction import run_auction
 from .errors import QbsimError
@@ -20,12 +20,18 @@ from .rng import derive_seed
 from .scenario import ScenarioConfig
 
 
-def _run_summary(config_dict: dict, run_index: int) -> dict:
-    config = ScenarioConfig.from_dict(config_dict)
-    config.seed = derive_seed(config.seed, "batch", run_index)
-    config.detail_log = False
+def chisquare(ones: int, n: int) -> float:
+    """p-value of Pearson's chi-square test that `ones` of `n` fair bits
+    are set. With two bins the statistic s = (2 ones - n)^2 / n has one
+    degree of freedom, whose survival function is erfc(sqrt(s / 2))."""
+    return erfc(sqrt((2 * ones - n) ** 2 / n / 2))
+
+
+def _run_summary(config: ScenarioConfig, run_index: int) -> dict:
+    config = replace(config, seed=derive_seed(config.seed, "batch", run_index),
+                     detail_log=False)
     if config.protocol == "lottery":
-        result = run_lottery(config.lottery_params())
+        result = run_lottery(config.params())
         out = result.outcome
         consistent, _ = result.honest_ledgers_consistent
         return {
@@ -36,7 +42,7 @@ def _run_summary(config_dict: dict, run_index: int) -> dict:
             "consistent": consistent,
         }
     if config.protocol == "auction":
-        result = run_auction(config.auction_params())
+        result = run_auction(config.params())
         out = result.outcome
         consistent, _ = result.honest_ledgers_consistent
         return {
@@ -81,7 +87,6 @@ def run_batch(config: ScenarioConfig, runs: int, workers: int = 1) -> dict:
     if runs < 1:
         raise QbsimError("a batch needs at least one run")
     config = config.validated()
-    config_dict = config.to_dict()
 
     if config.protocol == "lottery":
         agg = {"protocol": "lottery", "master_seed": config.seed, "runs": 0,
@@ -96,18 +101,16 @@ def run_batch(config: ScenarioConfig, runs: int, workers: int = 1) -> dict:
 
     if workers <= 1:
         for i in range(runs):
-            merge(agg, _run_summary(config_dict, i))
+            merge(agg, _run_summary(config, i))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, runs // (workers * 8))
-            for summary in pool.map(_run_summary, [config_dict] * runs,
+            for summary in pool.map(_run_summary, [config] * runs,
                                     range(runs), chunksize=chunk):
                 merge(agg, summary)
 
     if config.protocol == "lottery" and agg["decided_runs"]:
         n = agg["decided_runs"]
         agg["bit_one_frequencies"] = [c / n for c in agg["bit_one_counts"]]
-        agg["bit_chi2_p_values"] = [
-            float(chisquare([c, n - c]).pvalue) for c in agg["bit_one_counts"]
-        ]
+        agg["bit_chi2_p_values"] = [chisquare(c, n) for c in agg["bit_one_counts"]]
     return agg

@@ -19,13 +19,7 @@ from .batch import run_batch
 from .encoding import decode_ticket_list, decode_verification_output
 from .errors import ConfigError, QbsimError
 from .ledger import RecordKind
-from .scenario import (
-    ScenarioConfig,
-    canonical_report_bytes,
-    emit_report,
-    run_scenario,
-    validate_config_dict,
-)
+from .scenario import ScenarioConfig, canonical_report_bytes, emit_report, run_scenario
 
 
 def _finish_run(config: ScenarioConfig, out: str | None) -> int:
@@ -45,13 +39,6 @@ def _finish_run(config: ScenarioConfig, out: str | None) -> int:
     return 0
 
 
-def _config_from_file(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fp:
-        data = json.load(fp)
-    validate_config_dict(data)
-    return ScenarioConfig.from_dict(data)
-
-
 def _policy_map(pairs) -> dict[str, str]:
     out = {}
     for pair in pairs:
@@ -68,42 +55,6 @@ def main():
     quantum-blockchain stack."""
 
 
-# ---------------------------------------------------------------- lottery
-
-
-@main.group()
-def lottery():
-    """Commit-reveal lottery scenarios."""
-
-
-def _lottery_config(players, ticket_bits, miners, seed, backend, policy,
-                    player_policy, byzantine, key_budget, summary_log) -> ScenarioConfig:
-    return ScenarioConfig(
-        protocol="lottery", players=players, ticket_bits=ticket_bits,
-        miners=miners, seed=seed, backend=backend, cheat_policy=policy,
-        player_policies=_policy_map(player_policy),
-        byzantine_miners=_policy_map(byzantine), key_budget=key_budget,
-        detail_log=not summary_log)
-
-
-_lottery_options = [
-    click.option("--players", "-n", default=3, show_default=True, help="number of players"),
-    click.option("--ticket-bits", "-m", default=8, show_default=True, help="bits per ticket"),
-    click.option("--miners", "-k", default=2, show_default=True, help="number of miners"),
-    click.option("--seed", "-s", default=0, show_default=True, help="scenario master seed"),
-    click.option("--backend", default="ideal", show_default=True,
-                 help="commitment backend: ideal or cheat:<p>"),
-    click.option("--policy", default="exclude", show_default=True,
-                 type=click.Choice(["exclude", "abort"]), help="cheat handling policy"),
-    click.option("--player-policy", multiple=True, metavar="INDEX=SPEC",
-                 help="honest | fixed:BITS | equivocate:BITS:BITS (repeatable)"),
-    click.option("--byzantine", multiple=True, metavar="INDEX=SCRIPT",
-                 help="Byzantine miner scripts: silent|garbage|equivocate (repeatable)"),
-    click.option("--key-budget", default=65536, show_default=True,
-                 help="one-time key blocks per party pair"),
-]
-
-
 def _apply(options):
     def wrap(fn):
         for option in reversed(options):
@@ -112,43 +63,71 @@ def _apply(options):
     return wrap
 
 
-@lottery.command("run")
-@_apply(_lottery_options)
-@click.option("--summary-log", is_flag=True, help="keep event counters only")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              help="load the full scenario config from a JSON file")
-@click.option("--out", type=click.Path(), help="write the report here instead of stdout")
-def lottery_run(players, ticket_bits, miners, seed, backend, policy,
-                player_policy, byzantine, key_budget, summary_log, config_path, out):
-    """Run one lottery scenario and emit its report."""
-    config = (_config_from_file(config_path) if config_path else
-              _lottery_config(players, ticket_bits, miners, seed, backend, policy,
-                              player_policy, byzantine, key_budget, summary_log))
-    sys.exit(_finish_run(config, out))
+def _config(protocol: str, summary_log: bool, fields: dict) -> ScenarioConfig:
+    """The scenario the protocol options describe; each option's
+    destination is the config field it sets."""
+    for name in ("player_policies", "buyer_policies", "byzantine_miners"):
+        if name in fields:
+            fields[name] = _policy_map(fields[name])
+    return ScenarioConfig(protocol=protocol, detail_log=not summary_log, **fields)
 
 
-@lottery.command("stats")
-@_apply(_lottery_options)
-@click.option("--runs", "-N", default=1000, show_default=True)
-@click.option("--workers", "-K", default=1, show_default=True)
-@click.option("--out", type=click.Path(), help="write the aggregate here instead of stdout")
-def lottery_stats(players, ticket_bits, miners, seed, backend, policy,
-                  player_policy, byzantine, key_budget, runs, workers, out):
-    """Aggregate winning-bit frequencies and chi-square over many runs."""
-    config = _lottery_config(players, ticket_bits, miners, seed, backend, policy,
-                             player_policy, byzantine, key_budget, summary_log=True)
-    started = time.perf_counter()
-    agg = run_batch(config, runs=runs, workers=workers)
-    click.echo(f"{runs} runs in {time.perf_counter() - started:.3f}s wall time", err=True)
-    data = canonical_report_bytes(agg)
-    if out:
-        with open(out, "wb") as fp:
-            fp.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+def _protocol_commands(group, protocol: str, options, stats_doc: str):
+    """`run` and `stats` for one protocol: its options, then the shared ones."""
+
+    @group.command("run", help=f"Run one {protocol} scenario and emit its report.")
+    @_apply(options)
+    @click.option("--summary-log", is_flag=True, help="keep event counters only")
+    @click.option("--config", "config_path", type=click.Path(exists=True),
+                  help="load the full scenario config from a JSON file")
+    @click.option("--out", type=click.Path(), help="write the report here instead of stdout")
+    def run(summary_log, config_path, out, **fields):
+        config = (ScenarioConfig.load(config_path) if config_path
+                  else _config(protocol, summary_log, fields))
+        sys.exit(_finish_run(config, out))
+
+    @group.command("stats", help=stats_doc)
+    @_apply(options)
+    @click.option("--runs", "-N", default=1000, show_default=True)
+    @click.option("--workers", "-K", default=1, show_default=True)
+    @click.option("--out", type=click.Path(), help="write the aggregate here instead of stdout")
+    def stats(runs, workers, out, **fields):
+        started = time.perf_counter()
+        agg = run_batch(_config(protocol, True, fields), runs=runs, workers=workers)
+        click.echo(f"{runs} runs in {time.perf_counter() - started:.3f}s wall time", err=True)
+        data = canonical_report_bytes(agg)
+        if out:
+            with open(out, "wb") as fp:
+                fp.write(data)
+        else:
+            sys.stdout.buffer.write(data)
 
 
-# ---------------------------------------------------------------- auction
+_BYZANTINE = click.option(
+    "--byzantine", "byzantine_miners", multiple=True, metavar="INDEX=SCRIPT",
+    help="Byzantine miner scripts: silent|garbage|equivocate (repeatable)")
+
+
+@main.group()
+def lottery():
+    """Commit-reveal lottery scenarios."""
+
+
+_protocol_commands(lottery, "lottery", [
+    click.option("--players", "-n", default=3, show_default=True, help="number of players"),
+    click.option("--ticket-bits", "-m", default=8, show_default=True, help="bits per ticket"),
+    click.option("--miners", "-k", default=2, show_default=True, help="number of miners"),
+    click.option("--seed", "-s", default=0, show_default=True, help="scenario master seed"),
+    click.option("--backend", default="ideal", show_default=True,
+                 help="commitment backend: ideal or cheat:<p>"),
+    click.option("--policy", "cheat_policy", default="exclude", show_default=True,
+                 type=click.Choice(["exclude", "abort"]), help="cheat handling policy"),
+    click.option("--player-policy", "player_policies", multiple=True, metavar="INDEX=SPEC",
+                 help="honest | fixed:BITS | equivocate:BITS:BITS (repeatable)"),
+    _BYZANTINE,
+    click.option("--key-budget", default=65536, show_default=True,
+                 help="one-time key blocks per party pair"),
+], "Aggregate winning-bit frequencies and chi-square over many runs.")
 
 
 @main.group()
@@ -156,17 +135,7 @@ def auction():
     """Sealed-bid auction scenarios."""
 
 
-def _auction_config(buyers, bid_width, miners, seed, backend, seller_policy,
-                    buyer_policy, byzantine, key_budget, summary_log) -> ScenarioConfig:
-    return ScenarioConfig(
-        protocol="auction", buyers=buyers, bid_width=bid_width, miners=miners,
-        seed=seed, backend=backend, seller_policy=seller_policy,
-        buyer_policies=_policy_map(buyer_policy),
-        byzantine_miners=_policy_map(byzantine), key_budget=key_budget,
-        detail_log=not summary_log)
-
-
-_auction_options = [
+_protocol_commands(auction, "auction", [
     click.option("--buyers", "-m", default=3, show_default=True),
     click.option("--bid-width", "-w", default=32, show_default=True,
                  help="bids range over [1, 2^w - 1]"),
@@ -176,48 +145,11 @@ _auction_options = [
                  help="commitment backend: ideal or cheat:<p>"),
     click.option("--seller-policy", default="honest", show_default=True,
                  type=click.Choice(["honest", "wrong-winner", "inflate", "drop-loser"])),
-    click.option("--buyer-policy", multiple=True, metavar="INDEX=SPEC",
+    click.option("--buyer-policy", "buyer_policies", multiple=True, metavar="INDEX=SPEC",
                  help="honest | fixed:V | change:V:W | complain:V (repeatable)"),
-    click.option("--byzantine", multiple=True, metavar="INDEX=SCRIPT",
-                 help="Byzantine miner scripts: silent|garbage|equivocate (repeatable)"),
+    _BYZANTINE,
     click.option("--key-budget", default=65536, show_default=True),
-]
-
-
-@auction.command("run")
-@_apply(_auction_options)
-@click.option("--summary-log", is_flag=True, help="keep event counters only")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              help="load the full scenario config from a JSON file")
-@click.option("--out", type=click.Path(), help="write the report here instead of stdout")
-def auction_run(buyers, bid_width, miners, seed, backend, seller_policy,
-                buyer_policy, byzantine, key_budget, summary_log, config_path, out):
-    """Run one auction scenario and emit its report."""
-    config = (_config_from_file(config_path) if config_path else
-              _auction_config(buyers, bid_width, miners, seed, backend, seller_policy,
-                              buyer_policy, byzantine, key_budget, summary_log))
-    sys.exit(_finish_run(config, out))
-
-
-@auction.command("stats")
-@_apply(_auction_options)
-@click.option("--runs", "-N", default=1000, show_default=True)
-@click.option("--workers", "-K", default=1, show_default=True)
-@click.option("--out", type=click.Path(), help="write the aggregate here instead of stdout")
-def auction_stats(buyers, bid_width, miners, seed, backend, seller_policy,
-                  buyer_policy, byzantine, key_budget, runs, workers, out):
-    """Aggregate winner frequencies and detection rates over many runs."""
-    config = _auction_config(buyers, bid_width, miners, seed, backend, seller_policy,
-                             buyer_policy, byzantine, key_budget, summary_log=True)
-    started = time.perf_counter()
-    agg = run_batch(config, runs=runs, workers=workers)
-    click.echo(f"{runs} runs in {time.perf_counter() - started:.3f}s wall time", err=True)
-    data = canonical_report_bytes(agg)
-    if out:
-        with open(out, "wb") as fp:
-            fp.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+], "Aggregate winner frequencies and detection rates over many runs.")
 
 
 # -------------------------------------------------------------------- qbc

@@ -14,6 +14,11 @@ from .bits import BitString
 from .errors import EncodingError
 from .parties import CODE_ROLES, ROLE_CODES, PartyId
 
+# widest values the fixed-width fields carry: counts, party indices and
+# bit lengths travel as ">H", bids as ">Q"
+MAX_COUNT = (1 << 8 * struct.calcsize(">H")) - 1
+MAX_BID_BITS = 8 * struct.calcsize(">Q")
+
 # ledger record body tags
 TICKET_LIST_TAG = 0x01
 AUCTION_OUTCOME_TAG = 0x02

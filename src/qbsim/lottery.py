@@ -21,14 +21,7 @@ from fractions import Fraction
 
 from .bits import BitString, xor_all
 from .commitment import Backend, parse_backend
-from .consensus import (
-    CodecDomain,
-    ConsensusInstance,
-    ConsensusResult,
-    FaultModel,
-    resolve_script,
-    run_consensus,
-)
+from .consensus import ConsensusResult
 from .encoding import (
     decode_payload,
     decode_ticket_list,
@@ -36,10 +29,16 @@ from .encoding import (
     encode_open,
     encode_ticket_list,
 )
-from .errors import QbsimError
-from .ledger import MinerLedger, RecordKind, ledgers_consistent
+from .errors import ConfigError, QbsimError
+from .ledger import RecordKind, ledgers_consistent
 from .parties import PartyId, miner, player
-from .runtime import SimContext, make_context
+from .runtime import (
+    SimContext,
+    committee_violations,
+    count_violations,
+    finalize,
+    make_context,
+)
 
 CHEAT_POLICY_EXCLUDE = "exclude"
 CHEAT_POLICY_ABORT = "abort"
@@ -52,12 +51,18 @@ CHEAT_POLICY_ABORT = "abort"
 class HonestPlayer:
     """Uniform random ticket, opened faithfully."""
 
+    tickets = ()  # drawn at run time
+
 
 @dataclass(frozen=True)
 class FixedTicket:
     """Adversarially chosen ticket, opened faithfully."""
 
     ticket: BitString
+
+    @property
+    def tickets(self) -> tuple:
+        return (self.ticket,)
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,10 @@ class Equivocator:
 
     commit_ticket: BitString
     open_ticket: BitString
+
+    @property
+    def tickets(self) -> tuple:
+        return (self.commit_ticket, self.open_ticket)
 
 
 PlayerPolicy = HonestPlayer | FixedTicket | Equivocator
@@ -90,15 +99,6 @@ def parse_player_policy(text: str, ticket_bits: int) -> PlayerPolicy:
 
 
 # ----------------------------------------------------------- pure pieces
-
-
-def winning_ticket(tickets) -> BitString:
-    """Position-wise XOR of all tickets."""
-    return xor_all(tickets)
-
-
-def hamming_distance(a: BitString, b: BitString) -> int:
-    return a.hamming_distance(b)
 
 
 def revenue_shares(distances, m: int) -> list[Fraction]:
@@ -212,35 +212,37 @@ class LotteryRunResult:
         return ledgers_consistent(honest)
 
 
+def lottery_violations(params: LotteryParams) -> list[str]:
+    """Every limit `params` breaks; the maxima are the encodings' field
+    widths."""
+    out = [*count_violations("players", params.players, 2),
+           *count_violations("ticket_bits", params.ticket_bits, 1),
+           *count_violations("miners", params.miners, 1)]
+    if params.cheat_policy not in (CHEAT_POLICY_EXCLUDE, CHEAT_POLICY_ABORT):
+        out.append(f"cheat policy must be exclude|abort, got {params.cheat_policy!r}")
+    for i, policy in sorted(params.policies.items()):
+        if not 0 <= i < params.players:
+            out.append(f"player policy for unknown player {i}")
+        elif any(len(t) != params.ticket_bits for t in policy.tickets):
+            out.append(f"player {i}: policy tickets must have length {params.ticket_bits}")
+    return out + committee_violations(params.miners, params.byzantine_miners,
+                                      params.miner_scripts)
+
+
 def _policy_tickets(params: LotteryParams, ctx: SimContext):
     commit_tickets, open_tickets = {}, {}
     for i in range(params.players):
-        policy = params.policies.get(i, HonestPlayer())
-        if isinstance(policy, HonestPlayer):
-            ticket = BitString.random(ctx.rng("player", i), params.ticket_bits)
-            commit_tickets[i] = open_tickets[i] = ticket
-        elif isinstance(policy, FixedTicket):
-            if len(policy.ticket) != params.ticket_bits:
-                raise QbsimError(f"player {i} policy ticket length mismatch")
-            commit_tickets[i] = open_tickets[i] = policy.ticket
-        else:
-            if (len(policy.commit_ticket) != params.ticket_bits
-                    or len(policy.open_ticket) != params.ticket_bits):
-                raise QbsimError(f"player {i} policy ticket length mismatch")
-            commit_tickets[i] = policy.commit_ticket
-            open_tickets[i] = policy.open_ticket
+        tickets = params.policies.get(i, HonestPlayer()).tickets
+        if not tickets:
+            tickets = (BitString.random(ctx.rng("player", i), params.ticket_bits),)
+        commit_tickets[i], open_tickets[i] = tickets[0], tickets[-1]
     return commit_tickets, open_tickets
 
 
 def run_lottery(params: LotteryParams) -> LotteryRunResult:
-    if params.players < 2:
-        raise QbsimError("a lottery needs at least 2 players")
-    if params.miners < 1:
-        raise QbsimError("a lottery needs at least 1 miner")
-    if params.ticket_bits < 1:
-        raise QbsimError("tickets need at least 1 bit")
-    if params.cheat_policy not in (CHEAT_POLICY_EXCLUDE, CHEAT_POLICY_ABORT):
-        raise QbsimError(f"unknown cheat policy {params.cheat_policy!r}")
+    problems = lottery_violations(params)
+    if problems:
+        raise ConfigError(problems)
 
     players = [player(i) for i in range(params.players)]
     miners = [miner(j) for j in range(params.miners)]
@@ -290,44 +292,13 @@ def run_lottery(params: LotteryParams) -> LotteryRunResult:
     ctx.network.drain(on_open)
 
     # phase 2b: consensus on the ticket list, then append
-    byzantine = frozenset(params.byzantine_miners)
-    if len(byzantine & set(miners)) >= params.miners:
-        raise QbsimError("at least one honest miner is required")
-    instance = ConsensusInstance(0, miners, CodecDomain(decode_ticket_list))
-    for m in miners:
-        if m in byzantine:
-            continue
-        entries = []
-        for i in range(params.players):
-            status, ticket = miner_views[m].get(i, ("missing", None))
-            entries.append((i, status, ticket))
-        instance.propose(m, encode_ticket_list(entries))
-    candidates = [instance.inputs[m] for m in sorted(instance.inputs)]
-    scripts = {
-        m: resolve_script(spec, ctx.rng("miner-script", m.index), candidates)
-        for m, spec in sorted(params.miner_scripts.items())
-    }
-    fault_model = FaultModel(byzantine, scripts)
-    consensus_result = run_consensus(instance, fault_model, ctx.network, ctx.log)
+    def ticket_list(m):
+        return encode_ticket_list([(i, *miner_views[m].get(i, ("missing", None)))
+                                   for i in range(params.players)])
 
-    ledgers = {m: MinerLedger(m) for m in miners}
-    reference_miner = next(m for m in miners if consensus_result.decisions[m] is not None)
+    consensus_result, ledgers, reference_miner = finalize(
+        ctx, params, "lottery", 0, RecordKind.TICKET_LIST, decode_ticket_list, ticket_list)
     decided_body = consensus_result.decisions[reference_miner]
-    no_agreement = decided_body == b""
-    if no_agreement:
-        # only possible past the f < n/3 bound: the decided value is the
-        # reserved "no valid input" element, so nothing is appendable and
-        # the run aborts rather than fabricating a ticket list
-        ctx.log.append("consensus_no_agreement", protocol="lottery")
-    else:
-        for m in miners:
-            decided = consensus_result.decisions[m]
-            if decided is None or decided == b"":
-                continue
-            ledgers[m].append_finalized(RecordKind.TICKET_LIST, decided, 0,
-                                        decided_body=decided)
-            ctx.log.append("ledger_append", miner=str(m), kind="ticket_list",
-                           height=0, body=decided.hex())
 
     # phase 3: winner determination from each miner's own ledger copy
     ctx.log.append("phase", protocol="lottery", phase=3, name="winner_determination")
@@ -336,7 +307,7 @@ def run_lottery(params: LotteryParams) -> LotteryRunResult:
         decided = consensus_result.decisions[m]
         if decided is None:
             continue
-        if decided == b"":
+        if decided == b"":  # no agreement: the run aborts, no list is fabricated
             verdicts[m] = LotteryOutcome(params.ticket_bits, (), params.cheat_policy,
                                          aborted=True)
             continue

@@ -10,6 +10,7 @@ canonical bytes.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 from dataclasses import asdict, dataclass, field
@@ -21,6 +22,7 @@ from . import __version__
 from .auction import (
     AuctionParams,
     SellerPolicy,
+    auction_violations,
     bid_privacy_violations,
     complaint_openings,
     parse_buyer_policy,
@@ -28,9 +30,8 @@ from .auction import (
     run_auction,
 )
 from .commitment import parse_backend
-from .consensus import MINER_SCRIPT_NAMES
 from .errors import ConfigError, QbsimError
-from .lottery import LotteryParams, parse_player_policy, run_lottery
+from .lottery import LotteryParams, lottery_violations, parse_player_policy, run_lottery
 from .parties import miner
 from .qbc import binding_attack, concealing_defect, scheme_from_dict
 from .qbc.io import load_scheme
@@ -71,9 +72,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError([f"unknown config field {k!r}" for k in sorted(unknown)])
+        """A config from its JSON form; the published schema applies first."""
+        errors = sorted(_validator("scenario_config.schema.json").iter_errors(data),
+                        key=lambda error: error.json_path)
+        if errors:
+            raise ConfigError([f"{error.json_path}: {error.message}" for error in errors])
         return cls(**data)
 
     @classmethod
@@ -89,69 +92,27 @@ class ScenarioConfig:
     # -------------------------------------------------------- validation
 
     def violations(self) -> list[str]:
-        """Every violated constraint, not just the first."""
-        out = []
+        """Every violated constraint, not just the first. The protocol's
+        own limits come from its module's check."""
         if self.protocol not in PROTOCOLS:
-            out.append(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-            return out
+            return [f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"]
+        out = []
         if self.seed < 0:
             out.append("seed must be non-negative")
         if self.key_budget < 1:
             out.append("key budget must be positive")
         try:
-            parse_backend(self.backend)
+            backend = parse_backend(self.backend)
         except QbsimError as exc:
             out.append(str(exc))
-        if self.protocol in ("lottery", "auction"):
-            for key, script in sorted(self.byzantine_miners.items()):
-                if not key.isdigit() or not 0 <= int(key) < max(self.miners, 0):
-                    out.append(f"byzantine script for unknown miner {key!r}")
-                if script not in MINER_SCRIPT_NAMES:
-                    out.append(f"miner {key}: unknown script {script!r} "
-                               f"(expected one of {MINER_SCRIPT_NAMES})")
-            if self.miners >= 1 and len(self.byzantine_miners) >= self.miners:
-                out.append("at least one honest miner is required")
-        if self.protocol == "lottery":
-            if self.players < 2:
-                out.append(f"a lottery needs at least 2 players, got {self.players}")
-            if self.ticket_bits < 1:
-                out.append(f"tickets need at least 1 bit, got {self.ticket_bits}")
-            if self.miners < 1:
-                out.append(f"a lottery needs at least 1 miner, got {self.miners}")
-            if self.cheat_policy not in ("exclude", "abort"):
-                out.append(f"cheat policy must be exclude|abort, got {self.cheat_policy!r}")
-            for key, text in sorted(self.player_policies.items()):
-                if not key.isdigit() or not 0 <= int(key) < max(self.players, 0):
-                    out.append(f"player policy for unknown player {key!r}")
-                    continue
-                if self.ticket_bits >= 1:
-                    try:
-                        parse_player_policy(text, self.ticket_bits)
-                    except QbsimError as exc:
-                        out.append(f"player {key}: {exc}")
-        elif self.protocol == "auction":
-            if self.buyers < 2:
-                out.append(f"an auction needs at least 2 buyers, got {self.buyers}")
-            if not 1 <= self.bid_width <= 64:
-                out.append(f"bid width must be in [1, 64], got {self.bid_width}")
-            if self.miners < 1:
-                out.append(f"an auction needs at least 1 miner, got {self.miners}")
-            try:
-                SellerPolicy(self.seller_policy)
-            except ValueError:
-                out.append(f"unknown seller policy {self.seller_policy!r}")
-            for key, text in sorted(self.buyer_policies.items()):
-                if not key.isdigit() or not 0 <= int(key) < max(self.buyers, 0):
-                    out.append(f"buyer policy for unknown buyer {key!r}")
-                    continue
-                try:
-                    parse_buyer_policy(text)
-                except QbsimError as exc:
-                    out.append(f"buyer {key}: {exc}")
-        else:  # qbc_analyze
+            backend = None
+        if self.protocol == "qbc_analyze":
             if self.scheme is None and self.scheme_file is None:
                 out.append("qbc_analyze needs an inline scheme or a scheme_file")
-        return out
+            return out
+        params = self._params(backend, out)
+        check = lottery_violations if self.protocol == "lottery" else auction_violations
+        return out + check(params)
 
     def validated(self) -> "ScenarioConfig":
         problems = self.violations()
@@ -159,37 +120,52 @@ class ScenarioConfig:
             raise ConfigError(problems)
         return self
 
-    # ------------------------------------------------------- param views
+    # -------------------------------------------------------- param view
 
-    def _fault_set(self) -> tuple[frozenset, dict]:
-        byzantine = frozenset(miner(int(k)) for k in self.byzantine_miners)
-        scripts = {miner(int(k)): name for k, name in self.byzantine_miners.items()}
-        return byzantine, scripts
+    def params(self) -> LotteryParams | AuctionParams:
+        """The protocol-level parameters of a lottery or auction config."""
+        problems = []
+        params = self._params(parse_backend(self.backend), problems)
+        if problems:
+            raise ConfigError(problems)
+        return params
 
-    def lottery_params(self) -> LotteryParams:
-        policies = {
-            int(k): parse_player_policy(text, self.ticket_bits)
-            for k, text in self.player_policies.items()
-        }
-        byzantine, scripts = self._fault_set()
-        return LotteryParams(
-            players=self.players, ticket_bits=self.ticket_bits, miners=self.miners,
-            seed=self.seed, backend=parse_backend(self.backend), policies=policies,
-            cheat_policy=self.cheat_policy, key_budget=self.key_budget,
-            detail=self.detail_log, byzantine_miners=byzantine, miner_scripts=scripts)
+    def _params(self, backend, problems: list) -> LotteryParams | AuctionParams:
+        """Parameters from the config's texts; a text that does not parse
+        goes to `problems` and is left out."""
+        scripts = {miner(i): name for i, name in
+                   _by_index(self.byzantine_miners, "miner", problems, str).items()}
+        common = dict(miners=self.miners, seed=self.seed, backend=backend,
+                      key_budget=self.key_budget, detail=self.detail_log,
+                      byzantine_miners=frozenset(scripts), miner_scripts=scripts)
+        if self.protocol == "lottery":
+            policies = _by_index(self.player_policies, "player", problems,
+                                 lambda text: parse_player_policy(text, self.ticket_bits))
+            return LotteryParams(players=self.players, ticket_bits=self.ticket_bits,
+                                 policies=policies, cheat_policy=self.cheat_policy, **common)
+        try:
+            seller_policy = SellerPolicy(self.seller_policy)
+        except ValueError:
+            problems.append(f"unknown seller policy {self.seller_policy!r}")
+            seller_policy = None
+        policies = _by_index(self.buyer_policies, "buyer", problems, parse_buyer_policy)
+        return AuctionParams(buyers=self.buyers, bid_width=self.bid_width,
+                             buyer_policies=policies, seller_policy=seller_policy, **common)
 
-    def auction_params(self) -> AuctionParams:
-        policies = {
-            int(k): parse_buyer_policy(text)
-            for k, text in self.buyer_policies.items()
-        }
-        byzantine, scripts = self._fault_set()
-        return AuctionParams(
-            buyers=self.buyers, bid_width=self.bid_width, miners=self.miners,
-            seed=self.seed, backend=parse_backend(self.backend),
-            buyer_policies=policies, seller_policy=SellerPolicy(self.seller_policy),
-            key_budget=self.key_budget, detail=self.detail_log,
-            byzantine_miners=byzantine, miner_scripts=scripts)
+
+def _by_index(texts: dict[str, str], role: str, problems: list, parse) -> dict[int, Any]:
+    """Each text parsed and keyed by its party index; keys that are not
+    an index and texts that do not parse go to `problems`."""
+    out = {}
+    for key, text in sorted(texts.items()):
+        if not key.isdecimal():
+            problems.append(f"{role} entry for unknown {role} {key!r}")
+            continue
+        try:
+            out[int(key)] = parse(text)
+        except QbsimError as exc:
+            problems.append(f"{role} {key}: {exc}")
+    return out
 
 
 # ------------------------------------------------------------ run report
@@ -243,7 +219,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         return report
 
     if config.protocol == "lottery":
-        result = run_lottery(config.lottery_params())
+        result = run_lottery(config.params())
         consistent, divergence = result.honest_ledgers_consistent
         report.update({
             "outcome": result.outcome.to_dict(),
@@ -259,7 +235,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         })
         ctx = result.context
     else:
-        result = run_auction(config.auction_params())
+        result = run_auction(config.params())
         consistent, divergence = result.honest_ledgers_consistent
         assertions = {
             "honest_ledgers_consistent": consistent,
@@ -299,22 +275,17 @@ def canonical_report_bytes(report: dict) -> bytes:
                        ensure_ascii=True) + "\n").encode("ascii")
 
 
-_SCHEMA_CACHE: dict[str, dict] = {}
-
-
-def _schema(name: str) -> dict:
-    if name not in _SCHEMA_CACHE:
-        ref = importlib.resources.files("qbsim.schemas").joinpath(name)
-        _SCHEMA_CACHE[name] = json.loads(ref.read_text(encoding="utf-8"))
-    return _SCHEMA_CACHE[name]
+@functools.cache
+def _validator(name: str) -> jsonschema.Draft202012Validator:
+    """One compiled validator per published schema, checked once."""
+    ref = importlib.resources.files("qbsim.schemas").joinpath(name)
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
 
 
 def validate_report(report: dict):
-    jsonschema.validate(report, _schema("run_report.schema.json"))
-
-
-def validate_config_dict(data: dict):
-    jsonschema.validate(data, _schema("scenario_config.schema.json"))
+    _validator("run_report.schema.json").validate(report)
 
 
 def emit_report(report: dict, fp):

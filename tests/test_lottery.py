@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbsim.bits import BitString
+from qbsim.bits import BitString, xor_all
 from qbsim.errors import QbsimError
 from qbsim.lottery import (
     Equivocator,
@@ -13,11 +13,9 @@ from qbsim.lottery import (
     HonestPlayer,
     LotteryParams,
     determine_outcome,
-    hamming_distance,
     parse_player_policy,
     revenue_shares,
     run_lottery,
-    winning_ticket,
 )
 from qbsim.parties import miner, player
 
@@ -28,23 +26,23 @@ from oracles import lottery_result_matches_ledger
 
 
 def test_winning_ticket_example():
-    assert winning_ticket([BitString.from_text("0101"),
-                           BitString.from_text("0011")]).text == "0110"
+    assert xor_all([BitString.from_text("0101"),
+                    BitString.from_text("0011")]).text == "0110"
 
 
 def test_winning_ticket_odd_count_of_equal_tickets():
     t = BitString.from_text("1010")
-    assert winning_ticket([t, t, t]) == t
+    assert xor_all([t, t, t]) == t
 
 
 def test_winning_ticket_fold_order_irrelevant():
     rng = np.random.default_rng(3)
     tickets = [BitString.random(rng, 16) for _ in range(7)]
-    assert winning_ticket(tickets) == winning_ticket(list(reversed(tickets)))
+    assert xor_all(tickets) == xor_all(list(reversed(tickets)))
 
 
 def test_hamming_examples():
-    assert hamming_distance(BitString.from_text("0101"), BitString.from_text("0011")) == 2
+    assert BitString.from_text("0101").hamming_distance(BitString.from_text("0011")) == 2
 
 
 def test_revenue_shares_frozen_example():

@@ -1,0 +1,73 @@
+"""Every config that validation accepts runs; every one it rejects fails
+with a ConfigError that names the field, from every entry point."""
+
+import json
+import sys
+
+import pytest
+
+from qbsim import auction, lottery
+from qbsim.auction import AuctionParams, run_auction
+from qbsim.cli import entrypoint
+from qbsim.errors import ConfigError
+from qbsim.lottery import LotteryParams, run_lottery
+from qbsim.scenario import ScenarioConfig, run_scenario, validate_report
+
+TOO_MANY = 0x10000  # one past what a ">H" count or index field carries
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """A config past the limits must be refused before the run starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before its limits were checked")
+
+    monkeypatch.setattr(lottery, "make_context", refuse)
+    monkeypatch.setattr(auction, "make_context", refuse)
+
+
+@pytest.mark.parametrize("seller_policy", ["honest", "inflate"])
+def test_bid_width_64_completes(seller_policy):
+    # both bounded draws reach 2**64 - 1, one past the int64 range
+    config = ScenarioConfig(protocol="auction", buyers=3, bid_width=64, miners=2,
+                            seed=21, seller_policy=seller_policy)
+    report = run_scenario(config)
+    validate_report(report)
+    assert report["outcome"]["verdict"] == ("valid" if seller_policy == "honest" else "bot")
+
+
+@pytest.mark.parametrize("field", ["players", "ticket_bits", "miners"])
+def test_lottery_counts_past_the_encoding_raise_config_error(field, no_run):
+    fields = dict(players=3, ticket_bits=8, miners=2)
+    fields[field] = TOO_MANY
+    with pytest.raises(ConfigError, match=field):
+        run_scenario(ScenarioConfig(protocol="lottery", **fields))
+    with pytest.raises(ConfigError, match=field):
+        run_lottery(LotteryParams.simple(seed=1, **fields))
+
+
+@pytest.mark.parametrize("field", ["buyers", "miners"])
+def test_auction_counts_past_the_encoding_raise_config_error(field, no_run):
+    fields = dict(buyers=3, miners=2)
+    fields[field] = TOO_MANY
+    with pytest.raises(ConfigError, match=field):
+        run_scenario(ScenarioConfig(protocol="auction", **fields))
+    with pytest.raises(ConfigError, match=field):
+        run_auction(AuctionParams.simple(seed=1, **fields))
+
+
+def test_from_dict_rejects_a_mistyped_field_with_config_error():
+    with pytest.raises(ConfigError, match="players"):
+        ScenarioConfig.from_dict({"protocol": "lottery", "players": "3",
+                                  "ticket_bits": 8, "miners": 2})
+
+
+def test_cli_config_file_with_a_mistyped_field_exits_one(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"protocol": "lottery", "players": "3",
+                                "ticket_bits": 8, "miners": 2}))
+    monkeypatch.setattr(sys, "argv", ["qbsim", "lottery", "run", "--config", str(path)])
+    with pytest.raises(SystemExit) as exit_:
+        entrypoint()
+    assert exit_.value.code == 1
+    assert "players" in capsys.readouterr().err
