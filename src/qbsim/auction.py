@@ -42,9 +42,10 @@ from .encoding import (
     encode_verification_output,
 )
 from .errors import ConfigError, QbsimError
-from .ledger import RecordKind, ledgers_consistent
+from .ledger import RecordKind
 from .parties import PartyId, buyer, miner, seller
 from .runtime import (
+    FinalizedRun,
     SimContext,
     committee_violations,
     count_violations,
@@ -185,8 +186,7 @@ class AuctionParams:
     seller_policy: SellerPolicy = SellerPolicy.HONEST
     key_budget: int = 65536
     detail: bool = True
-    byzantine_miners: frozenset = frozenset()
-    miner_scripts: dict = field(default_factory=dict)
+    byzantine_miners: dict = field(default_factory=dict)  # miner -> script name or script
 
     @classmethod
     def simple(cls, buyers, miners, seed, bid_width=DEFAULT_BID_WIDTH,
@@ -201,7 +201,7 @@ class AuctionParams:
 
 
 @dataclass
-class AuctionRunResult:
+class AuctionRunResult(FinalizedRun):
     outcome: VerificationOutput
     decided_body: bytes
     per_miner_outputs: dict
@@ -213,12 +213,6 @@ class AuctionRunResult:
     consensus: ConsensusResult
     context: SimContext
     degenerate_policy: bool = False
-
-    @property
-    def honest_ledgers_consistent(self) -> tuple[bool, int | None]:
-        honest = [self.ledgers[m] for m in sorted(self.ledgers)
-                  if self.consensus.decisions.get(m) is not None]
-        return ledgers_consistent(honest)
 
 
 # -------------------------------------------------------------- protocol
@@ -237,8 +231,7 @@ def auction_violations(params: AuctionParams) -> list[str]:
         elif width_ok:
             out += [f"buyer {i} bid {v} outside [1, {params.bid_cap}]"
                     for v in policy.bids if not 1 <= v <= params.bid_cap]
-    return out + committee_violations(params.miners, params.byzantine_miners,
-                                      params.miner_scripts)
+    return out + committee_violations(params.miners, params.byzantine_miners)
 
 
 def _choose_bids(params: AuctionParams, ctx: SimContext):

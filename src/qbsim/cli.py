@@ -16,6 +16,7 @@ import time
 import click
 
 from .batch import run_batch
+from .consensus import MINER_SCRIPT_NAMES
 from .encoding import decode_ticket_list, decode_verification_output
 from .errors import ConfigError, QbsimError
 from .ledger import RecordKind
@@ -105,7 +106,7 @@ def _protocol_commands(group, protocol: str, options, stats_doc: str):
 
 _BYZANTINE = click.option(
     "--byzantine", "byzantine_miners", multiple=True, metavar="INDEX=SCRIPT",
-    help="Byzantine miner scripts: silent|garbage|equivocate (repeatable)")
+    help=f"Byzantine miner scripts: {'|'.join(MINER_SCRIPT_NAMES)} (repeatable)")
 
 
 @main.group()

@@ -195,10 +195,6 @@ class CommitmentRegistry:
     def status(self, commitment_id: int) -> CommitmentStatus:
         return self._records[commitment_id].status
 
-    def parties(self, commitment_id: int) -> tuple[PartyId, PartyId]:
-        record = self._records[commitment_id]
-        return record.committer, record.receiver
-
     def cheat_detected_committers(self) -> set[PartyId]:
         """Committers with at least one detected equivocation; the event
         log carries the same information for miners to act on."""

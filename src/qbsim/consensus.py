@@ -14,9 +14,15 @@ rounds per phase:
            n - f_tol supporting votes adopt the king's value, the rest
            keep their own d.
 
-Any missing, unparseable or out-of-domain message counts as a vote for
-the reserved domain element BOT (the empty byte string), so "no valid
-input" is representable inside the domain. Agreement and validity hold
+A delivered message casts one vote in the current (phase, round): the
+value it carries; None, the one undecided marker, for round 2's
+undecided flag; or the reserved domain element BOT (the empty byte
+string) for garbage, a foreign instance, phase or round, an undecided
+flag outside round 2, or a value outside the domain. A missing message
+counts as BOT too, so "no valid input" is representable inside the
+domain. The vote depends on the payload alone, so each round memoizes
+it per distinct payload: the domain is checked once per distinct value
+a round carries, not once per delivery. Agreement and validity hold
 whenever fewer than n/3 participants are Byzantine; otherwise the run
 completes but is flagged guarantees_void.
 
@@ -29,7 +35,7 @@ no faults and equal inputs it is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .encoding import decode_payload, encode_consensus
 from .errors import ConsensusUsageError, EncodingError
@@ -38,8 +44,6 @@ from .parties import PartyId
 from .transport import Network
 
 BOT = b""  # reserved domain element: "no valid input"
-
-_UNDECIDED = object()  # internal round-2 marker, never a domain value
 
 
 class ExplicitDomain:
@@ -96,15 +100,6 @@ class ConsensusInstance:
         return len(self.participants)
 
 
-@dataclass(frozen=True)
-class FaultModel:
-    byzantine: frozenset = frozenset()
-    scripts: dict = field(default_factory=dict)
-
-    def script_for(self, miner: PartyId):
-        return self.scripts.get(miner)
-
-
 # Byzantine script factories. A script is called once per (phase, round,
 # recipient) and returns None (stay silent), ("garbage",) or ("value", v).
 
@@ -151,9 +146,10 @@ def resolve_script(spec, rng, candidates):
 class PhaseKingParty:
     """Honest party state machine; one phase = r1/r2/r3 feed cycle.
 
-    Received value lists are positional over all n participants; the
-    caller maps missing/garbage/out-of-domain entries to BOT before
-    feeding them in (round 2 may carry the UNDECIDED marker instead).
+    Received value lists are positional over all n participants, the
+    party's own value in its own slot and a vote everywhere else (round
+    2 may carry None, the undecided marker). The preference is None
+    while the party is undecided.
     """
 
     def __init__(self, n: int, f_tol: int, pref: bytes):
@@ -176,16 +172,16 @@ class PhaseKingParty:
             if count >= threshold:
                 self.pref = value
                 return
-        self.pref = _UNDECIDED
+        self.pref = None
 
     # round 2
     def r2_payload(self) -> bytes | None:
-        return None if self.pref is _UNDECIDED else self.pref
+        return self.pref
 
     def r2_receive(self, values: list):
         counts: dict[bytes, int] = {}
         for v in values:
-            if v is _UNDECIDED:
+            if v is None:
                 continue
             counts[v] = counts.get(v, 0) + 1
         if counts:
@@ -207,10 +203,6 @@ class PhaseKingParty:
         else:
             self.pref = king_value
 
-    @staticmethod
-    def undecided_marker():
-        return _UNDECIDED
-
 
 @dataclass
 class ConsensusResult:
@@ -223,41 +215,55 @@ class ConsensusResult:
     decision_phase: int
     transcript: list
 
-    @property
-    def honest_decisions(self) -> dict:
-        return {m: self.decisions[m] for m in self.honest}
+
+def vote(instance: ConsensusInstance, phase: int, round_: int, payload: bytes):
+    """The vote a delivered payload casts in (phase, round_): the value it
+    carries, None for round 2's undecided flag, BOT for anything else."""
+    try:
+        msg = decode_payload(payload)
+    except EncodingError:
+        return BOT
+    if (msg["kind"] != "consensus" or msg["instance"] != instance.instance_id
+            or msg["phase"] != phase or msg["round"] != round_):
+        return BOT
+    if msg["undecided"]:
+        return None if round_ == 2 else BOT
+    return msg["value"] if instance.domain.contains(msg["value"]) else BOT
 
 
-def run_consensus(instance: ConsensusInstance, fault_model: FaultModel,
+def run_consensus(instance: ConsensusInstance, scripts: dict,
                   network: Network, log: EventLog | None = None) -> ConsensusResult:
-    """Drive one instance over the network, synchronous-round style."""
+    """Drive one instance over the network, synchronous-round style.
+
+    `scripts` maps each Byzantine participant to its script; every other
+    participant is honest and must have proposed an input.
+    """
     participants = instance.participants
     n = instance.n
-    byz = frozenset(fault_model.byzantine) & set(participants)
-    honest = tuple(m for m in participants if m not in byz)
+    honest = tuple(m for m in participants if m not in scripts)
     for m in honest:
         if m not in instance.inputs:
             raise ConsensusUsageError(f"honest miner {m} never proposed an input")
     f_tol = tolerated_faults(n)
-    f_actual = len(byz)
+    f_actual = n - len(honest)
     guarantees_void = 3 * f_actual >= n
     phases = f_tol + 1
 
     states = {m: PhaseKingParty(n, f_tol, instance.inputs[m]) for m in honest}
     index_of = {m: i for i, m in enumerate(participants)}
-    undecided = PhaseKingParty.undecided_marker()
     transcript: list[dict] = []
     detail = log.detail if log is not None else False
     prefs_history: list[dict] = []
 
     def exchange(phase: int, round_: int, payload_of, senders) -> dict:
         """Send round messages from `senders`, deliver all, and return
-        received[recipient][sender_index] = bytes | UNDECIDED (missing
-        entries simply stay absent and count as BOT)."""
-        received: dict[PartyId, dict[int, object]] = {m: {} for m in honest}
+        votes[recipient] = one vote per participant, the recipient's own
+        value in its own slot (when it sent one) and BOT wherever nothing
+        valid arrived."""
+        votes = {m: [BOT] * n for m in honest}
         for sender in senders:
-            if sender in byz:
-                script = fault_model.script_for(sender) or silent_script()
+            if sender in scripts:
+                script = scripts[sender]
                 for recipient in participants:
                     if recipient == sender:
                         continue
@@ -272,8 +278,7 @@ def run_consensus(instance: ConsensusInstance, fault_model: FaultModel,
                     network.send_authenticated(sender, recipient, payload)
             else:
                 value = payload_of(sender)
-                if value is None or value is undecided:
-                    value = None
+                votes[sender][index_of[sender]] = value
                 payload = encode_consensus(instance.instance_id, phase, round_, value)
                 if detail:
                     transcript.append({
@@ -285,68 +290,34 @@ def run_consensus(instance: ConsensusInstance, fault_model: FaultModel,
                         continue
                     network.send_authenticated(sender, recipient, payload)
 
-        decoded_cache: dict[bytes, object] = {}
+        memo: dict[bytes, bytes | None] = {}
 
         def on_delivery(delivery):
-            recipient = delivery.receiver
-            if recipient not in received:
+            row = votes.get(delivery.receiver)
+            if row is None:
                 return  # byzantine recipients run no honest logic
-            msg = decoded_cache.get(delivery.payload)
-            if msg is None:
-                try:
-                    msg = decode_payload(delivery.payload)
-                except EncodingError:
-                    msg = {"kind": "garbage"}
-                decoded_cache[delivery.payload] = msg
-            if msg["kind"] == "garbage":
-                received[recipient][index_of[delivery.sender]] = BOT
-                return
-            if (msg.get("kind") != "consensus"
-                    or msg["instance"] != instance.instance_id
-                    or msg["phase"] != phase or msg["round"] != round_):
-                received[recipient][index_of[delivery.sender]] = BOT
-                return
-            if msg["undecided"]:
-                value = undecided if round_ == 2 else BOT
-            else:
-                value = msg["value"]
-                if not instance.domain.contains(value):
-                    value = BOT
-            received[recipient][index_of[delivery.sender]] = value
+            payload = delivery.payload
+            if payload not in memo:
+                memo[payload] = vote(instance, phase, round_, payload)
+            row[index_of[delivery.sender]] = memo[payload]
 
         network.drain(on_delivery)
-        return received
-
-    def aligned(received_for: dict[int, object], me: PartyId, own) -> list:
-        values = []
-        for i, sender in enumerate(participants):
-            if sender == me:
-                values.append(own)
-            else:
-                values.append(received_for.get(i, BOT))
-        return values
+        return votes
 
     for phase in range(1, phases + 1):
         king = participants[(phase - 1) % n]
 
         r1 = exchange(phase, 1, lambda m: states[m].r1_payload(), participants)
         for m in honest:
-            states[m].r1_receive(aligned(r1[m], m, states[m].r1_payload()))
+            states[m].r1_receive(r1[m])
 
         r2 = exchange(phase, 2, lambda m: states[m].r2_payload(), participants)
         for m in honest:
-            own = states[m].r2_payload()
-            states[m].r2_receive(aligned(r2[m], m, undecided if own is None else own))
+            states[m].r2_receive(r2[m])
 
         r3 = exchange(phase, 3, lambda m: states[m].r3_payload(), [king])
         for m in honest:
-            if m == king:
-                king_value = states[m].r3_payload()
-            else:
-                king_value = r3[m].get(index_of[king], BOT)
-                if king_value is undecided:
-                    king_value = BOT
-            states[m].r3_receive(king_value)
+            states[m].r3_receive(r3[m][index_of[king]])
 
         prefs_history.append({m: states[m].pref for m in honest})
         if log is not None:

@@ -30,9 +30,10 @@ from .encoding import (
     encode_ticket_list,
 )
 from .errors import ConfigError, QbsimError
-from .ledger import RecordKind, ledgers_consistent
+from .ledger import RecordKind
 from .parties import PartyId, miner, player
 from .runtime import (
+    FinalizedRun,
     SimContext,
     committee_violations,
     count_violations,
@@ -186,8 +187,7 @@ class LotteryParams:
     cheat_policy: str = CHEAT_POLICY_EXCLUDE
     key_budget: int = 65536
     detail: bool = True
-    byzantine_miners: frozenset = frozenset()
-    miner_scripts: dict = field(default_factory=dict)
+    byzantine_miners: dict = field(default_factory=dict)  # miner -> script name or script
 
     @classmethod
     def simple(cls, players, ticket_bits, miners, seed, backend="ideal", **kw):
@@ -196,7 +196,7 @@ class LotteryParams:
 
 
 @dataclass
-class LotteryRunResult:
+class LotteryRunResult(FinalizedRun):
     outcome: LotteryOutcome
     verdicts: dict  # miner -> LotteryOutcome recomputed from its ledger
     decided_body: bytes
@@ -204,12 +204,6 @@ class LotteryRunResult:
     cheaters: tuple
     consensus: ConsensusResult
     context: SimContext
-
-    @property
-    def honest_ledgers_consistent(self) -> tuple[bool, int | None]:
-        honest = [self.ledgers[m] for m in sorted(self.ledgers)
-                  if self.consensus.decisions.get(m) is not None]
-        return ledgers_consistent(honest)
 
 
 def lottery_violations(params: LotteryParams) -> list[str]:
@@ -225,8 +219,7 @@ def lottery_violations(params: LotteryParams) -> list[str]:
             out.append(f"player policy for unknown player {i}")
         elif any(len(t) != params.ticket_bits for t in policy.tickets):
             out.append(f"player {i}: policy tickets must have length {params.ticket_bits}")
-    return out + committee_violations(params.miners, params.byzantine_miners,
-                                      params.miner_scripts)
+    return out + committee_violations(params.miners, params.byzantine_miners)
 
 
 def _policy_tickets(params: LotteryParams, ctx: SimContext):
@@ -257,15 +250,7 @@ def run_lottery(params: LotteryParams) -> LotteryRunResult:
             cid = ctx.registry.commit(p, m, commit_tickets[i], params.backend)
             commitment_ids[(i, m)] = cid
             ctx.network.send_authenticated(p, m, encode_commit_notify(cid, params.ticket_bits))
-
-    miner_commitments: dict[PartyId, dict[int, int]] = {m: {} for m in miners}
-
-    def on_commit(delivery):
-        msg = decode_payload(delivery.payload)
-        if msg["kind"] == "commit_notify":
-            miner_commitments[delivery.receiver][delivery.sender.index] = msg["commitment_id"]
-
-    ctx.network.drain(on_commit)
+    ctx.network.drain()
 
     # phase 2a: every player opens to every miner
     ctx.log.append("phase", protocol="lottery", phase=2, name="ticket_agreement")

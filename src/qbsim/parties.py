@@ -46,14 +46,6 @@ class PartyId:
     def __lt__(self, other: "PartyId") -> bool:
         return self.sort_key < other.sort_key
 
-    @classmethod
-    def parse(cls, text: str) -> "PartyId":
-        try:
-            role, index = text.split(":")
-            return cls(Role(role), int(index))
-        except (ValueError, KeyError) as exc:
-            raise QbsimError(f"not a party id: {text!r}") from exc
-
 
 def player(i: int) -> PartyId:
     return PartyId(Role.PLAYER, i)

@@ -118,9 +118,6 @@ class DensityOperator:
     def diagonal(cls, populations) -> "DensityOperator":
         return cls(np.diag(np.asarray(populations, dtype=np.complex128)))
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
 

@@ -11,14 +11,13 @@ from .consensus import (
     MINER_SCRIPT_NAMES,
     CodecDomain,
     ConsensusInstance,
-    FaultModel,
     resolve_script,
     run_consensus,
 )
 from .encoding import MAX_COUNT
 from .eventlog import EventLog
 from .keystore import KeyStore
-from .ledger import MinerLedger, RecordKind
+from .ledger import MinerLedger, RecordKind, ledgers_consistent
 from .parties import PartyId, miner
 from .rng import derive_seed, generator
 from .transport import Network
@@ -60,13 +59,14 @@ def count_violations(name: str, value: int, low: int, high: int = MAX_COUNT) -> 
     return []
 
 
-def committee_violations(miners: int, byzantine, scripts) -> list[str]:
+def committee_violations(miners: int, byzantine: dict) -> list[str]:
     """Byzantine miners outside the committee, unknown script names, and
-    a committee without an honest miner to finalize anything."""
+    a committee without an honest miner to finalize anything.
+    `byzantine` maps each Byzantine miner to a script name or a script."""
     out = [f"byzantine script for unknown miner {m.index}"
-           for m in sorted({*byzantine, *scripts}) if m.index >= miners]
+           for m in sorted(byzantine) if m.index >= miners]
     out += [f"{m}: unknown script {spec!r} (expected one of {MINER_SCRIPT_NAMES})"
-            for m, spec in sorted(scripts.items())
+            for m, spec in sorted(byzantine.items())
             if not callable(spec) and spec not in MINER_SCRIPT_NAMES]
     if miners >= 1 and len({m for m in byzantine if m.index < miners}) >= miners:
         out.append("at least one honest miner is required")
@@ -74,6 +74,15 @@ def committee_violations(miners: int, byzantine, scripts) -> list[str]:
 
 
 # ------------------------------------------------------- finalization
+
+
+class FinalizedRun:
+    """Run results that hold the miners' `ledgers` and the `consensus`
+    result that filled them."""
+
+    @property
+    def honest_ledgers_consistent(self) -> tuple[bool, int | None]:
+        return ledgers_consistent([self.ledgers[m] for m in self.consensus.honest])
 
 
 def finalize(ctx: SimContext, params, protocol: str, instance_id: int,
@@ -90,17 +99,14 @@ def finalize(ctx: SimContext, params, protocol: str, instance_id: int,
     first one holding a decision.
     """
     miners = [miner(j) for j in range(params.miners)]
-    byzantine = frozenset(params.byzantine_miners)
     instance = ConsensusInstance(instance_id, miners, CodecDomain(decode))
     for m in miners:
-        if m not in byzantine:
+        if m not in params.byzantine_miners:
             instance.propose(m, propose(m))
     candidates = [instance.inputs[m] for m in sorted(instance.inputs)]
-    scripts = {
-        m: resolve_script(spec, ctx.rng("miner-script", m.index), candidates)
-        for m, spec in sorted(params.miner_scripts.items())
-    }
-    result = run_consensus(instance, FaultModel(byzantine, scripts), ctx.network, ctx.log)
+    scripts = {m: resolve_script(spec, ctx.rng("miner-script", m.index), candidates)
+               for m, spec in params.byzantine_miners.items()}
+    result = run_consensus(instance, scripts, ctx.network, ctx.log)
 
     ledgers = {m: MinerLedger(m) for m in miners}
     reference = next(m for m in miners if result.decisions[m] is not None)

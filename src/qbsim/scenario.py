@@ -133,11 +133,11 @@ class ScenarioConfig:
     def _params(self, backend, problems: list) -> LotteryParams | AuctionParams:
         """Parameters from the config's texts; a text that does not parse
         goes to `problems` and is left out."""
-        scripts = {miner(i): name for i, name in
-                   _by_index(self.byzantine_miners, "miner", problems, str).items()}
+        byzantine = {miner(i): name for i, name in
+                     _by_index(self.byzantine_miners, "miner", problems, str).items()}
         common = dict(miners=self.miners, seed=self.seed, backend=backend,
                       key_budget=self.key_budget, detail=self.detail_log,
-                      byzantine_miners=frozenset(scripts), miner_scripts=scripts)
+                      byzantine_miners=byzantine)
         if self.protocol == "lottery":
             policies = _by_index(self.player_policies, "player", problems,
                                  lambda text: parse_player_policy(text, self.ticket_bits))

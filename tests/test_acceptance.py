@@ -24,7 +24,6 @@ from qbsim.commitment import CheatSensitiveBackend, CommitmentRegistry, IdealBac
 from qbsim.consensus import (
     ConsensusInstance,
     ExplicitDomain,
-    FaultModel,
     equivocating_script,
     garbage_script,
     run_consensus,
@@ -271,7 +270,7 @@ def test_criterion_7_consensus():
                     value = (common if same
                              else candidates[int(rng.integers(0, len(candidates)))])
                     inst.propose(mm, value)
-                result = run_consensus(inst, FaultModel(byz, scripts), net, log)
+                result = run_consensus(inst, scripts, net, log)
                 total += 1
                 decisions = {result.decisions[mm] for mm in result.honest}
                 if len(decisions) != 1:

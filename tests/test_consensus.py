@@ -10,7 +10,6 @@ from qbsim.consensus import (
     CodecDomain,
     ConsensusInstance,
     ExplicitDomain,
-    FaultModel,
     PhaseKingParty,
     equivocating_script,
     garbage_script,
@@ -18,12 +17,14 @@ from qbsim.consensus import (
     silent_script,
     tolerated_faults,
 )
-from qbsim.encoding import decode_ticket_list
-from qbsim.errors import ConsensusUsageError
+from qbsim.encoding import decode_payload, decode_ticket_list
+from qbsim.errors import ConsensusUsageError, EncodingError
 from qbsim.eventlog import EventLog
 from qbsim.keystore import KeyStore
+from qbsim.lottery import LotteryParams, lottery_violations, run_lottery
 from qbsim.parties import miner
 from qbsim.rng import generator
+from qbsim.scenario import ScenarioConfig, run_scenario
 from qbsim.transport import Network
 
 
@@ -53,7 +54,7 @@ def test_all_honest_identical_input_decides_in_phase_one():
     inst = ConsensusInstance(0, miners, ExplicitDomain([b"v"]))
     for m in miners:
         inst.propose(m, b"v")
-    result = run_consensus(inst, FaultModel(), net, log)
+    result = run_consensus(inst, {}, net, log)
     assert all(result.decisions[m] == b"v" for m in miners)
     assert result.decision_phase == 1
     assert not result.guarantees_void
@@ -67,8 +68,7 @@ def test_one_equivocator_among_four_cannot_shake_identical_honest_inputs():
     for m in miners:
         if m != byz:
             inst.propose(m, b"v")
-    fm = FaultModel(frozenset([byz]), {byz: equivocating_script(rng, [b"v", b"w"])})
-    result = run_consensus(inst, fm, net, log)
+    result = run_consensus(inst, {byz: equivocating_script(rng, [b"v", b"w"])}, net, log)
     assert all(result.decisions[m] == b"v" for m in result.honest)
     assert result.decision_phase <= 2  # f_actual + 1
 
@@ -78,8 +78,7 @@ def test_boundary_f_equals_n_over_3_flags_guarantees_void():
     inst = ConsensusInstance(0, miners, ExplicitDomain([b"v"]))
     for m in miners[1:]:
         inst.propose(m, b"v")
-    fm = FaultModel(frozenset([miners[0]]), {miners[0]: silent_script()})
-    result = run_consensus(inst, fm, net, log)
+    result = run_consensus(inst, {miners[0]: silent_script()}, net, log)
     assert result.guarantees_void
 
 
@@ -87,7 +86,7 @@ def test_single_miner_decides_its_own_input():
     miners, net, log = build(1)
     inst = ConsensusInstance(0, miners, ExplicitDomain([b"solo"]))
     inst.propose(miners[0], b"solo")
-    result = run_consensus(inst, FaultModel(), net, log)
+    result = run_consensus(inst, {}, net, log)
     assert result.decisions[miners[0]] == b"solo"
 
 
@@ -96,7 +95,7 @@ def test_two_honest_miners_with_conflicting_inputs_agree_on_bot():
     inst = ConsensusInstance(0, miners, ExplicitDomain([b"a", b"b"]))
     inst.propose(miners[0], b"a")
     inst.propose(miners[1], b"b")
-    result = run_consensus(inst, FaultModel(), net, log)
+    result = run_consensus(inst, {}, net, log)
     decisions = set(result.decisions.values())
     assert len(decisions) == 1
     assert decisions == {BOT}
@@ -135,7 +134,7 @@ def run_phase_exhaustive(byz_index: int, king_index: int, choices):
         values = [states[j].r1_payload() if j in states else inject(1, i) for j in range(4)]
         states[i].r1_receive(values)
     # round 2
-    undecided = PhaseKingParty.undecided_marker()
+    undecided = None
     payloads = {i: states[i].r2_payload() for i in honest}
     for i in honest:
         values = []
@@ -198,7 +197,7 @@ def test_randomized_agreement_and_validity_small_sweep():
                 continue
             value = common if same_input else candidates[int(rng.integers(0, len(candidates)))]
             inst.propose(m, value)
-        result = run_consensus(inst, FaultModel(byz_miners, scripts), net, log)
+        result = run_consensus(inst, scripts, net, log)
         honest_values = {result.decisions[m] for m in result.honest}
         assert len(honest_values) == 1, f"agreement violated on trial {trial}"
         if same_input:
@@ -213,9 +212,65 @@ def test_same_seed_same_decision_and_transcript():
         inst = ConsensusInstance(0, miners, ExplicitDomain([b"a", b"b"]))
         for m in miners[1:]:
             inst.propose(m, b"a" if m.index % 2 else b"b")
-        fm = FaultModel(frozenset([miners[0]]),
-                        {miners[0]: equivocating_script(rng, [b"a", b"b"])})
-        result = run_consensus(inst, fm, net, log)
+        result = run_consensus(inst, {miners[0]: equivocating_script(rng, [b"a", b"b"])},
+                               net, log)
         return result.decisions, result.transcript
 
     assert run(17) == run(17)
+
+
+# ------------------------------------------------ protocol-level wiring
+
+
+def test_domain_checked_once_per_distinct_round_payload(monkeypatch):
+    """During a 10-miner lottery the domain is checked once per proposal
+    and at most once per distinct consensus payload delivered (a payload
+    carries its phase and round), not once per delivery."""
+    calls = []
+    contains = CodecDomain.contains
+
+    def counting_contains(self, value):
+        calls.append(value)
+        return contains(self, value)
+
+    monkeypatch.setattr(CodecDomain, "contains", counting_contains)
+    payloads = set()
+    deliver_next = Network.deliver_next
+
+    def recording_deliver_next(self):
+        delivery = deliver_next(self)
+        if delivery is not None and delivery.ok:
+            try:
+                if decode_payload(delivery.payload)["kind"] == "consensus":
+                    payloads.add(delivery.payload)
+            except EncodingError:
+                pass
+        return delivery
+
+    monkeypatch.setattr(Network, "deliver_next", recording_deliver_next)
+    config = ScenarioConfig(protocol="lottery", players=3, ticket_bits=8, miners=10, seed=0)
+    report = run_scenario(config)
+    assert report["timing"]["messages_delivered"] == 816
+    assert payloads
+    assert len(calls) <= len(payloads) + 10
+
+
+def test_callable_script_in_lottery_params_reaches_consensus():
+    """A library user may map a Byzantine miner to a script itself; it
+    passes validation and is the script consensus runs for that miner."""
+    called = []
+
+    def script(phase, round_, recipient):
+        called.append((phase, round_, recipient))
+        return ("garbage",)
+
+    params = LotteryParams.simple(players=3, ticket_bits=8, miners=4, seed=5,
+                                  byzantine_miners={miner(2): script})
+    assert lottery_violations(params) == []
+    result = run_lottery(params)
+    assert {recipient for _, _, recipient in called} == {miner(0), miner(1), miner(3)}
+    assert {(phase, round_) for phase, round_, _ in called} == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert result.consensus.honest == (miner(0), miner(1), miner(3))
+    assert result.consensus.decisions[miner(2)] is None
+    assert result.honest_ledgers_consistent == (True, None)
+    assert not result.outcome.aborted

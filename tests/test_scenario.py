@@ -1,10 +1,12 @@
 """Config round-trips, report determinism, schema validation, batching."""
 
+import importlib.resources
 import json
 
 import pytest
 
 from qbsim.batch import run_batch
+from qbsim.consensus import MINER_SCRIPT_NAMES
 from qbsim.errors import ConfigError
 from qbsim.scenario import (
     ScenarioConfig,
@@ -164,3 +166,10 @@ def test_auction_batch_counts_winners():
     assert agg["runs"] == 30
     assert sum(agg["winner_counts"].values()) == 30
     assert set(agg["winner_counts"]) <= {"0", "1"}
+
+
+def test_config_schema_names_the_miner_scripts_consensus_defines():
+    schema = json.loads(importlib.resources.files("qbsim.schemas")
+                        .joinpath("scenario_config.schema.json").read_text(encoding="utf-8"))
+    enum = schema["properties"]["byzantine_miners"]["additionalProperties"]["enum"]
+    assert tuple(enum) == MINER_SCRIPT_NAMES
