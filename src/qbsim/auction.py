@@ -419,11 +419,11 @@ def _verify_with_miner(ctx, m, s, participating, accepted, reveal_bits,
     net.send_authenticated(s, m, encode_auction_losers(losing_list))
     inbox = []
     net.drain(lambda d: inbox.append(decode_payload(d.payload)) if d.receiver == m else None)
-    claim = next(msg for msg in inbox if msg["kind"] == "auction_claim")
-    losers = next(msg for msg in inbox if msg["kind"] == "auction_losers")
+    claim = next((msg for msg in inbox if msg["kind"] == "auction_claim"), None)
+    losers = next((msg for msg in inbox if msg["kind"] == "auction_losers"), None)
 
-    # check (i): no losing bid may exceed the claimed winning bid
-    if any(v > claim["bid"] for v in losers["bids"]):
+    # check (i): the seller sent both, and no losing bid exceeds the claimed winning bid
+    if claim is None or losers is None or any(v > claim["bid"] for v in losers["bids"]):
         return VerificationOutput.bot(s)
 
     # step (ii): broadcast the combined list to the buyers
@@ -534,13 +534,13 @@ def _collect_openings(ctx, m, targets, known_cids, reveal_bits) -> dict[PartyId,
 
 
 def posterior_privacy_violations(result: AuctionRunResult) -> list[str]:
-    """Associations between a losing buyer's identity and his bid in the
-    public record (ledger bodies and miner -> buyer broadcasts).
+    """Losing buyers named in a miner's ledger record.
 
     The record schema has identity slots only for the winner (valid) or
-    the blamed cheater (bot), and broadcast lists carry bare values, so
-    an empty return is the structural guarantee the outcome publishes
-    no losing bid against a name.
+    the blamed cheater (bot), so an empty return is the structural
+    guarantee the outcome publishes no losing bid against a name. Only
+    ledgers are scanned; miner -> buyer broadcast lists carry bare
+    values by construction.
     """
     violations: list[str] = []
     out = result.outcome
@@ -573,11 +573,7 @@ def bid_privacy_violations(result: AuctionRunResult) -> list[str]:
     """Deliveries to any buyer before the verification phase; buyers are
     supposed to receive nothing at all during bidding and opening."""
     log = result.context.log
-    phase4_seq = None
-    for rec in log.records:
-        if rec["event"] == "phase" and rec.get("phase") == 4:
-            phase4_seq = rec["seq"]
-            break
+    phase4_seq = next((rec["seq"] for rec in log.of_kind("phase") if rec["phase"] == 4), None)
     violations = []
     for rec in log.of_kind("deliver"):
         if phase4_seq is not None and rec["seq"] >= phase4_seq:

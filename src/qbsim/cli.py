@@ -15,11 +15,13 @@ import time
 
 import click
 
+from .auction import SellerPolicy
 from .batch import run_batch
 from .consensus import MINER_SCRIPT_NAMES
 from .encoding import decode_ticket_list, decode_verification_output
 from .errors import ConfigError, QbsimError
 from .ledger import RecordKind
+from .lottery import CHEAT_POLICIES
 from .scenario import ScenarioConfig, canonical_report_bytes, emit_report, run_scenario
 
 
@@ -122,7 +124,7 @@ _protocol_commands(lottery, "lottery", [
     click.option("--backend", default="ideal", show_default=True,
                  help="commitment backend: ideal or cheat:<p>"),
     click.option("--policy", "cheat_policy", default="exclude", show_default=True,
-                 type=click.Choice(["exclude", "abort"]), help="cheat handling policy"),
+                 type=click.Choice(CHEAT_POLICIES), help="cheat handling policy"),
     click.option("--player-policy", "player_policies", multiple=True, metavar="INDEX=SPEC",
                  help="honest | fixed:BITS | equivocate:BITS:BITS (repeatable)"),
     _BYZANTINE,
@@ -145,7 +147,7 @@ _protocol_commands(auction, "auction", [
     click.option("--backend", default="ideal", show_default=True,
                  help="commitment backend: ideal or cheat:<p>"),
     click.option("--seller-policy", default="honest", show_default=True,
-                 type=click.Choice(["honest", "wrong-winner", "inflate", "drop-loser"])),
+                 type=click.Choice([policy.value for policy in SellerPolicy])),
     click.option("--buyer-policy", "buyer_policies", multiple=True, metavar="INDEX=SPEC",
                  help="honest | fixed:V | change:V:W | complain:V (repeatable)"),
     _BYZANTINE,

@@ -2,8 +2,8 @@
 
 The registry is the in-model stand-in for the quantum exchange between
 one committer and one receiver: it holds the committed value privately,
-answers the receiver's view with nothing beyond the session id and bit
-length, and adjudicates openings. Two backends:
+logs nothing of it beyond the session id and bit length, and
+adjudicates openings. Two backends:
 
 * ideal - perfectly concealing and perfectly binding: any opening that
   differs from the committed value is rejected outright;
@@ -121,25 +121,9 @@ class CommitmentRegistry:
             self._log.note("commit")
         return record.id
 
-    def receiver_view(self, commitment_id: int, caller: PartyId) -> dict:
-        """Everything the receiver can see before opening: id and length."""
-        record = self._records.get(commitment_id)
-        if record is None or caller != record.receiver:
-            raise QbsimError(f"party {caller} holds no commitment {commitment_id}")
-        return {"id": record.id, "length": len(record.value)}
-
     # -------------------------------------------------------------- open
 
     def open(self, commitment_id: int, caller: PartyId, claimed: BitString) -> OpenResult:
-        return self._adjudicate(commitment_id, caller, claimed, declared_equivocation=False)
-
-    def equivocate_attempt(self, commitment_id: int, caller: PartyId,
-                           new_value: BitString) -> OpenResult:
-        """Same semantics as open; exists so adversary scripts are explicit
-        in scenario logs."""
-        return self._adjudicate(commitment_id, caller, new_value, declared_equivocation=True)
-
-    def _adjudicate(self, commitment_id, caller, claimed, declared_equivocation) -> OpenResult:
         record = self._records.get(commitment_id)
         if record is None:
             return OpenResult.reject(REJECT_UNKNOWN)
@@ -156,27 +140,26 @@ class CommitmentRegistry:
             else max(len(claimed), len(record.value))  # length change: every bit suspect
         )
         if flipped == 0:
-            return self._finish(record, OpenResult.accept(record.value), declared_equivocation)
+            return self._finish(record, OpenResult.accept(record.value))
 
         if isinstance(record.backend, IdealBackend):
-            return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION),
-                                declared_equivocation)
+            return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION))
 
         p = record.backend.detection_prob_per_bit
         detected = bool((self._rng.random(flipped) < p).any())
         if detected:
-            return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION),
-                                declared_equivocation)
+            return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION))
         # cheat slipped through: the receiver accepts the claimed value
-        return self._finish(record, OpenResult.accept(claimed), declared_equivocation)
+        return self._finish(record, OpenResult.accept(claimed))
 
-    def _finish(self, record: _Record, result: OpenResult, declared: bool) -> OpenResult:
+    def _finish(self, record: _Record, result: OpenResult) -> OpenResult:
+        # declared_equivocation is a fixed report field: no caller declares one
         if result.accepted:
             record.status = CommitmentStatus.OPENED
             if self._log.detail:
                 self._log.append("open", id=record.id, committer=str(record.committer),
                                  receiver=str(record.receiver), result="accepted",
-                                 declared_equivocation=declared)
+                                 declared_equivocation=False)
             else:
                 self._log.note("open")
         else:
@@ -185,15 +168,12 @@ class CommitmentRegistry:
                 self._log.append("cheat_detected", id=record.id,
                                  committer=str(record.committer),
                                  receiver=str(record.receiver), reason=result.reason,
-                                 declared_equivocation=declared)
+                                 declared_equivocation=False)
             else:
                 self._log.note("cheat_detected")
         return result
 
     # ------------------------------------------------------------ status
-
-    def status(self, commitment_id: int) -> CommitmentStatus:
-        return self._records[commitment_id].status
 
     def cheat_detected_committers(self) -> set[PartyId]:
         """Committers with at least one detected equivocation; the event

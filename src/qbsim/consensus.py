@@ -46,16 +46,6 @@ from .transport import Network
 BOT = b""  # reserved domain element: "no valid input"
 
 
-class ExplicitDomain:
-    """Finite candidate set; BOT is always a member."""
-
-    def __init__(self, values):
-        self.values = frozenset(bytes(v) for v in values) | {BOT}
-
-    def contains(self, value: bytes) -> bool:
-        return value in self.values
-
-
 class CodecDomain:
     """Membership by validity of a canonical encoding (protocol domains
     are far too large to enumerate)."""

@@ -8,6 +8,8 @@ canonical JSON.
 
 from __future__ import annotations
 
+from .errors import QbsimError
+
 
 class EventLog:
     def __init__(self, detail: bool = True):
@@ -38,4 +40,7 @@ class EventLog:
         return list(self.records)
 
     def of_kind(self, kind: str) -> list[dict]:
+        """Records of one kind; a summary-mode log keeps none to scan."""
+        if not self.detail:
+            raise QbsimError(f"scanning {kind!r} records needs the detail log")
         return [r for r in self.records if r["event"] == kind]

@@ -15,7 +15,7 @@ import hashlib
 from .errors import KeyExhaustionError
 from .parties import PartyId
 
-DEFAULT_BLOCK_BYTES = 16  # 128-bit blocks: two 64-bit MAC key halves
+BLOCK_BYTES = 16  # 128-bit blocks: two 64-bit MAC key halves
 DEFAULT_BUDGET = 65536
 _CHUNK = 64  # blocks expanded per XOF call
 
@@ -23,26 +23,26 @@ _CHUNK = 64  # blocks expanded per XOF call
 class KeyStore:
     """Per-pair block streams with one-time consumption discipline."""
 
-    def __init__(self, master_seed: int, budget: int = DEFAULT_BUDGET,
-                 block_bytes: int = DEFAULT_BLOCK_BYTES):
+    def __init__(self, master_seed: int, budget: int = DEFAULT_BUDGET):
         self._seed = master_seed
         self.budget = budget
-        self.block_bytes = block_bytes
-        self._blocks: dict[tuple[PartyId, PartyId], list[bytes]] = {}
+        self._chunks: dict[tuple[tuple[PartyId, PartyId], int], bytes] = {}
         self._consumed: dict[tuple[PartyId, PartyId], int] = {}
 
     @staticmethod
     def _pair(a: PartyId, b: PartyId) -> tuple[PartyId, PartyId]:
         return (a, b) if a.sort_key <= b.sort_key else (b, a)
 
-    def _extend(self, pair: tuple[PartyId, PartyId], blocks: list[bytes]):
-        chunk_index = len(blocks) // _CHUNK
-        seed_material = (f"qbsim-keys|{self._seed}|{pair[0]}|{pair[1]}|{chunk_index}"
-                         .encode("ascii"))
-        raw = hashlib.shake_256(seed_material).digest(self.block_bytes * _CHUNK)
-        blocks.extend(
-            raw[i * self.block_bytes:(i + 1) * self.block_bytes] for i in range(_CHUNK)
-        )
+    def _block(self, pair: tuple[PartyId, PartyId], index: int) -> bytes:
+        chunk_index, offset = divmod(index, _CHUNK)
+        raw = self._chunks.get((pair, chunk_index))
+        if raw is None:
+            seed_material = (f"qbsim-keys|{self._seed}|{pair[0]}|{pair[1]}|{chunk_index}"
+                             .encode("ascii"))
+            raw = hashlib.shake_256(seed_material).digest(BLOCK_BYTES * _CHUNK)
+            self._chunks[(pair, chunk_index)] = raw
+        start = offset * BLOCK_BYTES
+        return raw[start:start + BLOCK_BYTES]
 
     def consume(self, a: PartyId, b: PartyId) -> tuple[int, bytes]:
         """Next unused block for the unordered pair; each index is spent once."""
@@ -51,19 +51,12 @@ class KeyStore:
         if index >= self.budget:
             raise KeyExhaustionError(
                 f"key budget ({self.budget} blocks) exhausted for {pair[0]}-{pair[1]}")
-        blocks = self._blocks.setdefault(pair, [])
-        while index >= len(blocks):
-            self._extend(pair, blocks)
         self._consumed[pair] = index + 1
-        return index, blocks[index]
+        return index, self._block(pair, index)
 
     def block_at(self, a: PartyId, b: PartyId, index: int) -> bytes:
         """Look up an already-issued block (receiver-side verification)."""
         pair = self._pair(a, b)
-        blocks = self._blocks.get(pair, [])
         if index >= self._consumed.get(pair, 0):
             raise KeyExhaustionError(f"block {index} was never issued for {pair[0]}-{pair[1]}")
-        return blocks[index]
-
-    def consumed_count(self, a: PartyId, b: PartyId) -> int:
-        return self._consumed.get(self._pair(a, b), 0)
+        return self._block(pair, index)

@@ -43,6 +43,7 @@ from .runtime import (
 
 CHEAT_POLICY_EXCLUDE = "exclude"
 CHEAT_POLICY_ABORT = "abort"
+CHEAT_POLICIES = (CHEAT_POLICY_EXCLUDE, CHEAT_POLICY_ABORT)
 
 
 # ------------------------------------------------------- player policies
@@ -212,8 +213,8 @@ def lottery_violations(params: LotteryParams) -> list[str]:
     out = [*count_violations("players", params.players, 2),
            *count_violations("ticket_bits", params.ticket_bits, 1),
            *count_violations("miners", params.miners, 1)]
-    if params.cheat_policy not in (CHEAT_POLICY_EXCLUDE, CHEAT_POLICY_ABORT):
-        out.append(f"cheat policy must be exclude|abort, got {params.cheat_policy!r}")
+    if params.cheat_policy not in CHEAT_POLICIES:
+        out.append(f"cheat policy must be {'|'.join(CHEAT_POLICIES)}, got {params.cheat_policy!r}")
     for i, policy in sorted(params.policies.items()):
         if not 0 <= i < params.players:
             out.append(f"player policy for unknown player {i}")

@@ -27,24 +27,14 @@ PRIME_32 = 4294967291
 
 @dataclass(frozen=True)
 class PolyMac:
-    """Polynomial-evaluation one-time MAC over GF(prime).
-
-    truncate_bits, when set, reduces tags mod 2^truncate_bits; the
-    forgery bound degrades by the truncation factor ceil(p / 2^bits).
-    """
+    """Polynomial-evaluation one-time MAC over GF(prime)."""
 
     prime: int = DEFAULT_PRIME
-    truncate_bits: int | None = None
 
     @property
     def chunk_bits(self) -> int:
         # High-bit head-room: chunk + 2^chunk_bits stays below the prime.
         return self.prime.bit_length() - 2
-
-    @property
-    def tag_bytes(self) -> int:
-        bits = self.truncate_bits if self.truncate_bits else self.prime.bit_length()
-        return (bits + 7) // 8
 
     def key_from_block(self, block: bytes) -> tuple[int, int]:
         half = len(block) // 2
@@ -67,10 +57,7 @@ class PolyMac:
 
     def tag(self, key: tuple[int, int], payload: bytes) -> int:
         r, s = key
-        value = (self.hash_payload(r, payload) + s) % self.prime
-        if self.truncate_bits is not None:
-            value &= (1 << self.truncate_bits) - 1
-        return value
+        return (self.hash_payload(r, payload) + s) % self.prime
 
     def verify(self, key: tuple[int, int], payload: bytes, tag: int) -> bool:
         return self.tag(key, payload) == tag

@@ -17,18 +17,15 @@ from .measures import (
     BindingReport,
     apply_open,
     binding_attack,
-    binding_strength,
     concealing_defect,
     distance_up_to_phase,
     fidelity,
     partial_trace_a,
-    states_equal_up_to_phase,
     trace_distance,
 )
 from .schemes import (
     bell_pair_scheme,
     exactly_concealing_scheme,
-    haar_unitary,
     product_scheme,
     random_density_matrix,
     random_pure_state,
@@ -47,12 +44,10 @@ __all__ = [
     "apply_open",
     "bell_pair_scheme",
     "binding_attack",
-    "binding_strength",
     "concealing_defect",
     "distance_up_to_phase",
     "exactly_concealing_scheme",
     "fidelity",
-    "haar_unitary",
     "load_scheme",
     "partial_trace_a",
     "product_scheme",
@@ -62,6 +57,5 @@ __all__ = [
     "save_scheme",
     "scheme_from_dict",
     "scheme_to_dict",
-    "states_equal_up_to_phase",
     "trace_distance",
 ]

@@ -37,10 +37,9 @@ def scheme_to_dict(scheme: QbcScheme) -> dict[str, Any]:
     }
 
 
-def scheme_from_dict(data: dict[str, Any], dim_cap: int | None = None) -> QbcScheme:
+def scheme_from_dict(data: dict[str, Any]) -> QbcScheme:
     try:
-        kwargs = {"cap": dim_cap} if dim_cap else {}
-        dims = HilbertDims(int(data["dim_a"]), int(data["dim_b"]), **kwargs)
+        dims = HilbertDims(int(data["dim_a"]), int(data["dim_b"]))
         c0 = PureState(dims, _complex_vector(data["c0"]))
         c1 = PureState(dims, _complex_vector(data["c1"]))
         kraus = [
@@ -56,10 +55,10 @@ def scheme_from_dict(data: dict[str, Any], dim_cap: int | None = None) -> QbcSch
     return QbcScheme(dims, c0, c1, open_op)
 
 
-def load_scheme(path: str, dim_cap: int | None = None) -> QbcScheme:
+def load_scheme(path: str) -> QbcScheme:
     with open(path, "r", encoding="utf-8") as fp:
         data = json.load(fp)
-    return scheme_from_dict(data, dim_cap=dim_cap)
+    return scheme_from_dict(data)
 
 
 def save_scheme(scheme: QbcScheme, path: str):

@@ -92,11 +92,6 @@ def binding_attack(scheme: QbcScheme) -> BindingReport:
     )
 
 
-def binding_strength(scheme: QbcScheme) -> float:
-    """1 - max_U |<c1|(U x I)|c0>|; zero means a perfect cheat exists."""
-    return binding_attack(scheme).strength
-
-
 def apply_open(op: OpenOperation, state: PureState) -> DensityOperator:
     if op.dim != state.dims.total:
         raise DimensionMismatchError(
@@ -115,6 +110,3 @@ def distance_up_to_phase(x: np.ndarray, y: np.ndarray) -> float:
     phase = inner / abs(inner) if abs(inner) > 0 else 1.0
     return float(np.linalg.norm(x / phase - y))
 
-
-def states_equal_up_to_phase(x: np.ndarray, y: np.ndarray, tol: float = 1e-6) -> bool:
-    return distance_up_to_phase(np.asarray(x), np.asarray(y)) <= tol

@@ -111,10 +111,6 @@ class DensityOperator:
         self.matrix.flags.writeable = False
 
     @classmethod
-    def from_pure(cls, state: PureState) -> "DensityOperator":
-        return cls(state.projector())
-
-    @classmethod
     def diagonal(cls, populations) -> "DensityOperator":
         return cls(np.diag(np.asarray(populations, dtype=np.complex128)))
 

@@ -84,11 +84,6 @@ class ScenarioConfig:
         with open(path, "r", encoding="utf-8") as fp:
             return cls.from_dict(json.load(fp))
 
-    def save(self, path: str):
-        with open(path, "w", encoding="utf-8") as fp:
-            json.dump(self.to_dict(), fp, indent=2, sort_keys=True)
-            fp.write("\n")
-
     # -------------------------------------------------------- validation
 
     def violations(self) -> list[str]:
@@ -264,8 +259,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
     report["event_counters"] = dict(sorted(ctx.log.counters.items()))
     report["timing"] = {
         "events": ctx.log.total_events,
-        "messages_sent": ctx.network.messages_sent,
-        "messages_delivered": ctx.network.messages_delivered,
+        "messages_sent": ctx.log.counters.get("send", 0),
+        "messages_delivered": ctx.log.counters.get("deliver", 0),
     }
     return report
 

@@ -51,11 +51,10 @@ class Delivery:
 
 
 class Network:
-    def __init__(self, parties, keystore: KeyStore, scheduler_seed: int,
-                 log: EventLog, mac: PolyMac | None = None):
+    def __init__(self, parties, keystore: KeyStore, scheduler_seed: int, log: EventLog):
         self.parties = set(parties)
         self.keystore = keystore
-        self.mac = mac if mac is not None else PolyMac()
+        self.mac = PolyMac()
         self.log = log
         self._rng = random.Random(scheduler_seed)
         self._queues: dict[tuple[PartyId, PartyId], deque] = {}
@@ -66,8 +65,6 @@ class Network:
         self._next_id = 0
         self._step = 0
         self._pending = 0
-        self.messages_sent = 0
-        self.messages_delivered = 0
 
     # ------------------------------------------------------------ hooks
 
@@ -89,12 +86,10 @@ class Network:
         queue = self._queues.get(link)
         if queue is None:
             queue = self._queues[link] = deque()
-        if not queue and link not in self._active_pos:
-            self._active_pos[link] = len(self._active)
-            self._active.append(link)
+        if not queue:
+            self._activate(link)
         queue.append(msg)
         self._pending += 1
-        self.messages_sent += 1
         if self.log.detail:
             self.log.append("send", sender=str(sender), receiver=str(receiver),
                             msg_id=msg.msg_id, size=len(payload),
@@ -171,7 +166,6 @@ class Network:
         block = self.keystore.block_at(msg.sender, msg.receiver, msg.key_index)
         ok = self.mac.verify(self.mac.key_from_block(block), msg.payload, msg.tag)
         if ok:
-            self.messages_delivered += 1
             if self.log.detail:
                 self.log.append("deliver", sender=str(msg.sender),
                                 receiver=str(msg.receiver), msg_id=msg.msg_id)

@@ -2,11 +2,24 @@
 
 Everything here reimplements the checked computation from scratch
 (struct-level parsing, straight-line arithmetic) so a transcription bug
-in the package cannot hide behind its own code paths.
+in the package cannot hide behind its own code paths. ExplicitDomain is
+the one fixture: a small consensus domain the tests can enumerate.
 """
 
 import struct
 from fractions import Fraction
+
+from qbsim.consensus import BOT
+
+
+class ExplicitDomain:
+    """Finite candidate set; BOT is always a member."""
+
+    def __init__(self, values):
+        self.values = frozenset(bytes(v) for v in values) | {BOT}
+
+    def contains(self, value: bytes) -> bool:
+        return value in self.values
 
 
 def recompute_lottery_from_ledger(body: bytes, ticket_bits: int, cheat_policy: str) -> dict:

@@ -23,7 +23,6 @@ from qbsim.bits import BitString
 from qbsim.commitment import CheatSensitiveBackend, CommitmentRegistry, IdealBackend
 from qbsim.consensus import (
     ConsensusInstance,
-    ExplicitDomain,
     equivocating_script,
     garbage_script,
     run_consensus,
@@ -51,7 +50,7 @@ from qbsim.rng import generator
 from qbsim.scenario import ScenarioConfig, canonical_report_bytes, run_scenario
 from qbsim.transport import Network
 
-from oracles import auction_argmax, lottery_result_matches_ledger
+from oracles import ExplicitDomain, auction_argmax, lottery_result_matches_ledger
 
 
 @contextmanager

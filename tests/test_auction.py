@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qbsim import auction
 from qbsim.auction import (
     AuctionParams,
     ChangeBid,
@@ -18,7 +19,8 @@ from qbsim.auction import (
     run_auction,
 )
 from qbsim.errors import QbsimError
-from qbsim.parties import buyer, seller
+from qbsim.parties import buyer, miner, seller
+from qbsim.scenario import ScenarioConfig, run_scenario, validate_report
 
 
 def fixed_bids(*values):
@@ -260,6 +262,35 @@ def test_posterior_privacy_over_random_honest_runs():
         assert posterior_privacy_violations(result) == []
         assert bid_privacy_violations(result) == []
         assert complaint_openings(result) == 0
+
+
+def test_privacy_scans_refuse_summary_mode_results():
+    result = run_auction(AuctionParams.simple(3, 2, seed=1, detail=False))
+    with pytest.raises(QbsimError, match="detail log"):
+        bid_privacy_violations(result)
+    with pytest.raises(QbsimError, match="detail log"):
+        complaint_openings(result)
+
+
+@pytest.mark.parametrize("miners", [2, 4])
+def test_dropped_seller_messages_make_the_miner_blame_the_seller(monkeypatch, miners):
+    config = ScenarioConfig(protocol="auction", buyers=3, miners=miners, seed=1)
+    honest = run_scenario(config)
+    make_context = auction.make_context
+
+    def make_context_dropping_seller_to_miner_0(*args, **kwargs):
+        ctx = make_context(*args, **kwargs)
+        ctx.network.set_hook(seller(), miner(0), lambda msg: ("drop",))
+        return ctx
+
+    monkeypatch.setattr(auction, "make_context", make_context_dropping_seller_to_miner_0)
+    report = run_scenario(config)
+    validate_report(report)
+    assert report["per_miner_outputs"]["miner:0"] == {"verdict": "bot", "cheater": "seller:0"}
+    if miners == 2:  # one honest miner's bot against the other's valid
+        assert report["outcome"] == {"verdict": "no_consensus"}
+    else:  # f_tol = 1 absorbs the miner that heard nothing
+        assert report["outcome"] == honest["outcome"]
 
 
 def test_removing_one_miner_leaves_outcome_unchanged():

@@ -1,9 +1,14 @@
 """CLI surface: subcommands, exit codes, report emission, ledger dump."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import qbsim
 from qbsim.cli import main
 from qbsim.qbc import bell_pair_scheme, product_scheme, save_scheme
 
@@ -120,3 +125,15 @@ def test_ledger_dump_renders_records(tmp_path):
                                    "--json"])
     parsed = json_line(as_json.output)
     assert "miner:0" in parsed and "miner:1" in parsed
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only; the CLI's import path must not need it."""
+    src = str(Path(qbsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = ("import sys, qbsim.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

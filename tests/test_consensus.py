@@ -9,7 +9,6 @@ from qbsim.consensus import (
     BOT,
     CodecDomain,
     ConsensusInstance,
-    ExplicitDomain,
     PhaseKingParty,
     equivocating_script,
     garbage_script,
@@ -26,6 +25,8 @@ from qbsim.parties import miner
 from qbsim.rng import generator
 from qbsim.scenario import ScenarioConfig, run_scenario
 from qbsim.transport import Network
+
+from oracles import ExplicitDomain
 
 
 def build(n, seed=1, detail=False):

@@ -19,7 +19,6 @@ from qbsim.qbc import (
     QbcScheme,
     apply_open,
     binding_attack,
-    binding_strength,
     concealing_defect,
     distance_up_to_phase,
     fidelity,
@@ -193,7 +192,7 @@ def test_fidelity_matches_pure_state_overlap():
     for _ in range(20):
         s1, s2 = random_pure_state(dims, rng), random_pure_state(dims, rng)
         expected = abs(np.vdot(s1.amplitudes, s2.amplitudes))
-        got = fidelity(DensityOperator.from_pure(s1), DensityOperator.from_pure(s2))
+        got = fidelity(DensityOperator(s1.projector()), DensityOperator(s2.projector()))
         assert abs(got - expected) < 1e-9
 
 
@@ -233,7 +232,7 @@ def test_bell_scheme_is_perfectly_concealing_and_not_binding():
 def test_product_scheme_is_fully_revealing_and_perfectly_binding():
     scheme = product_scheme()
     assert abs(concealing_defect(scheme) - 1.0) < 1e-12
-    assert abs(binding_strength(scheme) - 1.0) < 1e-12
+    assert abs(binding_attack(scheme).strength - 1.0) < 1e-12
 
 
 def test_concealing_defect_composes_the_two_oracles():

@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from qbsim.auction import SellerPolicy
 from qbsim.batch import run_batch
 from qbsim.consensus import MINER_SCRIPT_NAMES
 from qbsim.errors import ConfigError
+from qbsim.lottery import CHEAT_POLICIES
 from qbsim.scenario import (
     ScenarioConfig,
     canonical_report_bytes,
@@ -173,3 +175,20 @@ def test_config_schema_names_the_miner_scripts_consensus_defines():
                         .joinpath("scenario_config.schema.json").read_text(encoding="utf-8"))
     enum = schema["properties"]["byzantine_miners"]["additionalProperties"]["enum"]
     assert tuple(enum) == MINER_SCRIPT_NAMES
+
+
+def test_config_schema_names_the_policies_the_protocols_define():
+    schema = json.loads(importlib.resources.files("qbsim.schemas")
+                        .joinpath("scenario_config.schema.json").read_text(encoding="utf-8"))
+    assert tuple(schema["properties"]["cheat_policy"]["enum"]) == CHEAT_POLICIES
+    assert schema["properties"]["seller_policy"]["enum"] == [p.value for p in SellerPolicy]
+
+
+@pytest.mark.parametrize("detail_log", [True, False])
+@pytest.mark.parametrize("config", [lottery_config, auction_config])
+def test_timing_reads_the_event_counters(config, detail_log):
+    report = run_scenario(config(detail_log=detail_log))
+    counters, timing = report["event_counters"], report["timing"]
+    assert timing["messages_sent"] == counters["send"] > 0
+    assert timing["messages_delivered"] == counters["deliver"] > 0
+    assert timing["events"] == sum(counters.values())

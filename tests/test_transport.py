@@ -101,7 +101,7 @@ def test_one_time_key_blocks_never_reused():
         key = (pair, record["key_index"])
         assert key not in seen
         seen.add(key)
-    assert net.keystore.consumed_count(player(0), miner(0)) == 40
+    assert net.keystore.consume(player(0), miner(0))[0] == 40
 
 
 def test_key_exhaustion_raises():
