@@ -25,8 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .bits import BitString
-from .commitment import Backend, parse_backend
-from .consensus import ConsensusResult
+from .commitment import parse_backend
 from .encoding import (
     MAX_BID_BITS,
     MSG_OPEN_REQUEST,
@@ -36,7 +35,6 @@ from .encoding import (
     encode_auction_losers,
     encode_auction_response,
     encode_auction_vlist,
-    encode_commit_notify,
     encode_open,
     encode_open_request,
     encode_verification_output,
@@ -46,11 +44,13 @@ from .ledger import RecordKind
 from .parties import PartyId, buyer, miner, seller
 from .runtime import (
     FinalizedRun,
+    RunParams,
     SimContext,
-    committee_violations,
     count_violations,
     finalize,
     make_context,
+    run_violations,
+    scripted_values,
 )
 
 DEFAULT_BID_WIDTH = 32
@@ -63,7 +63,7 @@ DEFAULT_BID_WIDTH = 32
 class HonestBuyer:
     """Uniform random bid, opened faithfully."""
 
-    bids = ()  # drawn at run time
+    values = ()  # drawn at run time
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class FixedBid:
     value: int
 
     @property
-    def bids(self) -> tuple:
+    def values(self) -> tuple:
         return (self.value,)
 
 
@@ -83,7 +83,7 @@ class ChangeBid:
     open_value: int
 
     @property
-    def bids(self) -> tuple:
+    def values(self) -> tuple:
         return (self.commit_value, self.open_value)
 
 
@@ -138,13 +138,17 @@ def permute_losing(bids, winner_index: int, rng) -> list[int]:
 
 @dataclass(frozen=True)
 class VerificationOutput:
-    """A miner's verdict: the published tuple, or bot blaming the seller."""
+    """A miner's verdict: the published tuple, bot blaming the seller, or
+    bot without a cheater when every buyer was excluded and no bid is
+    left. The outcome of a run whose miners agreed on no record is not
+    `agreed`."""
 
     valid: bool
     cheater: PartyId | None = None
     winning_bid: int | None = None
     winner: PartyId | None = None
     losing_bids: tuple = ()
+    agreed: bool = True
 
     @classmethod
     def bot(cls, cheater: PartyId) -> "VerificationOutput":
@@ -156,9 +160,11 @@ class VerificationOutput:
                    losing_bids=tuple(losing_bids))
 
     def to_dict(self) -> dict:
+        if not self.agreed:
+            return {"verdict": "no_consensus"}
         if not self.valid:
             if self.cheater is None:
-                return {"verdict": "no_consensus"}
+                return {"verdict": "no_bids"}
             return {"verdict": "bot", "cheater": str(self.cheater)}
         return {"verdict": "valid", "winning_bid": self.winning_bid,
                 "winner": str(self.winner), "losing_bids": list(self.losing_bids)}
@@ -176,17 +182,11 @@ def output_from_body(body: bytes) -> VerificationOutput:
 
 
 @dataclass
-class AuctionParams:
+class AuctionParams(RunParams):
     buyers: int
     bid_width: int
-    miners: int
-    seed: int
-    backend: Backend
     buyer_policies: dict[int, BuyerPolicy] = field(default_factory=dict)
     seller_policy: SellerPolicy = SellerPolicy.HONEST
-    key_budget: int = 65536
-    detail: bool = True
-    byzantine_miners: dict = field(default_factory=dict)  # miner -> script name or script
 
     @classmethod
     def simple(cls, buyers, miners, seed, bid_width=DEFAULT_BID_WIDTH,
@@ -200,18 +200,13 @@ class AuctionParams:
         return (1 << self.bid_width) - 1
 
 
-@dataclass
+@dataclass(kw_only=True)
 class AuctionRunResult(FinalizedRun):
     outcome: VerificationOutput
-    decided_body: bytes
     per_miner_outputs: dict
-    ledgers: dict
-    cheaters: tuple
     excluded_buyers: tuple
     false_accusers: tuple
     true_bids: dict
-    consensus: ConsensusResult
-    context: SimContext
     degenerate_policy: bool = False
 
 
@@ -222,30 +217,17 @@ def auction_violations(params: AuctionParams) -> list[str]:
     """Every limit `params` breaks; the maxima are the encodings' field
     widths."""
     out = [*count_violations("buyers", params.buyers, 2),
-           *count_violations("bid_width", params.bid_width, 1, MAX_BID_BITS),
-           *count_violations("miners", params.miners, 1)]
+           *count_violations("bid_width", params.bid_width, 1, MAX_BID_BITS)]
     width_ok = 1 <= params.bid_width <= MAX_BID_BITS
     for i, policy in sorted(params.buyer_policies.items()):
         if not 0 <= i < params.buyers:
             out.append(f"buyer policy for unknown buyer {i}")
         elif width_ok:
             out += [f"buyer {i} bid {v} outside [1, {params.bid_cap}]"
-                    for v in policy.bids if not 1 <= v <= params.bid_cap]
-    return out + committee_violations(params.miners, params.byzantine_miners)
-
-
-def _choose_bids(params: AuctionParams, ctx: SimContext):
-    commit_bids, open_bids = {}, {}
-    for i in range(params.buyers):
-        bids = params.buyer_policies.get(i, HonestBuyer()).bids
-        if not bids:
-            # uint64 reaches the 64-bit cap; below it the draw equals int64's
-            rng = ctx.rng("buyer", i)
-            bids = (int(rng.integers(1, params.bid_cap + 1, dtype=np.uint64)),)
-        commit_bids[i], open_bids[i] = bids[0], bids[-1]
-    complainers = {buyer(i) for i, policy in params.buyer_policies.items()
-                   if isinstance(policy, Complainer)}
-    return commit_bids, open_bids, complainers
+                    for v in policy.values if not 1 <= v <= params.bid_cap]
+    # a buyer and a miner: commit notice, claim list, response, and an
+    # open request and opening for a complaint or a multiplicity conflict
+    return out + run_violations(params, party_blocks=5)
 
 
 def _seller_forgery(params: AuctionParams, ctx: SimContext, accepted: dict,
@@ -304,30 +286,27 @@ def _seller_forgery(params: AuctionParams, ctx: SimContext, accepted: dict,
 
 
 def run_auction(params: AuctionParams) -> AuctionRunResult:
-    problems = auction_violations(params)
-    if problems:
-        raise ConfigError(problems)
+    ConfigError.check(auction_violations(params))
 
     buyers = [buyer(i) for i in range(params.buyers)]
     miners = [miner(j) for j in range(params.miners)]
     s = seller()
     ctx = make_context(params.seed, [s] + buyers + miners, params.key_budget,
                        params.detail)
-    commit_bids, open_bids, complainer_buyers = _choose_bids(params, ctx)
+    # uint64 reaches the 64-bit cap; below it the draw equals int64's
+    commit_bids, open_bids = scripted_values(
+        params.buyer_policies, params.buyers,
+        lambda i: int(ctx.rng("buyer", i).integers(1, params.bid_cap + 1, dtype=np.uint64)))
+    complainer_buyers = {buyer(i) for i, policy in params.buyer_policies.items()
+                         if isinstance(policy, Complainer)}
     width = params.bid_width
 
     # phase 1: every buyer commits his bid to the seller and to all miners
     ctx.log.append("phase", protocol="auction", phase=1, name="bidding")
-    seller_cids: dict[int, int] = {}
-    miner_cids: dict[tuple[int, PartyId], int] = {}
+    seller_cids = {}
     for i, b in enumerate(buyers):
         bits = BitString.from_int(commit_bids[i], width)
-        seller_cids[i] = ctx.registry.commit(b, s, bits, params.backend)
-        ctx.network.send_authenticated(b, s, encode_commit_notify(seller_cids[i], width))
-        for m in miners:
-            cid = ctx.registry.commit(b, m, bits, params.backend)
-            miner_cids[(i, m)] = cid
-            ctx.network.send_authenticated(b, m, encode_commit_notify(cid, width))
+        seller_cids[i] = ctx.commit_to(b, [s] + miners, bits, params.backend)[s]
     miner_known_cids: dict[PartyId, dict[int, int]] = {m: {} for m in miners}
 
     def on_notify(delivery):
@@ -348,36 +327,33 @@ def run_auction(params: AuctionParams) -> AuctionRunResult:
     accepted: dict[PartyId, int] = {}
 
     def on_open_to_seller(delivery):
-        msg = decode_payload(delivery.payload)
-        if msg["kind"] != "open":
-            return
-        result = ctx.registry.open(msg["commitment_id"], delivery.sender, msg["claimed"])
-        if result.accepted:
+        result = ctx.adjudicate(delivery)
+        if result is not None and result.accepted:
             accepted[delivery.sender] = result.value.value
 
     ctx.network.drain(on_open_to_seller)
     excluded = tuple(b for b in buyers if b not in accepted)
-    if not accepted:
-        raise QbsimError("every buyer was excluded; no bids to decide on")
 
-    # phase 3: the seller decides the winner
+    # phase 3: the seller decides the winner, if any bid was accepted
     ctx.log.append("phase", protocol="auction", phase=3, name="decision")
-    true_winner, true_bid = decide_winner(sorted(accepted.items()),
-                                          ctx.rng("seller", "tiebreak"))
-    reported_winner, reported_bid, losing_list, degenerate = _seller_forgery(
-        params, ctx, accepted, true_winner, true_bid, ctx.log)
+    degenerate = False
+    if accepted:
+        true_winner, true_bid = decide_winner(sorted(accepted.items()),
+                                              ctx.rng("seller", "tiebreak"))
+        reported_winner, reported_bid, losing_list, degenerate = _seller_forgery(
+            params, ctx, accepted, true_winner, true_bid, ctx.log)
 
-    # phase 4: per-miner verification
+    # phase 4: per-miner verification; with no bid there is nothing to verify
     ctx.log.append("phase", protocol="auction", phase=4, name="verification")
     participating = [b for b in buyers if b in accepted]
     reveal_bits = {b: BitString.from_int(open_bids[b.index], width) for b in participating}
     outputs: dict[PartyId, VerificationOutput] = {}
     false_accusers: set[PartyId] = set()
     for m in miners:
-        outputs[m] = _verify_with_miner(
+        outputs[m] = (_verify_with_miner(
             ctx, m, s, participating, accepted, reveal_bits, reported_winner,
             reported_bid, losing_list, miner_known_cids[m], false_accusers,
-            complainer_buyers)
+            complainer_buyers) if accepted else VerificationOutput(valid=False))
         ctx.log.append("miner_verdict", miner=str(m), **outputs[m].to_dict())
 
     # phase 5: consensus on the verification outputs, then publication
@@ -387,7 +363,7 @@ def run_auction(params: AuctionParams) -> AuctionRunResult:
         lambda m: encode_verification_output(outputs[m]))
     decided_body = consensus_result.decisions[reference]
     # no agreement records no outcome rather than a fake one
-    outcome = (VerificationOutput(valid=False, cheater=None) if decided_body == b""
+    outcome = (VerificationOutput(valid=False, agreed=False) if decided_body == b""
                else output_from_body(decided_body))
 
     cheaters = list(ctx.registry.cheat_detected_committers())
@@ -517,14 +493,15 @@ def _collect_openings(ctx, m, targets, known_cids, reveal_bits) -> dict[PartyId,
     opened: dict[PartyId, int] = {}
 
     def handler(delivery):
+        if delivery.receiver == m:
+            result = ctx.adjudicate(delivery)
+            if result is not None and result.accepted:
+                opened[delivery.sender] = result.value.value
+            return
         msg = decode_payload(delivery.payload)
         if msg["kind"] == "open_request" and delivery.receiver.role.value == "buyer":
             b = delivery.receiver
             net.send_authenticated(b, m, encode_open(msg["commitment_id"], reveal_bits[b]))
-        elif msg["kind"] == "open" and delivery.receiver == m:
-            result = ctx.registry.open(msg["commitment_id"], delivery.sender, msg["claimed"])
-            if result.accepted:
-                opened[delivery.sender] = result.value.value
 
     net.drain(handler)
     return opened

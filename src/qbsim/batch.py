@@ -30,52 +30,37 @@ def chisquare(ones: int, n: int) -> float:
 def _run_summary(config: ScenarioConfig, run_index: int) -> dict:
     config = replace(config, seed=derive_seed(config.seed, "batch", run_index),
                      detail_log=False)
+    if config.protocol not in ("lottery", "auction"):
+        raise QbsimError(f"batch runs need lottery or auction, got {config.protocol}")
+    run = run_lottery if config.protocol == "lottery" else run_auction
+    result = run(config.params())
+    out = result.outcome
+    summary = {"protocol": config.protocol, "cheaters": len(result.cheaters),
+               "consistent": result.honest_ledgers_consistent[0]}
     if config.protocol == "lottery":
-        result = run_lottery(config.params())
-        out = result.outcome
-        consistent, _ = result.honest_ledgers_consistent
-        return {
-            "protocol": "lottery",
-            "aborted": out.aborted,
-            "winning_bits": list(out.winning) if out.winning is not None else None,
-            "cheaters": len(result.cheaters),
-            "consistent": consistent,
-        }
-    if config.protocol == "auction":
-        result = run_auction(config.params())
-        out = result.outcome
-        consistent, _ = result.honest_ledgers_consistent
-        return {
-            "protocol": "auction",
-            "valid": out.valid,
-            "winner": out.winner.index if out.valid else None,
-            "winning_bid": out.winning_bid,
-            "cheaters": len(result.cheaters),
-            "consistent": consistent,
-            "degenerate": result.degenerate_policy,
-        }
-    raise QbsimError(f"batch runs need lottery or auction, got {config.protocol}")
+        summary.update(aborted=out.aborted,
+                       winning_bits=list(out.winning) if out.winning is not None else None)
+    else:
+        summary.update(valid=out.valid, winner=out.winner.index if out.valid else None,
+                       winning_bid=out.winning_bid, degenerate=result.degenerate_policy)
+    return summary
 
 
-def _merge_lottery(agg: dict, summary: dict):
+def _merge(agg: dict, summary: dict):
     agg["runs"] += 1
-    agg["aborted"] += summary["aborted"]
     agg["runs_with_cheaters"] += summary["cheaters"] > 0
     agg["consistency_violations"] += not summary["consistent"]
-    bits = summary["winning_bits"]
-    if bits is not None:
-        if not agg["bit_one_counts"]:
-            agg["bit_one_counts"] = [0] * len(bits)
-        for i, b in enumerate(bits):
-            agg["bit_one_counts"][i] += b
-        agg["decided_runs"] += 1
-
-
-def _merge_auction(agg: dict, summary: dict):
-    agg["runs"] += 1
+    if summary["protocol"] == "lottery":
+        agg["aborted"] += summary["aborted"]
+        bits = summary["winning_bits"]
+        if bits is not None:
+            if not agg["bit_one_counts"]:
+                agg["bit_one_counts"] = [0] * len(bits)
+            for i, b in enumerate(bits):
+                agg["bit_one_counts"][i] += b
+            agg["decided_runs"] += 1
+        return
     agg["bot_runs"] += not summary["valid"]
-    agg["runs_with_cheaters"] += summary["cheaters"] > 0
-    agg["consistency_violations"] += not summary["consistent"]
     agg["degenerate_runs"] += summary["degenerate"]
     if summary["valid"]:
         key = str(summary["winner"])
@@ -88,26 +73,22 @@ def run_batch(config: ScenarioConfig, runs: int, workers: int = 1) -> dict:
         raise QbsimError("a batch needs at least one run")
     config = config.validated()
 
+    agg = {"protocol": config.protocol, "master_seed": config.seed, "runs": 0,
+           "runs_with_cheaters": 0, "consistency_violations": 0}
     if config.protocol == "lottery":
-        agg = {"protocol": "lottery", "master_seed": config.seed, "runs": 0,
-               "decided_runs": 0, "aborted": 0, "runs_with_cheaters": 0,
-               "consistency_violations": 0, "bit_one_counts": []}
-        merge = _merge_lottery
+        agg.update(decided_runs=0, aborted=0, bit_one_counts=[])
     else:
-        agg = {"protocol": "auction", "master_seed": config.seed, "runs": 0,
-               "bot_runs": 0, "runs_with_cheaters": 0, "consistency_violations": 0,
-               "degenerate_runs": 0, "winner_counts": {}}
-        merge = _merge_auction
+        agg.update(bot_runs=0, degenerate_runs=0, winner_counts={})
 
     if workers <= 1:
         for i in range(runs):
-            merge(agg, _run_summary(config, i))
+            _merge(agg, _run_summary(config, i))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, runs // (workers * 8))
             for summary in pool.map(_run_summary, [config] * runs,
                                     range(runs), chunksize=chunk):
-                merge(agg, summary)
+                _merge(agg, summary)
 
     if config.protocol == "lottery" and agg["decided_runs"]:
         n = agg["decided_runs"]

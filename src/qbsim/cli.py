@@ -20,6 +20,7 @@ from .batch import run_batch
 from .consensus import MINER_SCRIPT_NAMES
 from .encoding import decode_ticket_list, decode_verification_output
 from .errors import ConfigError, QbsimError
+from .keystore import DEFAULT_BUDGET
 from .ledger import RecordKind
 from .lottery import CHEAT_POLICIES
 from .scenario import ScenarioConfig, canonical_report_bytes, emit_report, run_scenario
@@ -128,7 +129,7 @@ _protocol_commands(lottery, "lottery", [
     click.option("--player-policy", "player_policies", multiple=True, metavar="INDEX=SPEC",
                  help="honest | fixed:BITS | equivocate:BITS:BITS (repeatable)"),
     _BYZANTINE,
-    click.option("--key-budget", default=65536, show_default=True,
+    click.option("--key-budget", default=DEFAULT_BUDGET, show_default=True,
                  help="one-time key blocks per party pair"),
 ], "Aggregate winning-bit frequencies and chi-square over many runs.")
 
@@ -151,7 +152,7 @@ _protocol_commands(auction, "auction", [
     click.option("--buyer-policy", "buyer_policies", multiple=True, metavar="INDEX=SPEC",
                  help="honest | fixed:V | change:V:W | complain:V (repeatable)"),
     _BYZANTINE,
-    click.option("--key-budget", default=65536, show_default=True),
+    click.option("--key-budget", default=DEFAULT_BUDGET, show_default=True),
 ], "Aggregate winner frequencies and detection rates over many runs.")
 
 
@@ -189,6 +190,8 @@ def _render_body(kind: str, body: bytes) -> str:
             parts.append(f"player {index}: {shown}")
         return "ticket list [" + "; ".join(parts) + "]"
     decoded = decode_verification_output(body)
+    if not decoded["valid"] and decoded["cheater"] is None:
+        return "auction outcome: no bids"
     if not decoded["valid"]:
         return f"auction outcome: bot, cheater {decoded['cheater']}"
     losers = ", ".join(str(v) for v in decoded["losing_bids"])

@@ -131,6 +131,8 @@ def decode_ticket_list(body: bytes) -> list[tuple[int, str, BitString | None]]:
 
 def encode_verification_output(output) -> bytes:
     """output: auction.VerificationOutput."""
+    if not output.valid and output.cheater is None:  # every bid was excluded
+        return struct.pack(">BB", AUCTION_OUTCOME_TAG, 2)
     if not output.valid:
         return struct.pack(">BB", AUCTION_OUTCOME_TAG, 1) + encode_party(output.cheater)
     parts = [
@@ -152,6 +154,9 @@ def decode_verification_output(body: bytes) -> dict:
         cheater = _read_party(reader)
         reader.finish()
         return {"valid": False, "cheater": cheater}
+    if verdict == 2:
+        reader.finish()
+        return {"valid": False, "cheater": None}
     if verdict != 0:
         raise EncodingError(f"unknown verdict {verdict}")
     winning_bid = reader.take(">Q")

@@ -12,6 +12,12 @@ class ConfigError(QbsimError):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
+    @classmethod
+    def check(cls, violations):
+        """Raise one error listing `violations`, if there are any."""
+        if violations:
+            raise cls(violations)
+
 
 class DimensionMismatchError(QbsimError):
     """Operands live on incompatible spaces."""

@@ -20,25 +20,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import BitString, xor_all
-from .commitment import Backend, parse_backend
-from .consensus import ConsensusResult
-from .encoding import (
-    decode_payload,
-    decode_ticket_list,
-    encode_commit_notify,
-    encode_open,
-    encode_ticket_list,
-)
+from .commitment import parse_backend
+from .encoding import decode_ticket_list, encode_open, encode_ticket_list
 from .errors import ConfigError, QbsimError
 from .ledger import RecordKind
 from .parties import PartyId, miner, player
 from .runtime import (
     FinalizedRun,
-    SimContext,
-    committee_violations,
+    RunParams,
     count_violations,
     finalize,
     make_context,
+    run_violations,
+    scripted_values,
 )
 
 CHEAT_POLICY_EXCLUDE = "exclude"
@@ -53,7 +47,7 @@ CHEAT_POLICIES = (CHEAT_POLICY_EXCLUDE, CHEAT_POLICY_ABORT)
 class HonestPlayer:
     """Uniform random ticket, opened faithfully."""
 
-    tickets = ()  # drawn at run time
+    values = ()  # drawn at run time
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class FixedTicket:
     ticket: BitString
 
     @property
-    def tickets(self) -> tuple:
+    def values(self) -> tuple:
         return (self.ticket,)
 
 
@@ -75,7 +69,7 @@ class Equivocator:
     open_ticket: BitString
 
     @property
-    def tickets(self) -> tuple:
+    def values(self) -> tuple:
         return (self.commit_ticket, self.open_ticket)
 
 
@@ -178,17 +172,11 @@ def determine_outcome(entries, ticket_bits: int, cheat_policy: str) -> LotteryOu
 
 
 @dataclass
-class LotteryParams:
+class LotteryParams(RunParams):
     players: int
     ticket_bits: int
-    miners: int
-    seed: int
-    backend: Backend
     policies: dict[int, PlayerPolicy] = field(default_factory=dict)
     cheat_policy: str = CHEAT_POLICY_EXCLUDE
-    key_budget: int = 65536
-    detail: bool = True
-    byzantine_miners: dict = field(default_factory=dict)  # miner -> script name or script
 
     @classmethod
     def simple(cls, players, ticket_bits, miners, seed, backend="ideal", **kw):
@@ -196,61 +184,41 @@ class LotteryParams:
                    seed=seed, backend=parse_backend(backend), **kw)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class LotteryRunResult(FinalizedRun):
     outcome: LotteryOutcome
     verdicts: dict  # miner -> LotteryOutcome recomputed from its ledger
-    decided_body: bytes
-    ledgers: dict
-    cheaters: tuple
-    consensus: ConsensusResult
-    context: SimContext
 
 
 def lottery_violations(params: LotteryParams) -> list[str]:
     """Every limit `params` breaks; the maxima are the encodings' field
     widths."""
     out = [*count_violations("players", params.players, 2),
-           *count_violations("ticket_bits", params.ticket_bits, 1),
-           *count_violations("miners", params.miners, 1)]
+           *count_violations("ticket_bits", params.ticket_bits, 1)]
     if params.cheat_policy not in CHEAT_POLICIES:
         out.append(f"cheat policy must be {'|'.join(CHEAT_POLICIES)}, got {params.cheat_policy!r}")
     for i, policy in sorted(params.policies.items()):
         if not 0 <= i < params.players:
             out.append(f"player policy for unknown player {i}")
-        elif any(len(t) != params.ticket_bits for t in policy.tickets):
+        elif any(len(t) != params.ticket_bits for t in policy.values):
             out.append(f"player {i}: policy tickets must have length {params.ticket_bits}")
-    return out + committee_violations(params.miners, params.byzantine_miners)
-
-
-def _policy_tickets(params: LotteryParams, ctx: SimContext):
-    commit_tickets, open_tickets = {}, {}
-    for i in range(params.players):
-        tickets = params.policies.get(i, HonestPlayer()).tickets
-        if not tickets:
-            tickets = (BitString.random(ctx.rng("player", i), params.ticket_bits),)
-        commit_tickets[i], open_tickets[i] = tickets[0], tickets[-1]
-    return commit_tickets, open_tickets
+    return out + run_violations(params, party_blocks=2)  # commit notice and open
 
 
 def run_lottery(params: LotteryParams) -> LotteryRunResult:
-    problems = lottery_violations(params)
-    if problems:
-        raise ConfigError(problems)
+    ConfigError.check(lottery_violations(params))
 
     players = [player(i) for i in range(params.players)]
     miners = [miner(j) for j in range(params.miners)]
     ctx = make_context(params.seed, players + miners, params.key_budget, params.detail)
-    commit_tickets, open_tickets = _policy_tickets(params, ctx)
+    commit_tickets, open_tickets = scripted_values(
+        params.policies, params.players,
+        lambda i: BitString.random(ctx.rng("player", i), params.ticket_bits))
 
     # phase 1: ticket purchasing - commit to every miner
     ctx.log.append("phase", protocol="lottery", phase=1, name="ticket_purchasing")
-    commitment_ids: dict[tuple[int, PartyId], int] = {}
-    for i, p in enumerate(players):
-        for m in miners:
-            cid = ctx.registry.commit(p, m, commit_tickets[i], params.backend)
-            commitment_ids[(i, m)] = cid
-            ctx.network.send_authenticated(p, m, encode_commit_notify(cid, params.ticket_bits))
+    commitment_ids = [ctx.commit_to(p, miners, commit_tickets[i], params.backend)
+                      for i, p in enumerate(players)]
     ctx.network.drain()
 
     # phase 2a: every player opens to every miner
@@ -260,20 +228,16 @@ def run_lottery(params: LotteryParams) -> LotteryRunResult:
             ctx.log.append("equivocate_attempt", player=str(p))
         for m in miners:
             ctx.network.send_authenticated(
-                p, m, encode_open(commitment_ids[(i, m)], open_tickets[i]))
+                p, m, encode_open(commitment_ids[i][m], open_tickets[i]))
 
     miner_views: dict[PartyId, dict[int, tuple[str, BitString | None]]] = {
         m: {} for m in miners}
 
     def on_open(delivery):
-        msg = decode_payload(delivery.payload)
-        if msg["kind"] != "open":
-            return
-        result = ctx.registry.open(msg["commitment_id"], delivery.sender, msg["claimed"])
-        if result.accepted:
-            miner_views[delivery.receiver][delivery.sender.index] = ("opened", result.value)
-        else:
-            miner_views[delivery.receiver][delivery.sender.index] = ("cheat_detected", None)
+        result = ctx.adjudicate(delivery)
+        if result is not None:
+            miner_views[delivery.receiver][delivery.sender.index] = (
+                ("opened", result.value) if result.accepted else ("cheat_detected", None))
 
     ctx.network.drain(on_open)
 

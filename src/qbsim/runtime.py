@@ -1,26 +1,42 @@
-"""Shared per-run machinery: parties, network, commitment registry, log,
-the limits every protocol shares, and consensus-to-ledger finalization."""
+"""Shared per-run machinery: the parameters and results every protocol
+run shares, parties, network, commitment registry, log, the commit/open
+exchange, the limits every protocol shares, and consensus-to-ledger
+finalization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .commitment import CommitmentRegistry
+from .commitment import Backend, CommitmentRegistry, OpenResult
 from .consensus import (
     BOT,
     MINER_SCRIPT_NAMES,
     CodecDomain,
     ConsensusInstance,
+    ConsensusResult,
     resolve_script,
     run_consensus,
+    tolerated_faults,
 )
-from .encoding import MAX_COUNT
+from .encoding import MAX_COUNT, decode_payload, encode_commit_notify
 from .eventlog import EventLog
-from .keystore import KeyStore
+from .keystore import DEFAULT_BUDGET, KeyStore
 from .ledger import MinerLedger, RecordKind, ledgers_consistent
 from .parties import PartyId, miner
 from .rng import derive_seed, generator
 from .transport import Network
+
+
+@dataclass(kw_only=True)
+class RunParams:
+    """The committee, seed, backend and budgets of one protocol run."""
+
+    miners: int
+    seed: int
+    backend: Backend
+    key_budget: int = DEFAULT_BUDGET
+    detail: bool = True
+    byzantine_miners: dict = field(default_factory=dict)  # miner -> script name or script
 
 
 @dataclass
@@ -35,6 +51,24 @@ class SimContext:
         """Substream keyed by purpose path; independent of other draws."""
         return generator(self.seed, *path)
 
+    def commit_to(self, committer: PartyId, receivers, value, backend: Backend) -> dict:
+        """Commit `value` to each receiver in turn and notify it of the
+        commitment id; returns {receiver: id}."""
+        ids = {}
+        for receiver in receivers:
+            ids[receiver] = self.registry.commit(committer, receiver, value, backend)
+            self.network.send_authenticated(committer, receiver,
+                                            encode_commit_notify(ids[receiver], len(value)))
+        return ids
+
+    def adjudicate(self, delivery) -> OpenResult | None:
+        """The registry's verdict on a delivered `open`; None for any
+        other message."""
+        msg = decode_payload(delivery.payload)
+        if msg["kind"] != "open":
+            return None
+        return self.registry.open(msg["commitment_id"], delivery.sender, msg["claimed"])
+
 
 def make_context(seed: int, parties, key_budget: int, detail: bool) -> SimContext:
     parties = tuple(parties)
@@ -44,6 +78,19 @@ def make_context(seed: int, parties, key_budget: int, detail: bool) -> SimContex
     registry = CommitmentRegistry(generator(seed, "registry"), log)
     return SimContext(seed=seed, parties=parties, log=log, network=network,
                       registry=registry)
+
+
+def scripted_values(policies: dict, count: int, draw) -> tuple[dict, dict]:
+    """The value each of `count` parties commits and the one it opens.
+    A policy's `values` holds one value, or the committed and then the
+    opened one; a party without values gets `draw(index)`."""
+    committed, opened = {}, {}
+    for i in range(count):
+        values = policies[i].values if i in policies else ()
+        if not values:
+            values = (draw(i),)
+        committed[i], opened[i] = values[0], values[-1]
+    return committed, opened
 
 
 # ------------------------------------------------------------- limits
@@ -59,33 +106,51 @@ def count_violations(name: str, value: int, low: int, high: int = MAX_COUNT) -> 
     return []
 
 
-def committee_violations(miners: int, byzantine: dict) -> list[str]:
-    """Byzantine miners outside the committee, unknown script names, and
-    a committee without an honest miner to finalize anything.
-    `byzantine` maps each Byzantine miner to a script name or a script."""
-    out = [f"byzantine script for unknown miner {m.index}"
-           for m in sorted(byzantine) if m.index >= miners]
+def run_violations(params: RunParams, party_blocks: int) -> list[str]:
+    """The limits every run shares: the committee's size, Byzantine
+    miners outside it, unknown script names, a committee without an
+    honest miner to finalize anything, and a key budget below the most
+    one-time key blocks a pair can spend. That is `party_blocks` for a
+    protocol party and a miner, and for two miners four per consensus
+    phase plus one in each of the at most two phases one of them is king."""
+    miners, byzantine = params.miners, params.byzantine_miners
+    out = count_violations("miners", miners, 1)
+    out += [f"byzantine script for unknown miner {m.index}"
+            for m in sorted(byzantine) if m.index >= miners]
     out += [f"{m}: unknown script {spec!r} (expected one of {MINER_SCRIPT_NAMES})"
             for m, spec in sorted(byzantine.items())
             if not callable(spec) and spec not in MINER_SCRIPT_NAMES]
     if miners >= 1 and len({m for m in byzantine if m.index < miners}) >= miners:
         out.append("at least one honest miner is required")
+    phases = tolerated_faults(miners) + 1
+    need = max(party_blocks, 4 * phases + min(2, phases) if miners >= 2 else 0)
+    if params.key_budget < need:
+        out.append(f"key_budget must be at least {need} blocks per pair for this run, "
+                   f"got {params.key_budget}")
     return out
 
 
 # ------------------------------------------------------- finalization
 
 
+@dataclass(kw_only=True)
 class FinalizedRun:
-    """Run results that hold the miners' `ledgers` and the `consensus`
-    result that filled them."""
+    """What every protocol run ends with: the decided record body, the
+    miners' `ledgers`, the named cheaters, the `consensus` result that
+    filled the ledgers, and the run's context."""
+
+    decided_body: bytes
+    ledgers: dict
+    cheaters: tuple
+    consensus: ConsensusResult
+    context: SimContext
 
     @property
     def honest_ledgers_consistent(self) -> tuple[bool, int | None]:
         return ledgers_consistent([self.ledgers[m] for m in self.consensus.honest])
 
 
-def finalize(ctx: SimContext, params, protocol: str, instance_id: int,
+def finalize(ctx: SimContext, params: RunParams, protocol: str, instance_id: int,
              kind: RecordKind, decode, propose):
     """Agree on one record among the miners and append it to the ledger
     of every miner that decided it.
@@ -93,10 +158,11 @@ def finalize(ctx: SimContext, params, protocol: str, instance_id: int,
     Honest miners propose `propose(m)`, Byzantine ones follow their
     scripts, and membership in the domain is validity under `decode`.
     Past the f < n/3 bound consensus may settle on the reserved "no
-    valid input" element; then nothing is appended, because there is no
-    record to append, and `consensus_no_agreement` is logged. Returns
-    the consensus result, the ledgers and the reference miner, the
-    first one holding a decision.
+    valid input" element, for some honest miners or all of them. A
+    miner that decided it appends nothing, because there is no record to
+    append; when the reference miner, the first one holding a decision,
+    is one of them, `consensus_no_agreement` is logged. Returns the
+    consensus result, the ledgers and the reference miner.
     """
     miners = [miner(j) for j in range(params.miners)]
     instance = ConsensusInstance(instance_id, miners, CodecDomain(decode))
@@ -112,7 +178,6 @@ def finalize(ctx: SimContext, params, protocol: str, instance_id: int,
     reference = next(m for m in miners if result.decisions[m] is not None)
     if result.decisions[reference] == BOT:
         ctx.log.append("consensus_no_agreement", protocol=protocol)
-        return result, ledgers, reference
     for m in miners:
         decided = result.decisions[m]
         if decided:  # None for a Byzantine miner, BOT for no record

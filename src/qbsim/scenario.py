@@ -31,6 +31,7 @@ from .auction import (
 )
 from .commitment import parse_backend
 from .errors import ConfigError, QbsimError
+from .keystore import DEFAULT_BUDGET
 from .lottery import LotteryParams, lottery_violations, parse_player_policy, run_lottery
 from .parties import miner
 from .qbc import binding_attack, concealing_defect, scheme_from_dict
@@ -47,7 +48,7 @@ class ScenarioConfig:
     seed: int = 0
     miners: int = 1
     backend: str = "ideal"
-    key_budget: int = 65536
+    key_budget: int = DEFAULT_BUDGET
     detail_log: bool = True
     # lottery
     players: int = 0
@@ -75,8 +76,7 @@ class ScenarioConfig:
         """A config from its JSON form; the published schema applies first."""
         errors = sorted(_validator("scenario_config.schema.json").iter_errors(data),
                         key=lambda error: error.json_path)
-        if errors:
-            raise ConfigError([f"{error.json_path}: {error.message}" for error in errors])
+        ConfigError.check([f"{error.json_path}: {error.message}" for error in errors])
         return cls(**data)
 
     @classmethod
@@ -94,8 +94,6 @@ class ScenarioConfig:
         out = []
         if self.seed < 0:
             out.append("seed must be non-negative")
-        if self.key_budget < 1:
-            out.append("key budget must be positive")
         try:
             backend = parse_backend(self.backend)
         except QbsimError as exc:
@@ -110,9 +108,7 @@ class ScenarioConfig:
         return out + check(params)
 
     def validated(self) -> "ScenarioConfig":
-        problems = self.violations()
-        if problems:
-            raise ConfigError(problems)
+        ConfigError.check(self.violations())
         return self
 
     # -------------------------------------------------------- param view
@@ -121,8 +117,7 @@ class ScenarioConfig:
         """The protocol-level parameters of a lottery or auction config."""
         problems = []
         params = self._params(parse_backend(self.backend), problems)
-        if problems:
-            raise ConfigError(problems)
+        ConfigError.check(problems)
         return params
 
     def _params(self, backend, problems: list) -> LotteryParams | AuctionParams:
@@ -213,47 +208,37 @@ def run_scenario(config: ScenarioConfig) -> dict:
         report["timing"] = {"events": 0, "messages_sent": 0, "messages_delivered": 0}
         return report
 
-    if config.protocol == "lottery":
-        result = run_lottery(config.params())
-        consistent, divergence = result.honest_ledgers_consistent
-        report.update({
-            "outcome": result.outcome.to_dict(),
-            "verdicts": {str(m): v.to_dict() for m, v in sorted(result.verdicts.items())},
-            "decided_body": result.decided_body.hex(),
-            "cheaters": [str(p) for p in result.cheaters],
-            "consensus": _consensus_section(result.consensus),
-            "ledgers": _ledger_section(result.ledgers),
-            "assertions": {
-                "honest_ledgers_consistent": consistent,
-                "divergence_height": divergence,
-            },
-        })
-        ctx = result.context
-    else:
-        result = run_auction(config.params())
-        consistent, divergence = result.honest_ledgers_consistent
-        assertions = {
+    run = run_lottery if config.protocol == "lottery" else run_auction
+    result = run(config.params())
+    consistent, divergence = result.honest_ledgers_consistent
+    ctx = result.context
+    report.update({
+        "outcome": result.outcome.to_dict(),
+        "decided_body": result.decided_body.hex(),
+        "cheaters": [str(p) for p in result.cheaters],
+        "consensus": _consensus_section(result.consensus),
+        "ledgers": _ledger_section(result.ledgers),
+        "assertions": {
             "honest_ledgers_consistent": consistent,
             "divergence_height": divergence,
-        }
-        if config.detail_log:
-            assertions["posterior_privacy_violations"] = posterior_privacy_violations(result)
-            assertions["bid_privacy_violations"] = bid_privacy_violations(result)
-            assertions["complaint_openings"] = complaint_openings(result)
+        },
+    })
+    if config.protocol == "lottery":
+        report["verdicts"] = {str(m): v.to_dict() for m, v in sorted(result.verdicts.items())}
+    else:
         report.update({
-            "outcome": result.outcome.to_dict(),
             "per_miner_outputs": {str(m): o.to_dict()
                                   for m, o in sorted(result.per_miner_outputs.items())},
-            "decided_body": result.decided_body.hex(),
-            "cheaters": [str(p) for p in result.cheaters],
             "false_accusers": [str(p) for p in result.false_accusers],
             "excluded_buyers": [str(p) for p in result.excluded_buyers],
             "degenerate_seller_policy": result.degenerate_policy,
-            "consensus": _consensus_section(result.consensus),
-            "ledgers": _ledger_section(result.ledgers),
-            "assertions": assertions,
         })
-        ctx = result.context
+        if config.detail_log:
+            report["assertions"].update({
+                "posterior_privacy_violations": posterior_privacy_violations(result),
+                "bid_privacy_violations": bid_privacy_violations(result),
+                "complaint_openings": complaint_openings(result),
+            })
 
     report["event_log"] = ctx.log.to_list()
     report["event_counters"] = dict(sorted(ctx.log.counters.items()))

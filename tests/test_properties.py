@@ -1,0 +1,65 @@
+"""Property: every generated lottery or auction config either fails with
+a ConfigError or runs to a schema-valid report whose honest ledgers
+agree while fewer than a third of the miners are Byzantine."""
+
+from hypothesis import given, settings, strategies as st
+
+from qbsim.auction import SellerPolicy
+from qbsim.consensus import MINER_SCRIPT_NAMES
+from qbsim.errors import ConfigError
+from qbsim.keystore import DEFAULT_BUDGET
+from qbsim.lottery import CHEAT_POLICIES
+from qbsim.scenario import ScenarioConfig, run_scenario, validate_report
+
+
+def keyed(count, values):
+    """Policies for a subset of `count` parties, keyed by index text."""
+    return st.dictionaries(st.integers(0, count - 1).map(str), values, max_size=count)
+
+
+def lottery_fields(draw, count):
+    ticket_bits = draw(st.integers(1, 8))
+    ticket = st.text("01", min_size=ticket_bits, max_size=ticket_bits)
+    policy = st.one_of(st.just("honest"), ticket.map("fixed:{}".format),
+                       st.tuples(ticket, ticket).map(lambda t: "equivocate:{}:{}".format(*t)))
+    return dict(players=count, ticket_bits=ticket_bits,
+                player_policies=draw(keyed(count, policy)),
+                cheat_policy=draw(st.sampled_from(CHEAT_POLICIES)))
+
+
+def auction_fields(draw, count):
+    bid_width = draw(st.integers(1, 8))
+    bid = st.integers(1, (1 << bid_width) - 1)
+    policy = st.one_of(st.just("honest"), bid.map("fixed:{}".format),
+                       st.tuples(bid, bid).map(lambda b: "change:{}:{}".format(*b)),
+                       bid.map("complain:{}".format))
+    return dict(buyers=count, bid_width=bid_width,
+                buyer_policies=draw(keyed(count, policy)),
+                seller_policy=draw(st.sampled_from([p.value for p in SellerPolicy])))
+
+
+@st.composite
+def configs(draw):
+    protocol = draw(st.sampled_from(["lottery", "auction"]))
+    count, miners = draw(st.integers(2, 5)), draw(st.integers(1, 7))
+    fields = (lottery_fields if protocol == "lottery" else auction_fields)(draw, count)
+    return ScenarioConfig(
+        protocol=protocol, seed=draw(st.integers(0, 2**32)), miners=miners,
+        backend=draw(st.sampled_from(["ideal", "cheat:0.1", "cheat:0.5", "cheat:1"])),
+        key_budget=draw(st.one_of(st.integers(1, 25), st.just(DEFAULT_BUDGET))),
+        detail_log=draw(st.booleans()),
+        byzantine_miners=draw(keyed(miners, st.sampled_from(MINER_SCRIPT_NAMES))),
+        **fields)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(configs())
+def test_every_config_ends_in_a_config_error_or_a_valid_report(config):
+    try:
+        report = run_scenario(config)
+    except ConfigError as exc:
+        assert exc.violations
+        return
+    validate_report(report)
+    if 3 * len(config.byzantine_miners) < config.miners:
+        assert report["assertions"]["honest_ledgers_consistent"] is True
