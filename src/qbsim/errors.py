@@ -5,18 +5,31 @@ class QbsimError(Exception):
     """Base class for everything raised deliberately by this package."""
 
 
-class ConfigError(QbsimError):
-    """Invalid scenario configuration; carries every violated constraint."""
+class ViolationsError(QbsimError):
+    """Base for errors that carry every violated constraint, one a line,
+    under the subclass's `heading`."""
 
     def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
+        super().__init__(f"{self.heading}:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
     @classmethod
     def check(cls, violations):
         """Raise one error listing `violations`, if there are any."""
         if violations:
             raise cls(violations)
+
+
+class ConfigError(ViolationsError):
+    """Invalid scenario configuration; carries every violated constraint."""
+
+    heading = "invalid configuration"
+
+
+class ReportError(ViolationsError):
+    """A run report violates the published report schema; carries every violation."""
+
+    heading = "invalid report"
 
 
 class DimensionMismatchError(QbsimError):

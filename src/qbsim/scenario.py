@@ -16,8 +16,6 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-import jsonschema
-
 from . import __version__
 from .auction import (
     AuctionParams,
@@ -30,12 +28,13 @@ from .auction import (
     run_auction,
 )
 from .commitment import parse_backend
-from .errors import ConfigError, QbsimError
+from .errors import ConfigError, QbsimError, ReportError
 from .keystore import DEFAULT_BUDGET
 from .lottery import LotteryParams, lottery_violations, parse_player_policy, run_lottery
 from .parties import miner
 from .qbc import binding_attack, concealing_defect, scheme_from_dict
 from .qbc.io import load_scheme
+from .schemacheck import compile_schema
 
 SCHEMA_VERSION = 1
 
@@ -74,9 +73,7 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
         """A config from its JSON form; the published schema applies first."""
-        errors = sorted(_validator("scenario_config.schema.json").iter_errors(data),
-                        key=lambda error: error.json_path)
-        ConfigError.check([f"{error.json_path}: {error.message}" for error in errors])
+        ConfigError.check(_violations("scenario_config.schema.json", data))
         return cls(**data)
 
     @classmethod
@@ -256,16 +253,23 @@ def canonical_report_bytes(report: dict) -> bytes:
 
 
 @functools.cache
-def _validator(name: str) -> jsonschema.Draft202012Validator:
-    """One compiled validator per published schema, checked once."""
+def _validator(name: str):
+    """One compiled check per published schema: instance -> its
+    `(json_path, message)` violations."""
     ref = importlib.resources.files("qbsim.schemas").joinpath(name)
-    schema = json.loads(ref.read_text(encoding="utf-8"))
-    jsonschema.Draft202012Validator.check_schema(schema)
-    return jsonschema.Draft202012Validator(schema)
+    return compile_schema(json.loads(ref.read_text(encoding="utf-8")))
+
+
+def _violations(name: str, instance) -> list[str]:
+    """Every violation of a published schema as `"<json_path>: <message>"`,
+    ordered by path."""
+    errors = sorted(_validator(name)(instance), key=lambda error: error[0])
+    return [f"{path}: {message}" for path, message in errors]
 
 
 def validate_report(report: dict):
-    _validator("run_report.schema.json").validate(report)
+    """Raise `ReportError` listing every violation of the report schema."""
+    ReportError.check(_violations("run_report.schema.json", report))
 
 
 def emit_report(report: dict, fp):

@@ -1,0 +1,203 @@
+"""Published JSON schemas compiled once into plain Python checks.
+
+`compile_schema` turns a schema dict into a function that returns every
+violation of an instance as `(json_path, message)` pairs, with the path
+and message texts of jsonschema's Draft 2020-12 validator. It covers
+exactly the keywords qbsim's config and report schemas use; any other
+keyword raises at compile time, so a schema edit cannot silently weaken
+the check. Draft 2020-12 semantics kept: a bool is neither an integer
+nor a number, `3.0` is an integer, `enum`/`const` tell `True` from `1`,
+and `properties` constrains only the keys that are present. A path is
+carried as `(parent, key)` links and rendered only when an error occurs.
+"""
+
+from __future__ import annotations
+
+import numbers
+import re
+
+from .errors import QbsimError
+
+_IGNORED = frozenset({"$schema", "title"})
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+}
+_is_number = _TYPES["number"]
+
+
+class SchemaCompileError(QbsimError):
+    """A schema uses a keyword this compiler does not implement."""
+
+
+def _json_path(path) -> str:
+    """jsonschema's `json_path` text of a `(parent, key)` link chain."""
+    keys = []
+    while path is not None:
+        path, key = path
+        keys.append(key)
+    out = "$"
+    for key in reversed(keys):
+        if isinstance(key, int):
+            out += f"[{key}]"
+        elif _PLAIN_KEY.match(key):
+            out += "." + key
+        else:
+            out += "['" + key.replace("\\", "\\\\").replace("'", r"\'") + "']"
+    return out
+
+
+def _same(a, b) -> bool:
+    """JSON equality: `True` is not `1`, containers compare element-wise."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _leaf(ok, message):
+    """A check that records `message(value)` where `ok(value)` is false."""
+    def check(v, path, errors):
+        if not ok(v):
+            errors.append((_json_path(path), message(v)))
+    return check
+
+
+def _type(types, schema):
+    names = [types] if isinstance(types, str) else types
+    tests = [_TYPES[name] for name in names]
+    expected = ", ".join(map(repr, names))
+    return _leaf(tests[0] if len(tests) == 1 else lambda v: any(test(v) for test in tests),
+                 lambda v: f"{v!r} is not of type {expected}")
+
+
+def _required(names, schema):
+    wanted = frozenset(names)
+
+    def check(v, path, errors):
+        if isinstance(v, dict) and not wanted <= v.keys():
+            errors.extend((_json_path(path), f"{name!r} is a required property")
+                          for name in names if name not in v)
+    return check
+
+
+def _properties(props, schema):
+    checks = {key: _compile(sub) for key, sub in props.items()}
+
+    def check(v, path, errors):
+        if isinstance(v, dict):
+            for key, sub in checks.items():
+                if key in v:
+                    sub(v[key], (path, key), errors)
+    return check
+
+
+def _additional(extra, schema):
+    known = schema.get("properties", {})
+    if extra is False:
+        def message(v):
+            keys = sorted(k for k in v if k not in known)
+            verb = "was" if len(keys) == 1 else "were"
+            listed = ", ".join(map(repr, keys))
+            return f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        return _leaf(lambda v: not isinstance(v, dict) or v.keys() <= known.keys(), message)
+    sub = _compile(extra)
+
+    def check(v, path, errors):
+        if isinstance(v, dict):
+            for key, item in v.items():
+                if key not in known:
+                    sub(item, (path, key), errors)
+    return check
+
+
+def _items(items, schema):
+    sub = _compile(items)
+
+    def check(v, path, errors):
+        if isinstance(v, list):
+            for index, item in enumerate(v):
+                sub(item, (path, index), errors)
+    return check
+
+
+def _pattern(text, schema):
+    search = re.compile(text).search
+    return _leaf(lambda v: not isinstance(v, str) or search(v),
+                 lambda v: f"{v!r} does not match {text!r}")
+
+
+def _if(condition, schema):
+    test, then = _compile(condition), _compile(schema.get("then", {}))
+
+    def check(v, path, errors):
+        failed = []
+        test(v, None, failed)
+        if not failed:
+            then(v, path, errors)
+    return check
+
+
+_KEYWORDS = {
+    "type": _type, "required": _required, "properties": _properties,
+    "additionalProperties": _additional, "items": _items, "pattern": _pattern,
+    "enum": lambda values, schema: _leaf(lambda v: any(_same(v, x) for x in values),
+                                         lambda v: f"{v!r} is not one of {values!r}"),
+    "const": lambda value, schema: _leaf(lambda v: _same(v, value),
+                                         lambda v: f"{value!r} was expected"),
+    "minimum": lambda bound, schema: _leaf(
+        lambda v: not _is_number(v) or v >= bound,
+        lambda v: f"{v!r} is less than the minimum of {bound!r}"),
+    "maximum": lambda bound, schema: _leaf(
+        lambda v: not _is_number(v) or v <= bound,
+        lambda v: f"{v!r} is greater than the maximum of {bound!r}"),
+    "allOf": lambda subs, schema: _chain([_compile(sub) for sub in subs]),
+    "if": _if,
+    "then": None,  # compiled by `if`
+}
+
+
+def _compile(schema: dict):
+    if not isinstance(schema, dict):
+        raise SchemaCompileError(f"a schema must be an object here, got {schema!r}")
+    unknown = sorted(schema.keys() - _KEYWORDS.keys() - _IGNORED)
+    if unknown:
+        raise SchemaCompileError(f"unsupported schema keywords: {unknown}")
+    return _chain([_KEYWORDS[key](value, schema) for key, value in schema.items()
+                   if _KEYWORDS.get(key) is not None])
+
+
+def _chain(checks):
+    """One check that runs `checks` in order."""
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(v, path, errors):
+        for sub in checks:
+            sub(v, path, errors)
+    return check
+
+
+def compile_schema(schema: dict):
+    """A function from an instance to its `(json_path, message)` violations,
+    in jsonschema's order; an empty list means the instance is valid."""
+    check = _compile(schema)
+
+    def violations(instance) -> list[tuple[str, str]]:
+        errors = []
+        check(instance, None, errors)
+        return errors
+    return violations

@@ -62,6 +62,9 @@ class Network:
         self._active_pos: dict[tuple[PartyId, PartyId], int] = {}
         self._held: list[tuple[int, _Message]] = []  # (release_step, message)
         self._hooks: dict[tuple[PartyId, PartyId], object] = {}
+        # (r, s) of each message in flight, derived once at send and kept
+        # out of the message object that adversary hooks see
+        self._keys: dict[int, tuple[int, int]] = {}
         self._next_id = 0
         self._step = 0
         self._pending = 0
@@ -79,8 +82,10 @@ class Network:
         if sender == receiver:
             raise QbsimError("self-addressed messages are not routed")
         key_index, block = self.keystore.consume(sender, receiver)
-        tag = self.mac.tag(self.mac.key_from_block(block), payload)
+        key = self.mac.key_from_block(block)
+        tag = self.mac.tag(key, payload)
         msg = _Message(self._next_id, sender, receiver, payload, key_index, tag)
+        self._keys[msg.msg_id] = key
         self._next_id += 1
         link = (sender, receiver)
         queue = self._queues.get(link)
@@ -150,6 +155,7 @@ class Network:
                 kind = action[0]
                 if kind == "drop":
                     self._pending -= 1
+                    del self._keys[msg.msg_id]
                     self.log.append("adversary_drop", msg_id=msg.msg_id,
                                     sender=str(msg.sender), receiver=str(msg.receiver))
                     return None
@@ -163,8 +169,10 @@ class Network:
                     raise QbsimError(f"unknown hook action {action!r}")
 
         self._pending -= 1
-        block = self.keystore.block_at(msg.sender, msg.receiver, msg.key_index)
-        ok = self.mac.verify(self.mac.key_from_block(block), msg.payload, msg.tag)
+        # both ends hold the same issued block, so the key derived at send
+        # is the receiver's key too; block_at still refuses an unissued index
+        self.keystore.block_at(msg.sender, msg.receiver, msg.key_index)
+        ok = self.mac.verify(self._keys.pop(msg.msg_id), msg.payload, msg.tag)
         if ok:
             if self.log.detail:
                 self.log.append("deliver", sender=str(msg.sender),

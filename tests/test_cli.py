@@ -128,12 +128,14 @@ def test_ledger_dump_renders_records(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    """scipy is a test dependency only; the CLI's import path must not need it."""
+    """scipy and jsonschema (with its `referencing`/`rpds` chain) are test
+    dependencies only; the CLI's import path must not need them."""
     src = str(Path(qbsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    test_only = ("scipy", "jsonschema", "referencing", "rpds")
     probe = ("import sys, qbsim.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {test_only!r}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -5,6 +5,7 @@ import pytest
 from qbsim.errors import KeyExhaustionError, QbsimError, UnknownPartyError
 from qbsim.eventlog import EventLog
 from qbsim.keystore import KeyStore
+from qbsim.mac import PolyMac
 from qbsim.parties import miner, player
 from qbsim.transport import Network
 
@@ -110,3 +111,29 @@ def test_key_exhaustion_raises():
         net.send_authenticated(player(0), miner(0), b"m")
     with pytest.raises(KeyExhaustionError):
         net.send_authenticated(player(0), miner(0), b"m")
+
+
+def test_mac_key_derived_once_per_message(monkeypatch):
+    derive, calls = PolyMac.key_from_block, []
+    monkeypatch.setattr(PolyMac, "key_from_block",
+                        lambda self, block: calls.append(block) or derive(self, block))
+    net, log = make_net()
+    net.set_hook(player(1), miner(1), lambda m: ("drop",))
+    for i in range(5):
+        net.send_authenticated(player(0), miner(0), bytes([i]))
+        net.send_authenticated(player(1), miner(1), bytes([i]))
+    delivered = net.drain()
+    assert len(delivered) == 5 and all(d.ok for d in delivered)
+    assert len(calls) == log.counters["send"] == 10
+
+
+def test_delivery_refuses_a_key_index_never_issued():
+    net, _ = make_net()
+
+    def forge(msg):
+        msg.key_index = 99
+
+    net.set_hook(player(0), miner(0), forge)
+    net.send_authenticated(player(0), miner(0), b"m")
+    with pytest.raises(KeyExhaustionError, match="never issued"):
+        net.deliver_next()
