@@ -20,43 +20,57 @@ DEFAULT_BUDGET = 65536
 _CHUNK = 64  # blocks expanded per XOF call
 
 
+class _Stream:
+    """One unordered pair's key stream: the blocks issued so far and the
+    SHAKE chunks expanded so far, keyed by chunk index."""
+
+    __slots__ = ("seed_prefix", "issued", "chunks")
+
+    def __init__(self, master_seed: int, first: PartyId, second: PartyId):
+        self.seed_prefix = f"qbsim-keys|{master_seed}|{first}|{second}|"
+        self.issued = 0
+        self.chunks: dict[int, bytes] = {}
+
+    def block(self, index: int) -> bytes:
+        chunk_index, offset = divmod(index, _CHUNK)
+        raw = self.chunks.get(chunk_index)
+        if raw is None:
+            seed_material = f"{self.seed_prefix}{chunk_index}".encode("ascii")
+            raw = self.chunks[chunk_index] = hashlib.shake_256(seed_material).digest(
+                BLOCK_BYTES * _CHUNK)
+        start = offset * BLOCK_BYTES
+        return raw[start:start + BLOCK_BYTES]
+
+
 class KeyStore:
     """Per-pair block streams with one-time consumption discipline."""
 
     def __init__(self, master_seed: int, budget: int = DEFAULT_BUDGET):
         self._seed = master_seed
         self.budget = budget
-        self._chunks: dict[tuple[tuple[PartyId, PartyId], int], bytes] = {}
-        self._consumed: dict[tuple[PartyId, PartyId], int] = {}
+        self._streams: dict[tuple[PartyId, PartyId], _Stream] = {}
 
     @staticmethod
     def _pair(a: PartyId, b: PartyId) -> tuple[PartyId, PartyId]:
         return (a, b) if a.sort_key <= b.sort_key else (b, a)
 
-    def _block(self, pair: tuple[PartyId, PartyId], index: int) -> bytes:
-        chunk_index, offset = divmod(index, _CHUNK)
-        raw = self._chunks.get((pair, chunk_index))
-        if raw is None:
-            seed_material = (f"qbsim-keys|{self._seed}|{pair[0]}|{pair[1]}|{chunk_index}"
-                             .encode("ascii"))
-            raw = hashlib.shake_256(seed_material).digest(BLOCK_BYTES * _CHUNK)
-            self._chunks[(pair, chunk_index)] = raw
-        start = offset * BLOCK_BYTES
-        return raw[start:start + BLOCK_BYTES]
-
     def consume(self, a: PartyId, b: PartyId) -> tuple[int, bytes]:
         """Next unused block for the unordered pair; each index is spent once."""
         pair = self._pair(a, b)
-        index = self._consumed.get(pair, 0)
+        stream = self._streams.get(pair)
+        if stream is None:
+            stream = self._streams[pair] = _Stream(self._seed, *pair)
+        index = stream.issued
         if index >= self.budget:
             raise KeyExhaustionError(
                 f"key budget ({self.budget} blocks) exhausted for {pair[0]}-{pair[1]}")
-        self._consumed[pair] = index + 1
-        return index, self._block(pair, index)
+        stream.issued = index + 1
+        return index, stream.block(index)
 
     def block_at(self, a: PartyId, b: PartyId, index: int) -> bytes:
         """Look up an already-issued block (receiver-side verification)."""
         pair = self._pair(a, b)
-        if index >= self._consumed.get(pair, 0):
+        stream = self._streams.get(pair)
+        if stream is None or index >= stream.issued:
             raise KeyExhaustionError(f"block {index} was never issued for {pair[0]}-{pair[1]}")
-        return self._block(pair, index)
+        return stream.block(index)

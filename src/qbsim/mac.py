@@ -16,6 +16,7 @@ bound, not a structural weakness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 # Default field: Mersenne prime 2^61 - 1 (tags serialize in 8 bytes).
@@ -23,6 +24,21 @@ DEFAULT_PRIME = (1 << 61) - 1
 # Small fields for the soundness stress tests.
 PRIME_16 = 65521
 PRIME_32 = 4294967291
+
+
+@functools.lru_cache(maxsize=128)
+def _chunks(payload: bytes, chunk_bits: int) -> tuple[int, ...]:
+    """The payload cut into `chunk_bits`-wide chunks, most significant
+    first, each with the constant high bit added. Cached because an
+    honest sender tags one payload for every receiver and each receiver
+    verifies it again."""
+    high = 1 << chunk_bits
+    mask = high - 1
+    nbits = len(payload) * 8
+    nchunks = -(-nbits // chunk_bits)
+    padded = int.from_bytes(payload, "big") << (nchunks * chunk_bits - nbits)
+    return tuple(((padded >> (i * chunk_bits)) & mask) + high
+                 for i in range(nchunks - 1, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -44,15 +60,9 @@ class PolyMac:
 
     def hash_payload(self, r: int, payload: bytes) -> int:
         p = self.prime
-        cb = self.chunk_bits
-        high = 1 << cb
-        mask = high - 1
-        nbits = len(payload) * 8
-        nchunks = -(-nbits // cb) if nbits else 0
-        padded = int.from_bytes(payload, "big") << (nchunks * cb - nbits) if nbits else 0
         acc = 0
-        for i in range(nchunks - 1, -1, -1):
-            acc = (acc * r + ((padded >> (i * cb)) & mask) + high) % p
+        for chunk in _chunks(payload, self.chunk_bits):
+            acc = (acc * r + chunk) % p
         return (acc * r + len(payload)) % p
 
     def tag(self, key: tuple[int, int], payload: bytes) -> int:

@@ -28,10 +28,12 @@ class PartyId:
     def __post_init__(self):
         if self.index < 0:
             raise QbsimError(f"party index must be non-negative, got {self.index}")
-        # identities key every queue/ledger dict on the hot path; cache
-        # the hash and sort key instead of re-deriving them per lookup
+        # identities key every queue/ledger dict and name every logged
+        # message on the hot path; cache the hash, sort key and text
+        # instead of re-deriving them per use
         object.__setattr__(self, "sort_key", (self.role.value, self.index))
         object.__setattr__(self, "_hash", hash(self.sort_key))
+        object.__setattr__(self, "_str", f"{self.role.value}:{self.index}")
 
     def __eq__(self, other) -> bool:
         return (self is other
@@ -41,7 +43,7 @@ class PartyId:
         return self._hash
 
     def __str__(self) -> str:
-        return f"{self.role.value}:{self.index}"
+        return self._str
 
     def __lt__(self, other: "PartyId") -> bool:
         return self.sort_key < other.sort_key

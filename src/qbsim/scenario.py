@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from . import __version__
@@ -72,9 +72,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
-        """A config from its JSON form; the published schema applies first."""
+        """A config from its JSON form; the published schema applies first.
+        Draft 2020-12 counts `3.0` as an integer, so integral floats in
+        the integer fields are turned into ints for the run."""
         ConfigError.check(_violations("scenario_config.schema.json", data))
-        return cls(**data)
+        return cls(**{name: int(value) if name in _INT_FIELDS else value
+                      for name, value in data.items()})
 
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":
@@ -138,6 +141,9 @@ class ScenarioConfig:
         policies = _by_index(self.buyer_policies, "buyer", problems, parse_buyer_policy)
         return AuctionParams(buyers=self.buyers, bid_width=self.bid_width,
                              buyer_policies=policies, seller_policy=seller_policy, **common)
+
+
+_INT_FIELDS = frozenset(f.name for f in fields(ScenarioConfig) if f.type == "int")
 
 
 def _by_index(texts: dict[str, str], role: str, problems: list, parse) -> dict[int, Any]:

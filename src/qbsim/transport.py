@@ -11,8 +11,8 @@ verification and is logged as a forgery attempt.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from collections import deque
+from typing import NamedTuple
 
 from .errors import QbsimError, UnknownPartyError
 from .eventlog import EventLog
@@ -21,21 +21,37 @@ from .mac import PolyMac
 from .parties import PartyId
 
 
-class _Message:
-    __slots__ = ("msg_id", "sender", "receiver", "payload", "key_index", "tag", "hook_done")
+class _Link:
+    """One directed channel: its FIFO, its hook and its slot in the
+    scheduler's active list (-1 while the FIFO is empty). Resolved once
+    per (sender, receiver), so the party checks and the party names are
+    paid per link, not per message."""
 
-    def __init__(self, msg_id, sender, receiver, payload, key_index, tag):
-        self.msg_id = msg_id
+    __slots__ = ("sender", "receiver", "sender_name", "receiver_name", "queue", "hook", "pos")
+
+    def __init__(self, sender: PartyId, receiver: PartyId):
         self.sender = sender
         self.receiver = receiver
+        self.sender_name = str(sender)
+        self.receiver_name = str(receiver)
+        self.queue: deque[_Message] = deque()
+        self.hook = None
+        self.pos = -1
+
+
+class _Message:
+    __slots__ = ("msg_id", "link", "payload", "key_index", "tag", "hook_done")
+
+    def __init__(self, msg_id, link, payload, key_index, tag):
+        self.msg_id = msg_id
+        self.link = link
         self.payload = payload
         self.key_index = key_index
         self.tag = tag
         self.hook_done = False
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """What deliver_next hands back: payload only when the tag verified."""
 
     msg_id: int
@@ -57,11 +73,9 @@ class Network:
         self.mac = PolyMac()
         self.log = log
         self._rng = random.Random(scheduler_seed)
-        self._queues: dict[tuple[PartyId, PartyId], deque] = {}
-        self._active: list[tuple[PartyId, PartyId]] = []
-        self._active_pos: dict[tuple[PartyId, PartyId], int] = {}
+        self._links: dict[tuple[PartyId, PartyId], _Link] = {}
+        self._active: list[_Link] = []  # links with a non-empty FIFO
         self._held: list[tuple[int, _Message]] = []  # (release_step, message)
-        self._hooks: dict[tuple[PartyId, PartyId], object] = {}
         # (r, s) of each message in flight, derived once at send and kept
         # out of the message object that adversary hooks see
         self._keys: dict[int, tuple[int, int]] = {}
@@ -69,64 +83,63 @@ class Network:
         self._step = 0
         self._pending = 0
 
+    def _link(self, sender: PartyId, receiver: PartyId) -> _Link:
+        link = self._links.get((sender, receiver))
+        if link is None:
+            if sender not in self.parties or receiver not in self.parties:
+                raise UnknownPartyError(f"unknown party in {sender} -> {receiver}")
+            if sender == receiver:
+                raise QbsimError("self-addressed messages are not routed")
+            link = self._links[(sender, receiver)] = _Link(sender, receiver)
+        return link
+
     # ------------------------------------------------------------ hooks
 
     def set_hook(self, sender: PartyId, receiver: PartyId, hook):
-        self._hooks[(sender, receiver)] = hook
+        self._link(sender, receiver).hook = hook
 
     # ---------------------------------------------------------- sending
 
     def send_authenticated(self, sender: PartyId, receiver: PartyId, payload: bytes) -> int:
-        if sender not in self.parties or receiver not in self.parties:
-            raise UnknownPartyError(f"unknown party in {sender} -> {receiver}")
-        if sender == receiver:
-            raise QbsimError("self-addressed messages are not routed")
+        link = self._link(sender, receiver)
         key_index, block = self.keystore.consume(sender, receiver)
         key = self.mac.key_from_block(block)
-        tag = self.mac.tag(key, payload)
-        msg = _Message(self._next_id, sender, receiver, payload, key_index, tag)
-        self._keys[msg.msg_id] = key
-        self._next_id += 1
-        link = (sender, receiver)
-        queue = self._queues.get(link)
-        if queue is None:
-            queue = self._queues[link] = deque()
+        msg_id = self._next_id
+        self._next_id = msg_id + 1
+        self._keys[msg_id] = key
+        queue = link.queue
         if not queue:
             self._activate(link)
-        queue.append(msg)
+        queue.append(_Message(msg_id, link, payload, key_index, self.mac.tag(key, payload)))
         self._pending += 1
         if self.log.detail:
-            self.log.append("send", sender=str(sender), receiver=str(receiver),
-                            msg_id=msg.msg_id, size=len(payload),
+            self.log.append("send", sender=link.sender_name, receiver=link.receiver_name,
+                            msg_id=msg_id, size=len(payload),
                             key_index=key_index, payload=payload.hex())
         else:
             self.log.note("send")
-        return msg.msg_id
+        return msg_id
 
     # --------------------------------------------------------- delivery
 
-    def _deactivate(self, link):
-        pos = self._active_pos.pop(link)
+    def _deactivate(self, link: _Link):
+        pos, link.pos = link.pos, -1
         last = self._active.pop()
-        if last != link:
+        if last is not link:
             self._active[pos] = last
-            self._active_pos[last] = pos
+            last.pos = pos
 
-    def _activate(self, link):
-        if link not in self._active_pos:
-            self._active_pos[link] = len(self._active)
+    def _activate(self, link: _Link):
+        if link.pos < 0:
+            link.pos = len(self._active)
             self._active.append(link)
 
     def _release_held(self):
-        if not self._held:
-            return
         still = []
         for release_at, msg in self._held:
             if release_at <= self._step:
-                link = (msg.sender, msg.receiver)
-                queue = self._queues.setdefault(link, deque())
-                queue.appendleft(msg)
-                self._activate(link)
+                msg.link.queue.appendleft(msg)
+                self._activate(msg.link)
             else:
                 still.append((release_at, msg))
         self._held = still
@@ -138,26 +151,27 @@ class Network:
     def deliver_next(self) -> Delivery | None:
         """One scheduler step: at most one message reaches its receiver."""
         self._step += 1
-        self._release_held()
-        if not self._active:
+        if self._held:
+            self._release_held()
+        active = self._active
+        if not active:
             return None
-        link = self._active[self._rng.randrange(len(self._active))]
-        queue = self._queues[link]
+        link = active[self._rng.randrange(len(active))]
+        queue = link.queue
         msg = queue.popleft()
         if not queue:
             self._deactivate(link)
 
-        hook = self._hooks.get(link)
-        if hook is not None and not msg.hook_done:
+        if link.hook is not None and not msg.hook_done:
             msg.hook_done = True
-            action = hook(msg)
+            action = link.hook(msg)
             if action is not None and action != "deliver":
                 kind = action[0]
                 if kind == "drop":
                     self._pending -= 1
                     del self._keys[msg.msg_id]
                     self.log.append("adversary_drop", msg_id=msg.msg_id,
-                                    sender=str(msg.sender), receiver=str(msg.receiver))
+                                    sender=link.sender_name, receiver=link.receiver_name)
                     return None
                 if kind == "modify":
                     msg.payload = action[1]
@@ -171,18 +185,18 @@ class Network:
         self._pending -= 1
         # both ends hold the same issued block, so the key derived at send
         # is the receiver's key too; block_at still refuses an unissued index
-        self.keystore.block_at(msg.sender, msg.receiver, msg.key_index)
+        self.keystore.block_at(link.sender, link.receiver, msg.key_index)
         ok = self.mac.verify(self._keys.pop(msg.msg_id), msg.payload, msg.tag)
         if ok:
             if self.log.detail:
-                self.log.append("deliver", sender=str(msg.sender),
-                                receiver=str(msg.receiver), msg_id=msg.msg_id)
+                self.log.append("deliver", sender=link.sender_name,
+                                receiver=link.receiver_name, msg_id=msg.msg_id)
             else:
                 self.log.note("deliver")
-            return Delivery(msg.msg_id, msg.sender, msg.receiver, msg.payload, True)
-        self.log.append("auth_failure", sender=str(msg.sender), receiver=str(msg.receiver),
+            return Delivery(msg.msg_id, link.sender, link.receiver, msg.payload, True)
+        self.log.append("auth_failure", sender=link.sender_name, receiver=link.receiver_name,
                         msg_id=msg.msg_id)
-        return Delivery(msg.msg_id, msg.sender, msg.receiver, None, False)
+        return Delivery(msg.msg_id, link.sender, link.receiver, None, False)
 
     def drain(self, handler=None) -> list[Delivery]:
         """Deliver until the network is empty; dispatch verified payloads."""

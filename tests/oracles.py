@@ -69,6 +69,23 @@ def lottery_result_matches_ledger(result, ticket_bits: int, cheat_policy: str) -
     return all(out.revenues[i] == share for i, share in oracle["revenues"].items())
 
 
+def reference_hash_payload(prime: int, r: int, payload: bytes) -> int:
+    """Wegman-Carter polynomial hash by one shift and mask per chunk:
+    chunks of bit_length(prime) - 2 bits, most significant first, the
+    last one zero-padded, each with a constant high bit, then the byte
+    length as a final coefficient, evaluated at r mod prime."""
+    cb = prime.bit_length() - 2
+    high = 1 << cb
+    mask = high - 1
+    nbits = len(payload) * 8
+    nchunks = -(-nbits // cb) if nbits else 0
+    padded = int.from_bytes(payload, "big") << (nchunks * cb - nbits) if nbits else 0
+    acc = 0
+    for i in range(nchunks - 1, -1, -1):
+        acc = (acc * r + ((padded >> (i * cb)) & mask) + high) % prime
+    return (acc * r + len(payload)) % prime
+
+
 def auction_argmax(bids: dict) -> tuple[int, set]:
     """Brute-force winning bid and argmax set over {index: value}."""
     top = max(bids.values())

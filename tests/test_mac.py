@@ -3,7 +3,10 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+from oracles import reference_hash_payload
 from qbsim.mac import DEFAULT_PRIME, PRIME_16, PRIME_32, PolyMac
+
+PRIMES = (DEFAULT_PRIME, PRIME_32, PRIME_16)
 
 
 def test_tag_verifies_and_tamper_fails():
@@ -25,6 +28,33 @@ def test_distinct_payloads_distinct_hashes_whp(a, b):
     mac = PolyMac()
     r = 123456789123456789 % DEFAULT_PRIME
     assert mac.hash_payload(r, a) != mac.hash_payload(r, b)
+
+
+@given(st.sampled_from(PRIMES), st.binary(max_size=300), st.integers(min_value=0))
+def test_hash_payload_matches_reference(prime, payload, r):
+    r %= prime
+    assert PolyMac(prime).hash_payload(r, payload) == reference_hash_payload(prime, r, payload)
+
+
+@given(st.binary(max_size=300), st.lists(st.integers(min_value=0), min_size=2, max_size=20))
+def test_one_payload_under_many_keys_and_fields_matches_reference(payload, rs):
+    # the chunk cache serves these repeats; each field cuts its own chunks
+    for prime in PRIMES:
+        mac = PolyMac(prime)
+        for r in rs:
+            assert mac.hash_payload(r % prime, payload) == reference_hash_payload(
+                prime, r % prime, payload)
+
+
+@given(st.sampled_from(PRIMES), st.binary(min_size=1, max_size=300),
+       st.integers(min_value=0), st.data())
+def test_one_bit_changed_payload_matches_reference(prime, payload, r, data):
+    r %= prime
+    mac = PolyMac(prime)
+    assert mac.hash_payload(r, payload) == reference_hash_payload(prime, r, payload)
+    bit = data.draw(st.integers(min_value=0, max_value=len(payload) * 8 - 1))
+    flipped = (int.from_bytes(payload, "big") ^ (1 << bit)).to_bytes(len(payload), "big")
+    assert mac.hash_payload(r, flipped) == reference_hash_payload(prime, r, flipped)
 
 
 def test_leading_zero_bytes_are_not_ambiguous():

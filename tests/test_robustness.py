@@ -1,6 +1,7 @@
 """Configs that validation accepts end in a report, and the ones a run
 cannot carry are refused before it starts."""
 
+import json
 import sys
 
 import pytest
@@ -122,3 +123,29 @@ def test_auction_with_every_buyer_excluded_ends_with_no_bids(monkeypatch, capsys
     assert cli(monkeypatch, "auction", "run", "--buyer-policy", "0=change:1:2",
                "--buyer-policy", "1=change:1:2", "--buyer-policy", "2=change:3:4") == 2
     assert "cheaters detected: buyer:0, buyer:1, buyer:2" in capsys.readouterr().err
+
+
+# ------------------------------------------ integral floats as counts
+
+# Draft 2020-12 counts 3.0 as an integer, so the schema accepts these
+FLOAT_COUNT_CONFIGS = {
+    "lottery": {"protocol": "lottery", "players": 3.0, "ticket_bits": 8, "miners": 2},
+    "auction": {"protocol": "auction", "buyers": 3, "miners": 2.0},
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(FLOAT_COUNT_CONFIGS))
+def test_integral_float_counts_run_as_ints(protocol, tmp_path, monkeypatch, capsys):
+    data = FLOAT_COUNT_CONFIGS[protocol]
+    config = ScenarioConfig.from_dict(data)
+    report = run_scenario(config)
+    validate_report(report)
+    for name, value in data.items():
+        if isinstance(value, float):
+            assert type(report["config"][name]) is int and report["config"][name] == value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert cli(monkeypatch, protocol, "run", "--config", str(path)) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["config"] == report["config"]
+    assert "Traceback" not in err

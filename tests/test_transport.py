@@ -32,6 +32,24 @@ def test_unknown_party_and_self_send_rejected():
         net.send_authenticated(player(0), player(9), b"x")
     with pytest.raises(QbsimError):
         net.send_authenticated(player(0), player(0), b"x")
+    # the checks still hold once links from and to player 0 exist
+    net.send_authenticated(player(0), miner(0), b"x")
+    net.send_authenticated(miner(0), player(0), b"y")
+    with pytest.raises(UnknownPartyError):
+        net.send_authenticated(player(0), player(9), b"x")
+    with pytest.raises(UnknownPartyError):
+        net.send_authenticated(player(9), miner(0), b"x")
+    with pytest.raises(QbsimError):
+        net.send_authenticated(player(0), player(0), b"x")
+    assert net.pending == 2
+
+
+def test_hook_on_a_pair_with_an_unknown_party_rejected():
+    net, _ = make_net()
+    with pytest.raises(UnknownPartyError):
+        net.set_hook(player(0), miner(9), lambda m: ("drop",))
+    with pytest.raises(UnknownPartyError):
+        net.set_hook(player(9), miner(0), lambda m: ("drop",))
 
 
 def test_bit_flip_hook_fails_verification_and_drops_payload():
