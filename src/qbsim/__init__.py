@@ -2,31 +2,11 @@
 authenticated quantum-blockchain stack, plus a numerical model of the
 underlying bit-commitment primitive.
 
-Library entry points: `run_scenario` (full configured run -> report),
-`run_lottery` / `run_auction` (protocol-level), `run_batch`
+Library entry points: `qbsim.scenario.run_scenario` (full configured
+run -> report, with `ScenarioConfig`), `qbsim.lottery.run_lottery` /
+`qbsim.auction.run_auction` (protocol-level), `qbsim.batch.run_batch`
 (statistics), and the `qbsim.qbc` subpackage for the commitment
 numerics.
 """
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # lazy re-exports keep `import qbsim` light for qbc-only users
-    if name in ("ScenarioConfig", "run_scenario"):
-        from . import scenario
-
-        return getattr(scenario, name)
-    if name == "run_batch":
-        from .batch import run_batch
-
-        return run_batch
-    if name == "run_lottery":
-        from .lottery import run_lottery
-
-        return run_lottery
-    if name == "run_auction":
-        from .auction import run_auction
-
-        return run_auction
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -104,16 +104,16 @@ class SellerPolicy(Enum):
 
 
 def parse_buyer_policy(text: str) -> BuyerPolicy:
-    if text == "honest":
-        return HonestBuyer()
-    if text.startswith("fixed:"):
-        return FixedBid(int(text.split(":", 1)[1]))
-    if text.startswith("change:"):
-        _, commit_v, open_v = text.split(":")
-        return ChangeBid(int(commit_v), int(open_v))
-    if text.startswith("complain:"):
-        return Complainer(int(text.split(":", 1)[1]))
-    raise QbsimError(f"unknown buyer policy {text!r}")
+    name, *values = text.split(":")
+    policy = {("honest", 0): HonestBuyer, ("fixed", 1): FixedBid, ("change", 2): ChangeBid,
+              ("complain", 1): Complainer}.get((name, len(values)))
+    if policy is None:
+        raise QbsimError(f"unknown buyer policy {text!r} "
+                         "(expected honest, fixed:V, change:V:W or complain:V)")
+    try:
+        return policy(*map(int, values))
+    except ValueError:
+        raise QbsimError(f"buyer policy {text!r}: bids must be integers") from None
 
 
 # ------------------------------------------------------------ pure pieces
@@ -121,7 +121,6 @@ def parse_buyer_policy(text: str) -> BuyerPolicy:
 
 def decide_winner(bids, rng) -> tuple[PartyId, int]:
     """Highest bid wins; ties drawn uniformly from the seeded generator."""
-    bids = list(bids)
     if not bids:
         raise QbsimError("cannot decide a winner with no bids")
     top = max(value for _, value in bids)
@@ -230,59 +229,50 @@ def auction_violations(params: AuctionParams) -> list[str]:
     return out + run_violations(params, party_blocks=5)
 
 
-def _seller_forgery(params: AuctionParams, ctx: SimContext, accepted: dict,
-                    true_winner: PartyId, true_bid: int, log):
-    """Apply the scripted seller deviation to the honest claim/loser list.
+def _seller_claim(params: AuctionParams, ctx: SimContext, accepted: dict):
+    """The seller's decision on the accepted bids, with the scripted
+    deviation applied to the honest claim and loser list.
 
-    Returns (reported_winner, reported_bid, losing_list, degenerate)."""
-    rng = ctx.rng("seller", "forgery")
+    Returns (reported_winner, reported_bid, losing_list, degenerate); a
+    policy that cannot deviate on these bids logs why and stays honest."""
+    bids = sorted(accepted.items())
+    parties = [b for b, _ in bids]
+    true_winner, true_bid = decide_winner(bids, ctx.rng("seller", "tiebreak"))
+    honest_losers = permute_losing(bids, parties.index(true_winner), ctx.rng("seller", "permute"))
     policy = params.seller_policy
-    others = [(b, v) for b, v in sorted(accepted.items()) if b != true_winner]
-    honest_losers = permute_losing(
-        [(b, v) for b, v in sorted(accepted.items())],
-        [b for b, _ in sorted(accepted.items())].index(true_winner),
-        ctx.rng("seller", "permute"))
-
     if policy is SellerPolicy.HONEST:
         return true_winner, true_bid, honest_losers, False
+    rng = ctx.rng("seller", "forgery")
 
     if policy is SellerPolicy.WRONG_WINNER:
-        non_maximal = [(b, v) for b, v in others if v < true_bid]
-        if not non_maximal:
-            log.append("seller_policy_degenerate", policy=policy.value,
-                       reason="no non-maximal bidder")
-            return true_winner, true_bid, honest_losers, True
-        reported_winner, reported_bid = non_maximal[int(rng.integers(0, len(non_maximal)))]
-        losing = [min(v, reported_bid)
-                  for b, v in sorted(accepted.items()) if b != reported_winner]
-        order = ctx.rng("seller", "permute2").permutation(len(losing))
-        return reported_winner, reported_bid, [losing[int(i)] for i in order], False
-
-    if policy is SellerPolicy.INFLATE_BID:
-        if true_bid >= params.bid_cap:
-            log.append("seller_policy_degenerate", policy=policy.value,
-                       reason="no headroom above the true maximum")
-            return true_winner, true_bid, honest_losers, True
-        inflated = int(rng.integers(true_bid + 1, params.bid_cap + 1, dtype=np.uint64))
-        return true_winner, inflated, honest_losers, False
-
-    # DROP_LOSER: replace one losing bid with another value <= the maximum
-    if not honest_losers:
-        log.append("seller_policy_degenerate", policy=policy.value,
-                   reason="no losing bids to drop")
-        return true_winner, true_bid, honest_losers, True
-    victim_pos = int(rng.integers(0, len(honest_losers)))
-    victim_value = honest_losers[victim_pos]
-    substitutes = [v for v in honest_losers if v != victim_value]
-    if not substitutes and true_bid != victim_value:
-        substitutes = [true_bid]
-    if not substitutes:
-        log.append("seller_policy_degenerate", policy=policy.value,
-                   reason="all values equal, drop would be unobservable")
-        return true_winner, true_bid, honest_losers, True
-    forged = list(honest_losers)
-    forged[victim_pos] = substitutes[int(rng.integers(0, len(substitutes)))]
-    return true_winner, true_bid, forged, False
+        non_maximal = [(b, v) for b, v in bids if v < true_bid]
+        reason = "no non-maximal bidder"
+        if non_maximal:
+            winner, bid = non_maximal[int(rng.integers(0, len(non_maximal)))]
+            losing = permute_losing([(b, min(v, bid)) for b, v in bids], parties.index(winner),
+                                    ctx.rng("seller", "permute2"))
+            return winner, bid, losing, False
+    elif policy is SellerPolicy.INFLATE_BID:
+        reason = "no headroom above the true maximum"
+        if true_bid < params.bid_cap:
+            inflated = int(rng.integers(true_bid + 1, params.bid_cap + 1, dtype=np.uint64))
+            return true_winner, inflated, honest_losers, False
+    elif not honest_losers:  # DROP_LOSER from here on
+        reason = "no losing bids to drop"
+    else:
+        # replace one losing bid with another value <= the maximum
+        victim_pos = int(rng.integers(0, len(honest_losers)))
+        victim_value = honest_losers[victim_pos]
+        substitutes = [v for v in honest_losers if v != victim_value]
+        if not substitutes and true_bid != victim_value:
+            substitutes = [true_bid]
+        reason = "all values equal, drop would be unobservable"
+        if substitutes:
+            forged = list(honest_losers)
+            forged[victim_pos] = substitutes[int(rng.integers(0, len(substitutes)))]
+            return true_winner, true_bid, forged, False
+    ctx.log.append("seller_policy_degenerate", policy=policy.value, reason=reason)
+    return true_winner, true_bid, honest_losers, True
 
 
 def run_auction(params: AuctionParams) -> AuctionRunResult:
@@ -297,24 +287,14 @@ def run_auction(params: AuctionParams) -> AuctionRunResult:
     commit_bids, open_bids = scripted_values(
         params.buyer_policies, params.buyers,
         lambda i: int(ctx.rng("buyer", i).integers(1, params.bid_cap + 1, dtype=np.uint64)))
-    complainer_buyers = {buyer(i) for i, policy in params.buyer_policies.items()
-                         if isinstance(policy, Complainer)}
     width = params.bid_width
 
     # phase 1: every buyer commits his bid to the seller and to all miners
     ctx.log.append("phase", protocol="auction", phase=1, name="bidding")
-    seller_cids = {}
-    for i, b in enumerate(buyers):
-        bits = BitString.from_int(commit_bids[i], width)
-        seller_cids[i] = ctx.commit_to(b, [s] + miners, bits, params.backend)[s]
-    miner_known_cids: dict[PartyId, dict[int, int]] = {m: {} for m in miners}
-
-    def on_notify(delivery):
-        msg = decode_payload(delivery.payload)
-        if msg["kind"] == "commit_notify" and delivery.receiver.role.value == "miner":
-            miner_known_cids[delivery.receiver][delivery.sender.index] = msg["commitment_id"]
-
-    ctx.network.drain(on_notify)
+    ids = {b: ctx.commit_to(b, [s] + miners, BitString.from_int(commit_bids[b.index], width),
+                            params.backend)
+           for b in buyers}
+    ctx.network.drain()
 
     # phase 2: every buyer opens his bid to the seller only
     ctx.log.append("phase", protocol="auction", phase=2, name="opening")
@@ -322,38 +302,32 @@ def run_auction(params: AuctionParams) -> AuctionRunResult:
         if open_bids[i] != commit_bids[i]:
             ctx.log.append("bid_change_attempt", buyer=str(b))
         ctx.network.send_authenticated(
-            b, s, encode_open(seller_cids[i], BitString.from_int(open_bids[i], width)))
+            b, s, encode_open(ids[b][s], BitString.from_int(open_bids[i], width)))
 
-    accepted: dict[PartyId, int] = {}
+    revealed: dict[PartyId, BitString] = {}  # the openings the seller accepted
 
     def on_open_to_seller(delivery):
         result = ctx.adjudicate(delivery)
-        if result is not None and result.accepted:
-            accepted[delivery.sender] = result.value.value
+        if result.accepted:
+            revealed[delivery.sender] = result.value
 
     ctx.network.drain(on_open_to_seller)
+    accepted = {b: bits.value for b, bits in revealed.items()}
     excluded = tuple(b for b in buyers if b not in accepted)
 
     # phase 3: the seller decides the winner, if any bid was accepted
     ctx.log.append("phase", protocol="auction", phase=3, name="decision")
-    degenerate = False
+    degenerate, claim = False, None
     if accepted:
-        true_winner, true_bid = decide_winner(sorted(accepted.items()),
-                                              ctx.rng("seller", "tiebreak"))
-        reported_winner, reported_bid, losing_list, degenerate = _seller_forgery(
-            params, ctx, accepted, true_winner, true_bid, ctx.log)
+        *claim, degenerate = _seller_claim(params, ctx, accepted)
 
     # phase 4: per-miner verification; with no bid there is nothing to verify
     ctx.log.append("phase", protocol="auction", phase=4, name="verification")
-    participating = [b for b in buyers if b in accepted]
-    reveal_bits = {b: BitString.from_int(open_bids[b.index], width) for b in participating}
+    verification = _Verification(ctx, revealed, ids, {
+        buyer(i) for i, policy in params.buyer_policies.items() if isinstance(policy, Complainer)})
     outputs: dict[PartyId, VerificationOutput] = {}
-    false_accusers: set[PartyId] = set()
     for m in miners:
-        outputs[m] = (_verify_with_miner(
-            ctx, m, s, participating, accepted, reveal_bits, reported_winner,
-            reported_bid, losing_list, miner_known_cids[m], false_accusers,
-            complainer_buyers) if accepted else VerificationOutput(valid=False))
+        outputs[m] = verification.verify(m, claim) if claim else VerificationOutput(valid=False)
         ctx.log.append("miner_verdict", miner=str(m), **outputs[m].to_dict())
 
     # phase 5: consensus on the verification outputs, then publication
@@ -367,7 +341,7 @@ def run_auction(params: AuctionParams) -> AuctionRunResult:
                else output_from_body(decided_body))
 
     cheaters = list(ctx.registry.cheat_detected_committers())
-    if not outcome.valid and outcome.cheater is not None:
+    if outcome.cheater is not None:
         cheaters.append(outcome.cheater)
     return AuctionRunResult(
         outcome=outcome,
@@ -376,135 +350,131 @@ def run_auction(params: AuctionParams) -> AuctionRunResult:
         ledgers=ledgers,
         cheaters=tuple(sorted(set(cheaters))),
         excluded_buyers=excluded,
-        false_accusers=tuple(sorted(false_accusers)),
-        true_bids=dict(accepted),
+        false_accusers=tuple(sorted(verification.false_accusers)),
+        true_bids=accepted,
         consensus=consensus_result,
         context=ctx,
         degenerate_policy=degenerate,
     )
 
 
-def _verify_with_miner(ctx, m, s, participating, accepted, reveal_bits,
-                       reported_winner, reported_bid, losing_list, known_cids,
-                       false_accusers, complainer_buyers=frozenset()) -> VerificationOutput:
-    """One miner's verification sub-protocol with the seller and buyers."""
-    net = ctx.network
+@dataclass
+class _Verification:
+    """The per-run state every miner's verification reads, and the
+    false accusers the miners have found so far."""
 
-    # seller sends the claim and the permuted losing list
-    net.send_authenticated(s, m, encode_auction_claim(reported_winner, reported_bid))
-    net.send_authenticated(s, m, encode_auction_losers(losing_list))
-    inbox = []
-    net.drain(lambda d: inbox.append(decode_payload(d.payload)) if d.receiver == m else None)
-    claim = next((msg for msg in inbox if msg["kind"] == "auction_claim"), None)
-    losers = next((msg for msg in inbox if msg["kind"] == "auction_losers"), None)
+    ctx: SimContext
+    revealed: dict[PartyId, BitString]  # the openings the seller accepted
+    ids: dict[PartyId, dict[PartyId, int]]  # buyer -> receiver -> `commit_to` id
+    complainers: set[PartyId]  # buyers scripted to complain
+    false_accusers: set[PartyId] = field(default_factory=set)
 
-    # check (i): the seller sent both, and no losing bid exceeds the claimed winning bid
-    if claim is None or losers is None or any(v > claim["bid"] for v in losers["bids"]):
-        return VerificationOutput.bot(s)
+    def verify(self, m: PartyId, seller_claim) -> VerificationOutput:
+        """Miner `m`'s verification sub-protocol with the seller and the
+        buyers; `seller_claim` is (winner, winning bid, losing list)."""
+        ctx, net, s = self.ctx, self.ctx.network, seller()
+        winner, bid, losing = seller_claim
 
-    # step (ii): broadcast the combined list to the buyers
-    combined = [claim["bid"], *losers["bids"]]
-    for b in participating:
-        net.send_authenticated(m, b, encode_auction_vlist(claim["bid"], losers["bids"]))
+        # the seller sends the claim and the permuted losing list
+        net.send_authenticated(s, m, encode_auction_claim(winner, bid))
+        net.send_authenticated(s, m, encode_auction_losers(losing))
+        inbox = {}
 
-    # step (iii): each buyer claims the first slot holding his bid value,
-    # or complains that his value is absent
-    responses: dict[PartyId, dict] = {}
-
-    def on_buyer_side(delivery):
-        if delivery.receiver.role.value != "buyer":
-            return
-        msg = decode_payload(delivery.payload)
-        if msg["kind"] != "auction_vlist":
-            return
-        b = delivery.receiver
-        my_bid = accepted[b]
-        slots = [msg["winning_bid"], *msg["losing_bids"]]
-        if my_bid in slots and b not in complainer_buyers:
-            net.send_authenticated(b, m, encode_auction_response(
-                False, slot=slots.index(my_bid)))
-        else:
-            net.send_authenticated(b, m, encode_auction_response(True))
-
-    def on_miner_side(delivery):
-        if delivery.receiver == m:
+        def on_seller_message(delivery):  # auction_claim or auction_losers
             msg = decode_payload(delivery.payload)
-            if msg["kind"] == "auction_response":
+            inbox[msg["kind"]] = msg
+
+        net.drain(on_seller_message)
+        claim, losers = inbox.get("auction_claim"), inbox.get("auction_losers")
+
+        # check (i): the seller sent both, and no losing bid exceeds the claimed winning bid
+        if claim is None or losers is None or any(v > claim["bid"] for v in losers["bids"]):
+            return VerificationOutput.bot(s)
+
+        # step (ii): broadcast the combined list to the buyers
+        combined = [claim["bid"], *losers["bids"]]
+        for b in sorted(self.revealed):
+            net.send_authenticated(m, b, encode_auction_vlist(claim["bid"], losers["bids"]))
+
+        # step (iii): each buyer claims the first slot holding his bid value,
+        # or complains that his value is absent; a buyer whose list or
+        # response is lost neither claims nor complains
+        responses: dict[PartyId, dict] = {}
+
+        def on_list_or_response(delivery):
+            msg = decode_payload(delivery.payload)
+            if msg["kind"] == "auction_vlist":
+                b = delivery.receiver
+                slots = [msg["winning_bid"], *msg["losing_bids"]]
+                my_bid = self.revealed[b].value
+                complaint = my_bid not in slots or b in self.complainers
+                net.send_authenticated(b, m, encode_auction_response(
+                    complaint, slot=0 if complaint else slots.index(my_bid)))
+            elif msg["kind"] == "auction_response":
                 responses[delivery.sender] = msg
 
-    def dispatch(delivery):
-        on_buyer_side(delivery)
-        on_miner_side(delivery)
+        net.drain(on_list_or_response)
 
-    net.drain(dispatch)
+        # complaints: the buyer opens his phase-1 commitment to this miner
+        # (an opening lost or rejected leaves its complaint void)
+        complaints = [b for b in sorted(responses) if responses[b]["complaint"]]
+        for b, opened in sorted(self._openings(m, complaints).items()):
+            if opened not in combined:
+                return VerificationOutput.bot(s)  # genuinely missing bid
+            self.false_accusers.add(b)
+            ctx.log.append("false_accusation", miner=str(m), buyer=str(b))
 
-    # complaints: the buyer opens his phase-1 commitment to this miner
-    complainers = [b for b in sorted(responses) if responses[b]["complaint"]]
-    opened_values = _collect_openings(ctx, m, complainers, known_cids, reveal_bits)
-    for b in complainers:
-        opened = opened_values.get(b)
-        if opened is None:
-            continue  # equivocation during the complaint: complaint void
-        if opened not in combined:
-            return VerificationOutput.bot(s)  # genuinely missing bid
-        false_accusers.add(b)
-        ctx.log.append("false_accusation", miner=str(m), buyer=str(b))
+        # multiplicity: more claimants for a value than slots carrying it
+        # means a duplicate bid was dropped; ask the claimants to prove it
+        claim_count: dict[int, list[PartyId]] = {}
+        for b, msg in sorted(responses.items()):
+            if not msg["complaint"] and msg["slot"] < len(combined):
+                claim_count.setdefault(combined[msg["slot"]], []).append(b)
+        for value, claimants in sorted(claim_count.items()):
+            multiplicity = combined.count(value)
+            if len(claimants) <= multiplicity:
+                continue
+            ctx.log.append("multiplicity_conflict", miner=str(m), value=value,
+                           claimants=[str(b) for b in claimants])
+            opened = self._openings(m, claimants)
+            genuine = sum(1 for b in claimants if opened.get(b) == value)
+            if genuine > multiplicity:
+                return VerificationOutput.bot(s)
+            for b in claimants:
+                if opened.get(b, value) != value:  # opened, but not this value
+                    self.false_accusers.add(b)
+                    ctx.log.append("false_claim", miner=str(m), buyer=str(b))
 
-    # multiplicity: more claimants for a value than slots carrying it
-    # means a duplicate bid was dropped; ask the claimants to prove it
-    claim_count: dict[int, list[PartyId]] = {}
-    for b, msg in sorted(responses.items()):
-        if not msg["complaint"]:
-            value = combined[msg["slot"]] if msg["slot"] < len(combined) else None
-            if value is not None:
-                claim_count.setdefault(value, []).append(b)
-    for value, claimants in sorted(claim_count.items()):
-        multiplicity = combined.count(value)
-        if len(claimants) <= multiplicity:
-            continue
-        ctx.log.append("multiplicity_conflict", miner=str(m), value=value,
-                       claimants=[str(b) for b in claimants])
-        opened = _collect_openings(ctx, m, claimants, known_cids, reveal_bits)
-        genuine = sum(1 for b in claimants if opened.get(b) == value)
-        if genuine > multiplicity:
-            return VerificationOutput.bot(s)
-        for b in claimants:
-            got = opened.get(b)
-            if got is not None and got != value:
-                false_accusers.add(b)
-                ctx.log.append("false_claim", miner=str(m), buyer=str(b))
+        return VerificationOutput.ok(claim["bid"], losers["bids"], claim["winner"])
 
-    return VerificationOutput.ok(claim["bid"], losers["bids"], claim["winner"])
+    def _openings(self, m: PartyId, targets) -> dict[PartyId, int]:
+        """Miner-requested openings of phase-1 commitments.
 
+        Each target buyer opens the same value he revealed to the seller;
+        the registry adjudicates against what was actually committed, so a
+        bid-changer can be caught right here. Absent entries mean the
+        request or the opening was lost, or the opening was rejected
+        (complaint void, buyer flagged by the registry).
+        """
+        if not targets:
+            return {}
+        net, registry = self.ctx.network, self.ctx.registry
+        for b in targets:
+            net.send_authenticated(m, b, encode_open_request(self.ids[b][m]))
+        opened: dict[PartyId, int] = {}
 
-def _collect_openings(ctx, m, targets, known_cids, reveal_bits) -> dict[PartyId, int]:
-    """Miner-requested openings of phase-1 commitments.
+        def on_request_or_opening(delivery):
+            msg = decode_payload(delivery.payload)
+            if msg["kind"] == "open_request":
+                b = delivery.receiver
+                net.send_authenticated(b, m, encode_open(msg["commitment_id"], self.revealed[b]))
+            elif msg["kind"] == "open":
+                result = registry.open(msg["commitment_id"], delivery.sender, msg["claimed"])
+                if result.accepted:
+                    opened[delivery.sender] = result.value.value
 
-    Each target buyer opens the same value he revealed to the seller;
-    the registry adjudicates against what was actually committed, so a
-    bid-changer can be caught right here. Absent entries mean the
-    opening was rejected (complaint void, buyer flagged by the registry).
-    """
-    net = ctx.network
-    if not targets:
-        return {}
-    for b in targets:
-        net.send_authenticated(m, b, encode_open_request(known_cids[b.index]))
-    opened: dict[PartyId, int] = {}
-
-    def handler(delivery):
-        if delivery.receiver == m:
-            result = ctx.adjudicate(delivery)
-            if result is not None and result.accepted:
-                opened[delivery.sender] = result.value.value
-            return
-        msg = decode_payload(delivery.payload)
-        if msg["kind"] == "open_request" and delivery.receiver.role.value == "buyer":
-            b = delivery.receiver
-            net.send_authenticated(b, m, encode_open(msg["commitment_id"], reveal_bits[b]))
-
-    net.drain(handler)
-    return opened
+        net.drain(on_request_or_opening)
+        return opened
 
 
 # ---------------------------------------------------------- privacy scans
@@ -521,40 +491,28 @@ def posterior_privacy_violations(result: AuctionRunResult) -> list[str]:
     """
     violations: list[str] = []
     out = result.outcome
-    losing = {
-        b: v for b, v in sorted(result.true_bids.items())
-        if out.valid and b != out.winner
-    }
+    losing = {b for b in result.true_bids if out.valid and b != out.winner}
     for m, led in sorted(result.ledgers.items()):
         for record in led.records:
             decoded = decode_verification_output(record.body)
-            named = {decoded["winner"]} if decoded["valid"] else {decoded["cheater"]}
-            for b in losing:
-                if b in named:
-                    violations.append(
-                        f"ledger of {m} names losing buyer {b} at height {record.height}")
+            named = decoded["winner"] if decoded["valid"] else decoded["cheater"]
+            if named in losing:
+                violations.append(
+                    f"ledger of {m} names losing buyer {named} at height {record.height}")
     return violations
 
 
 def complaint_openings(result: AuctionRunResult) -> int:
     """Openings demanded during verification; zero in every honest run."""
-    count = 0
-    for rec in result.context.log.of_kind("send"):
-        payload_hex = rec.get("payload")
-        if payload_hex and bytes.fromhex(payload_hex)[0] == MSG_OPEN_REQUEST:
-            count += 1
-    return count
+    kind = f"{MSG_OPEN_REQUEST:02x}"
+    return sum(rec.get("payload", "").startswith(kind)
+               for rec in result.context.log.of_kind("send"))
 
 
 def bid_privacy_violations(result: AuctionRunResult) -> list[str]:
     """Deliveries to any buyer before the verification phase; buyers are
     supposed to receive nothing at all during bidding and opening."""
     log = result.context.log
-    phase4_seq = next((rec["seq"] for rec in log.of_kind("phase") if rec["phase"] == 4), None)
-    violations = []
-    for rec in log.of_kind("deliver"):
-        if phase4_seq is not None and rec["seq"] >= phase4_seq:
-            continue
-        if rec["receiver"].startswith("buyer:"):
-            violations.append(f"buyer-bound delivery before verification: {rec}")
-    return violations
+    phase4_seq = next(rec["seq"] for rec in log.of_kind("phase") if rec["phase"] == 4)
+    return [f"buyer-bound delivery before verification: {rec}" for rec in log.of_kind("deliver")
+            if rec["seq"] < phase4_seq and rec["receiver"].startswith("buyer:")]

@@ -206,7 +206,10 @@ def _render_body(kind: str, body: bytes) -> str:
 def ledger_dump(report_path, as_json):
     """Print every miner's ledger: canonical encoding plus a rendering."""
     with open(report_path, "r", encoding="utf-8") as fp:
-        report = json.load(fp)
+        try:
+            report = json.load(fp)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise QbsimError(f"{report_path} is not a JSON file: {exc}") from None
     ledgers = report.get("ledgers")
     if ledgers is None:
         raise click.ClickException("this report carries no ledgers")
@@ -216,7 +219,11 @@ def ledger_dump(report_path, as_json):
     for owner in sorted(ledgers):
         click.echo(f"== ledger of {owner}")
         for record in ledgers[owner]:
-            body = bytes.fromhex(record["body"])
+            try:
+                body = bytes.fromhex(record["body"])
+            except ValueError:
+                raise QbsimError(f"{report_path}: record body {record['body']!r} "
+                                 "is not hex") from None
             click.echo(f"  height {record['height']} kind {record['kind']} "
                        f"origin {record['origin_consensus']}")
             click.echo(f"    canonical: {record['body']}")

@@ -53,7 +53,10 @@ def parse_backend(text: str) -> Backend:
     if text == "ideal":
         return IdealBackend()
     if text.startswith("cheat:"):
-        return CheatSensitiveBackend(float(text.split(":", 1)[1]))
+        try:
+            return CheatSensitiveBackend(float(text.split(":", 1)[1]))
+        except ValueError:
+            pass  # not a number: named below
     raise QbsimError(f"unknown backend {text!r} (expected 'ideal' or 'cheat:<p>')")
 
 

@@ -77,21 +77,16 @@ PlayerPolicy = HonestPlayer | FixedTicket | Equivocator
 
 
 def parse_player_policy(text: str, ticket_bits: int) -> PlayerPolicy:
-    if text == "honest":
-        return HonestPlayer()
-    if text.startswith("fixed:"):
-        ticket = BitString.from_text(text.split(":", 1)[1])
-    elif text.startswith("equivocate:"):
-        _, first, second = text.split(":")
-        t1, t2 = BitString.from_text(first), BitString.from_text(second)
-        if len(t1) != ticket_bits or len(t2) != ticket_bits:
-            raise QbsimError(f"policy tickets must have length {ticket_bits}")
-        return Equivocator(t1, t2)
-    else:
-        raise QbsimError(f"unknown player policy {text!r}")
-    if len(ticket) != ticket_bits:
-        raise QbsimError(f"policy ticket must have length {ticket_bits}")
-    return FixedTicket(ticket)
+    name, *texts = text.split(":")
+    policy = {("honest", 0): HonestPlayer, ("fixed", 1): FixedTicket,
+              ("equivocate", 2): Equivocator}.get((name, len(texts)))
+    if policy is None:
+        raise QbsimError(f"unknown player policy {text!r} "
+                         "(expected honest, fixed:BITS or equivocate:BITS:BITS)")
+    tickets = [BitString.from_text(t) for t in texts]
+    if any(len(t) != ticket_bits for t in tickets):
+        raise QbsimError(f"policy tickets must have length {ticket_bits}")
+    return policy(*tickets)
 
 
 # ----------------------------------------------------------- pure pieces

@@ -57,7 +57,10 @@ def scheme_from_dict(data: dict[str, Any]) -> QbcScheme:
 
 def load_scheme(path: str) -> QbcScheme:
     with open(path, "r", encoding="utf-8") as fp:
-        data = json.load(fp)
+        try:
+            data = json.load(fp)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise EncodingError(f"{path} is not a JSON file: {exc}") from None
     return scheme_from_dict(data)
 
 

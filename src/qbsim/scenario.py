@@ -82,7 +82,11 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fp:
-            return cls.from_dict(json.load(fp))
+            try:
+                data = json.load(fp)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise QbsimError(f"{path} is not a JSON file: {exc}") from None
+        return cls.from_dict(data)
 
     # -------------------------------------------------------- validation
 

@@ -293,6 +293,27 @@ def test_dropped_seller_messages_make_the_miner_blame_the_seller(monkeypatch, mi
         assert report["outcome"] == honest["outcome"]
 
 
+def test_lost_commit_notice_leaves_the_false_complaint_to_the_miner(monkeypatch):
+    """The miner opens the commitment `commit_to` made to it, so a lost
+    commit notice neither crashes the run nor voids the complaint."""
+    make_context = auction.make_context
+
+    def make_context_dropping_buyer_0_notice_to_miner_0(*args, **kwargs):
+        ctx = make_context(*args, **kwargs)
+        ctx.network.set_hook(buyer(0), miner(0),
+                             lambda msg: ("drop",) if msg.payload[0] == 0x20 else None)
+        return ctx
+
+    monkeypatch.setattr(auction, "make_context", make_context_dropping_buyer_0_notice_to_miner_0)
+    report = run_scenario(ScenarioConfig(
+        protocol="auction", buyers=3, miners=2, seed=1,
+        buyer_policies={"0": "complain:5", "1": "fixed:7", "2": "fixed:3"}))
+    validate_report(report)
+    assert [rec["sender"] for rec in report["event_log"]
+            if rec["event"] == "adversary_drop"] == ["buyer:0"]
+    assert report["false_accusers"] == ["buyer:0"]
+
+
 def test_removing_one_miner_leaves_outcome_unchanged():
     policies = fixed_bids(12, 5, 9)
     r3 = run_auction(AuctionParams.simple(3, 3, seed=22, buyer_policies=dict(policies)))

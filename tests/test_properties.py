@@ -63,3 +63,48 @@ def test_every_config_ends_in_a_config_error_or_a_valid_report(config):
     validate_report(report)
     if 3 * len(config.byzantine_miners) < config.miners:
         assert report["assertions"]["honest_ledgers_consistent"] is True
+
+
+# Policy and backend texts over the characters names, numbers and bits
+# use: any such text, one of the field's names followed by any count of
+# such fields, or by one or two numbers or bit strings.
+TEXT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789:.eE+-"
+NAMES = {"backend": ["ideal", "cheat"], "lottery": ["honest", "fixed", "equivocate"],
+         "auction": ["honest", "fixed", "change", "complain"]}
+numbers = st.one_of(st.text("01", min_size=1, max_size=3), st.integers(0, 300).map(str),
+                    st.floats(0, 1.5).map(str))
+
+
+def texts(names):
+    fields = st.one_of(st.lists(st.text(TEXT_ALPHABET, max_size=6), max_size=3),
+                       st.lists(numbers, min_size=1, max_size=2))
+    return st.one_of(st.text(TEXT_ALPHABET, max_size=12),
+                     st.tuples(st.sampled_from(names), fields)
+                     .map(lambda t: ":".join([t[0], *t[1]])))
+
+
+@st.composite
+def text_configs(draw):
+    """A drawn policy text with the ideal backend, or a drawn backend
+    text with an honest policy."""
+    protocol = draw(st.sampled_from(["lottery", "auction"]))
+    policy, backend = "honest", "ideal"
+    if draw(st.booleans()):
+        backend = draw(texts(NAMES["backend"]))
+    else:
+        policy = draw(texts(NAMES[protocol]))
+    fields = (dict(players=3, ticket_bits=1, player_policies={"0": policy})
+              if protocol == "lottery" else
+              dict(buyers=3, bid_width=8, buyer_policies={"0": policy}))
+    return ScenarioConfig(protocol=protocol, miners=2, seed=1, backend=backend, **fields)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(text_configs())
+def test_every_policy_and_backend_text_ends_in_a_config_error_or_a_valid_report(config):
+    try:
+        report = run_scenario(config)
+    except ConfigError as exc:
+        assert exc.violations
+        return
+    validate_report(report)

@@ -2,6 +2,7 @@
 cannot carry are refused before it starts."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -149,3 +150,54 @@ def test_integral_float_counts_run_as_ints(protocol, tmp_path, monkeypatch, caps
     out, err = capsys.readouterr()
     assert json.loads(out)["config"] == report["config"]
     assert "Traceback" not in err
+
+
+# ---------------------------------- malformed policy and backend texts
+
+MALFORMED_TEXTS = [
+    ("lottery", "--backend", "cheat:1.2.3", "backend", "cheat:1.2.3"),
+    ("lottery", "--player-policy", "0=equivocate:01", "player_policies", {"0": "equivocate:01"}),
+    ("auction", "--buyer-policy", "0=fixed:abc", "buyer_policies", {"0": "fixed:abc"}),
+    ("auction", "--buyer-policy", "0=change:1", "buyer_policies", {"0": "change:1"}),
+]
+
+
+@pytest.mark.parametrize("protocol, option, argument, name, value", MALFORMED_TEXTS)
+def test_malformed_texts_end_in_a_config_error(protocol, option, argument, name, value,
+                                               monkeypatch, capsys):
+    assert cli(monkeypatch, protocol, "run", option, argument) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "Traceback" not in err
+    text = value if isinstance(value, str) else value["0"]
+    with pytest.raises(ConfigError, match=re.escape(text)):
+        run_scenario(ScenarioConfig.from_dict({"protocol": protocol, name: value}))
+
+
+# ------------------------------------------------ malformed input files
+
+
+def assert_one_error_line(monkeypatch, capsys, *argv):
+    assert cli(monkeypatch, *argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["qbc", "analyze"], b"not json"),
+    (["lottery", "run", "--config"], b"\xff{"),
+    (["ledger", "dump", "--report"], b"{"),
+])
+def test_an_input_file_that_is_not_json_exits_one(argv, content, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert_one_error_line(monkeypatch, capsys, *argv, str(path))
+
+
+def test_ledger_dump_of_a_record_body_that_is_not_hex_exits_one(tmp_path, monkeypatch, capsys):
+    report = run_scenario(ScenarioConfig(protocol="lottery", players=2, ticket_bits=4,
+                                         miners=1, seed=3))
+    report["ledgers"]["miner:0"][0]["body"] = "abc"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert_one_error_line(monkeypatch, capsys, "ledger", "dump", "--report", str(path))
