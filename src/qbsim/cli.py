@@ -19,11 +19,12 @@ from .auction import SellerPolicy
 from .batch import run_batch
 from .consensus import MINER_SCRIPT_NAMES
 from .encoding import decode_ticket_list, decode_verification_output
-from .errors import ConfigError, QbsimError
+from .errors import ConfigError, QbsimError, ReportError
 from .keystore import DEFAULT_BUDGET
 from .ledger import RecordKind
 from .lottery import CHEAT_POLICIES
-from .scenario import ScenarioConfig, canonical_report_bytes, emit_report, run_scenario
+from .scenario import (ScenarioConfig, canonical_report_bytes, emit_report, run_scenario,
+                       validate_report)
 
 
 def _finish_run(config: ScenarioConfig, out: str | None) -> int:
@@ -210,6 +211,12 @@ def ledger_dump(report_path, as_json):
             report = json.load(fp)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise QbsimError(f"{report_path} is not a JSON file: {exc}") from None
+    try:
+        validate_report(report)
+    except ReportError as exc:
+        more = len(exc.violations) - 1
+        raise QbsimError(f"{report_path} is not a valid run report: {exc.violations[0]}"
+                         + (f" (and {more} more)" if more else "")) from None
     ledgers = report.get("ledgers")
     if ledgers is None:
         raise click.ClickException("this report carries no ledgers")
@@ -219,11 +226,7 @@ def ledger_dump(report_path, as_json):
     for owner in sorted(ledgers):
         click.echo(f"== ledger of {owner}")
         for record in ledgers[owner]:
-            try:
-                body = bytes.fromhex(record["body"])
-            except ValueError:
-                raise QbsimError(f"{report_path}: record body {record['body']!r} "
-                                 "is not hex") from None
+            body = bytes.fromhex(record["body"])  # the schema admits whole hex bytes only
             click.echo(f"  height {record['height']} kind {record['kind']} "
                        f"origin {record['origin_consensus']}")
             click.echo(f"    canonical: {record['body']}")

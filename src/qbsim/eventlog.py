@@ -21,9 +21,11 @@ class EventLog:
     def append(self, event: str, **fields):
         self.counters[event] = self.counters.get(event, 0) + 1
         if self.detail:
-            record = {"seq": self._seq, "event": event}
-            record.update(fields)
-            self.records.append(record)
+            # the keyword dict is the record: one dict per record, and
+            # canonical JSON sorts its keys
+            fields["seq"] = self._seq
+            fields["event"] = event
+            self.records.append(fields)
         self._seq += 1
 
     def note(self, event: str):

@@ -48,29 +48,31 @@ class KeyStore:
     def __init__(self, master_seed: int, budget: int = DEFAULT_BUDGET):
         self._seed = master_seed
         self.budget = budget
+        # both orders of a pair key its one stream, so a lookup is one probe
         self._streams: dict[tuple[PartyId, PartyId], _Stream] = {}
-
-    @staticmethod
-    def _pair(a: PartyId, b: PartyId) -> tuple[PartyId, PartyId]:
-        return (a, b) if a.sort_key <= b.sort_key else (b, a)
 
     def consume(self, a: PartyId, b: PartyId) -> tuple[int, bytes]:
         """Next unused block for the unordered pair; each index is spent once."""
-        pair = self._pair(a, b)
-        stream = self._streams.get(pair)
+        stream = self._streams.get((a, b))
         if stream is None:
-            stream = self._streams[pair] = _Stream(self._seed, *pair)
+            stream = self._streams[a, b] = self._streams[b, a] = _Stream(
+                self._seed, *sorted((a, b)))
         index = stream.issued
         if index >= self.budget:
             raise KeyExhaustionError(
-                f"key budget ({self.budget} blocks) exhausted for {pair[0]}-{pair[1]}")
+                f"key budget ({self.budget} blocks) exhausted for {_pair_text(a, b)}")
         stream.issued = index + 1
         return index, stream.block(index)
 
-    def block_at(self, a: PartyId, b: PartyId, index: int) -> bytes:
-        """Look up an already-issued block (receiver-side verification)."""
-        pair = self._pair(a, b)
-        stream = self._streams.get(pair)
-        if stream is None or index >= stream.issued:
-            raise KeyExhaustionError(f"block {index} was never issued for {pair[0]}-{pair[1]}")
-        return stream.block(index)
+    def block_at(self, a: PartyId, b: PartyId, index: int) -> None:
+        """Check that block `index` of the pair was issued (receiver-side
+        verification) and return nothing: both ends hold the same issued
+        block, so the receiver's key is the one derived at send."""
+        stream = self._streams.get((a, b))
+        if stream is None or not 0 <= index < stream.issued:
+            raise KeyExhaustionError(f"block {index} was never issued for {_pair_text(a, b)}")
+
+
+def _pair_text(a: PartyId, b: PartyId) -> str:
+    first, second = sorted((a, b))
+    return f"{first}-{second}"

@@ -47,7 +47,7 @@ class PolyMac:
 
     prime: int = DEFAULT_PRIME
 
-    @property
+    @functools.cached_property
     def chunk_bits(self) -> int:
         # High-bit head-room: chunk + 2^chunk_bits stays below the prime.
         return self.prime.bit_length() - 2

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .errors import QbsimError
 
@@ -18,35 +18,32 @@ class Role(Enum):
 # Stable one-byte codes for canonical encodings.
 ROLE_CODES = {Role.PLAYER: 0, Role.BUYER: 1, Role.SELLER: 2, Role.MINER: 3}
 CODE_ROLES = {code: role for role, code in ROLE_CODES.items()}
+_ROLE_OF = {role.value: role for role in Role}
 
 
-@dataclass(frozen=True, eq=False)
-class PartyId:
-    role: Role
-    index: int
+class PartyId(tuple):
+    """A party: the tuple `(role value, index)`, e.g. `("miner", 3)`.
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise QbsimError(f"party index must be non-negative, got {self.index}")
-        # identities key every queue/ledger dict and name every logged
-        # message on the hot path; cache the hash, sort key and text
-        # instead of re-deriving them per use
-        object.__setattr__(self, "sort_key", (self.role.value, self.index))
-        object.__setattr__(self, "_hash", hash(self.sort_key))
-        object.__setattr__(self, "_str", f"{self.role.value}:{self.index}")
+    Identities key every queue, stream and ledger dict on the message
+    path, so they hash, compare and sort as plain tuples, in C. A party
+    therefore compares equal to the plain tuple of the same value.
+    `role`, `index` and `str` (`"miner:3"`) name its parts."""
 
-    def __eq__(self, other) -> bool:
-        return (self is other
-                or (isinstance(other, PartyId) and self.sort_key == other.sort_key))
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, role: Role, index: int):
+        if index < 0:
+            raise QbsimError(f"party index must be non-negative, got {index}")
+        return tuple.__new__(cls, (role.value, index))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self.role, self[1]
+
+    role = property(lambda self: _ROLE_OF[self[0]])
+    index = property(itemgetter(1))
 
     def __str__(self) -> str:
-        return self._str
-
-    def __lt__(self, other: "PartyId") -> bool:
-        return self.sort_key < other.sort_key
+        return f"{self[0]}:{self[1]}"
 
 
 def player(i: int) -> PartyId:

@@ -258,8 +258,9 @@ def run_scenario(config: ScenarioConfig) -> dict:
 
 
 def canonical_report_bytes(report: dict) -> bytes:
-    return (json.dumps(report, sort_keys=True, separators=(",", ":"),
-                       ensure_ascii=True) + "\n").encode("ascii")
+    # a report is a tree of fresh dicts and lists: no cycle to look for
+    return (json.dumps(report, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                       check_circular=False) + "\n").encode("ascii")
 
 
 @functools.cache

@@ -2,7 +2,10 @@
 
 `compile_schema` turns a schema dict into a function that returns every
 violation of an instance as `(json_path, message)` pairs, with the path
-and message texts of jsonschema's Draft 2020-12 validator. It covers
+and message texts of jsonschema's Draft 2020-12 validator. Each keyword
+compiles to a boolean predicate beside its error-collecting check: the
+predicate runs first, and the check's walk, which renders paths and
+messages, runs only when the predicate fails. It covers
 exactly the keywords qbsim's config and report schemas use; any other
 keyword raises at compile time, so a schema edit cannot silently weaken
 the check. Draft 2020-12 semantics kept: a bool is neither an integer
@@ -21,15 +24,18 @@ from .errors import QbsimError
 _IGNORED = frozenset({"$schema", "title"})
 _PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 
+# exact-type tests first: JSON values are plain ints, floats, strs and
+# dicts, and the `numbers.Number` ABC check is slow
 _TYPES = {
-    "object": lambda v: isinstance(v, dict),
+    "object": lambda v: type(v) is dict or isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
+    "string": lambda v: type(v) is str or isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+    "integer": lambda v: (type(v) is int or isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
-    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "number": lambda v: (type(v) is int or type(v) is float
+                         or isinstance(v, numbers.Number) and not isinstance(v, bool)),
 }
 _is_number = _TYPES["number"]
 
@@ -69,11 +75,12 @@ def _same(a, b) -> bool:
 
 
 def _leaf(ok, message):
-    """A check that records `message(value)` where `ok(value)` is false."""
+    """`ok` as the predicate, and a check that records `message(value)`
+    where `ok(value)` is false."""
     def check(v, path, errors):
         if not ok(v):
             errors.append((_json_path(path), message(v)))
-    return check
+    return ok, check
 
 
 def _type(types, schema):
@@ -87,22 +94,32 @@ def _type(types, schema):
 def _required(names, schema):
     wanted = frozenset(names)
 
+    def holds(v):
+        return not isinstance(v, dict) or wanted <= v.keys()
+
     def check(v, path, errors):
-        if isinstance(v, dict) and not wanted <= v.keys():
+        if not holds(v):
             errors.extend((_json_path(path), f"{name!r} is a required property")
                           for name in names if name not in v)
-    return check
+    return holds, check
 
 
 def _properties(props, schema):
-    checks = {key: _compile(sub) for key, sub in props.items()}
+    compiled = [(key, *_compile(sub)) for key, sub in props.items()]
+
+    def holds(v):
+        if isinstance(v, dict):
+            for key, sub_holds, _ in compiled:
+                if key in v and not sub_holds(v[key]):
+                    return False
+        return True
 
     def check(v, path, errors):
         if isinstance(v, dict):
-            for key, sub in checks.items():
+            for key, _, sub in compiled:
                 if key in v:
                     sub(v[key], (path, key), errors)
-    return check
+    return holds, check
 
 
 def _additional(extra, schema):
@@ -114,89 +131,113 @@ def _additional(extra, schema):
             listed = ", ".join(map(repr, keys))
             return f"Additional properties are not allowed ({listed} {verb} unexpected)"
         return _leaf(lambda v: not isinstance(v, dict) or v.keys() <= known.keys(), message)
-    sub = _compile(extra)
+    sub_holds, sub = _compile(extra)
+
+    def holds(v):
+        return not isinstance(v, dict) or all(
+            sub_holds(item) for key, item in v.items() if key not in known)
 
     def check(v, path, errors):
         if isinstance(v, dict):
             for key, item in v.items():
                 if key not in known:
                     sub(item, (path, key), errors)
-    return check
+    return holds, check
 
 
 def _items(items, schema):
-    sub = _compile(items)
+    sub_holds, sub = _compile(items)
 
     def check(v, path, errors):
         if isinstance(v, list):
             for index, item in enumerate(v):
                 sub(item, (path, index), errors)
-    return check
+    return lambda v: not isinstance(v, list) or all(map(sub_holds, v)), check
 
 
 def _pattern(text, schema):
     search = re.compile(text).search
-    return _leaf(lambda v: not isinstance(v, str) or search(v),
+    return _leaf(lambda v: not isinstance(v, str) or search(v) is not None,
                  lambda v: f"{v!r} does not match {text!r}")
 
 
+def _enum(values, schema):
+    strings = frozenset(x for x in values if isinstance(x, str))
+    # a str equals exactly the str values; anything else takes `_same`
+    return _leaf(lambda v: v in strings if type(v) is str else any(_same(v, x) for x in values),
+                 lambda v: f"{v!r} is not one of {values!r}")
+
+
 def _if(condition, schema):
-    test, then = _compile(condition), _compile(schema.get("then", {}))
+    (test_holds, test), (then_holds, then) = _compile(condition), _compile(schema.get("then", {}))
 
     def check(v, path, errors):
         failed = []
         test(v, None, failed)
         if not failed:
             then(v, path, errors)
-    return check
+    return lambda v: not test_holds(v) or then_holds(v), check
 
 
 _KEYWORDS = {
     "type": _type, "required": _required, "properties": _properties,
     "additionalProperties": _additional, "items": _items, "pattern": _pattern,
-    "enum": lambda values, schema: _leaf(lambda v: any(_same(v, x) for x in values),
-                                         lambda v: f"{v!r} is not one of {values!r}"),
+    "enum": _enum,
     "const": lambda value, schema: _leaf(lambda v: _same(v, value),
                                          lambda v: f"{value!r} was expected"),
     "minimum": lambda bound, schema: _leaf(
-        lambda v: not _is_number(v) or v >= bound,
+        lambda v: v >= bound if type(v) is int else not _is_number(v) or v >= bound,
         lambda v: f"{v!r} is less than the minimum of {bound!r}"),
     "maximum": lambda bound, schema: _leaf(
-        lambda v: not _is_number(v) or v <= bound,
+        lambda v: v <= bound if type(v) is int else not _is_number(v) or v <= bound,
         lambda v: f"{v!r} is greater than the maximum of {bound!r}"),
-    "allOf": lambda subs, schema: _chain([_compile(sub) for sub in subs]),
+    "allOf": lambda subs, schema: _both([_compile(sub) for sub in subs]),
     "if": _if,
     "then": None,  # compiled by `if`
 }
 
 
 def _compile(schema: dict):
+    """`(holds, check)` of a schema: `holds(v)` is true exactly when `v`
+    is valid; `check(v, path, errors)` appends every violation."""
     if not isinstance(schema, dict):
         raise SchemaCompileError(f"a schema must be an object here, got {schema!r}")
     unknown = sorted(schema.keys() - _KEYWORDS.keys() - _IGNORED)
     if unknown:
         raise SchemaCompileError(f"unsupported schema keywords: {unknown}")
-    return _chain([_KEYWORDS[key](value, schema) for key, value in schema.items()
-                   if _KEYWORDS.get(key) is not None])
+    return _both([_KEYWORDS[key](value, schema) for key, value in schema.items()
+                  if _KEYWORDS.get(key) is not None])
 
 
-def _chain(checks):
-    """One check that runs `checks` in order."""
-    if len(checks) == 1:
-        return checks[0]
+def _both(compiled):
+    """One `(holds, check)` that takes `compiled`'s pairs in order."""
+    if len(compiled) == 1:
+        return compiled[0]
+    tests = [holds for holds, _ in compiled]
+    checks = [check for _, check in compiled]
+    if len(tests) == 2:
+        first, second = tests
+        holds = lambda v: first(v) and second(v)
+    elif len(tests) == 3:
+        first, second, third = tests
+        holds = lambda v: first(v) and second(v) and third(v)
+    else:
+        holds = lambda v: all(test(v) for test in tests)
 
     def check(v, path, errors):
         for sub in checks:
             sub(v, path, errors)
-    return check
+    return holds, check
 
 
 def compile_schema(schema: dict):
     """A function from an instance to its `(json_path, message)` violations,
     in jsonschema's order; an empty list means the instance is valid."""
-    check = _compile(schema)
+    holds, check = _compile(schema)
 
     def violations(instance) -> list[tuple[str, str]]:
+        if holds(instance):
+            return []
         errors = []
         check(instance, None, errors)
         return errors

@@ -72,7 +72,7 @@ class Network:
         self.keystore = keystore
         self.mac = PolyMac()
         self.log = log
-        self._rng = random.Random(scheduler_seed)
+        self._randrange = random.Random(scheduler_seed).randrange
         self._links: dict[tuple[PartyId, PartyId], _Link] = {}
         self._active: list[_Link] = []  # links with a non-empty FIFO
         self._held: list[tuple[int, _Message]] = []  # (release_step, message)
@@ -101,16 +101,16 @@ class Network:
     # ---------------------------------------------------------- sending
 
     def send_authenticated(self, sender: PartyId, receiver: PartyId, payload: bytes) -> int:
-        link = self._link(sender, receiver)
+        link = self._links.get((sender, receiver)) or self._link(sender, receiver)
         key_index, block = self.keystore.consume(sender, receiver)
         key = self.mac.key_from_block(block)
         msg_id = self._next_id
         self._next_id = msg_id + 1
         self._keys[msg_id] = key
-        queue = link.queue
-        if not queue:
-            self._activate(link)
-        queue.append(_Message(msg_id, link, payload, key_index, self.mac.tag(key, payload)))
+        if link.pos < 0:  # the FIFO was empty: the link joins the active list
+            link.pos = len(self._active)
+            self._active.append(link)
+        link.queue.append(_Message(msg_id, link, payload, key_index, self.mac.tag(key, payload)))
         self._pending += 1
         if self.log.detail:
             self.log.append("send", sender=link.sender_name, receiver=link.receiver_name,
@@ -122,24 +122,15 @@ class Network:
 
     # --------------------------------------------------------- delivery
 
-    def _deactivate(self, link: _Link):
-        pos, link.pos = link.pos, -1
-        last = self._active.pop()
-        if last is not link:
-            self._active[pos] = last
-            last.pos = pos
-
-    def _activate(self, link: _Link):
-        if link.pos < 0:
-            link.pos = len(self._active)
-            self._active.append(link)
-
     def _release_held(self):
         still = []
         for release_at, msg in self._held:
             if release_at <= self._step:
-                msg.link.queue.appendleft(msg)
-                self._activate(msg.link)
+                link = msg.link
+                link.queue.appendleft(msg)
+                if link.pos < 0:
+                    link.pos = len(self._active)
+                    self._active.append(link)
             else:
                 still.append((release_at, msg))
         self._held = still
@@ -156,11 +147,15 @@ class Network:
         active = self._active
         if not active:
             return None
-        link = active[self._rng.randrange(len(active))]
+        link = active[self._randrange(len(active))]
         queue = link.queue
         msg = queue.popleft()
-        if not queue:
-            self._deactivate(link)
+        if not queue:  # the link leaves the active list; the last one takes its slot
+            pos, link.pos = link.pos, -1
+            last = active.pop()
+            if last is not link:
+                active[pos] = last
+                last.pos = pos
 
         if link.hook is not None and not msg.hook_done:
             msg.hook_done = True
@@ -183,8 +178,7 @@ class Network:
                     raise QbsimError(f"unknown hook action {action!r}")
 
         self._pending -= 1
-        # both ends hold the same issued block, so the key derived at send
-        # is the receiver's key too; block_at still refuses an unissued index
+        # refuses an unissued index; the key derived at send is the receiver's
         self.keystore.block_at(link.sender, link.receiver, msg.key_index)
         ok = self.mac.verify(self._keys.pop(msg.msg_id), msg.payload, msg.tag)
         if ok:
@@ -201,7 +195,7 @@ class Network:
     def drain(self, handler=None) -> list[Delivery]:
         """Deliver until the network is empty; dispatch verified payloads."""
         out = []
-        while self.pending:
+        while self._pending:
             delivery = self.deliver_next()
             if delivery is None:
                 continue

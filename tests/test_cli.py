@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import qbsim
 from qbsim.cli import main
 from qbsim.qbc import bell_pair_scheme, product_scheme, save_scheme
+from qbsim.scenario import ScenarioConfig, run_scenario
 
 
 def json_line(output: str) -> dict:
@@ -127,12 +129,46 @@ def test_ledger_dump_renders_records(tmp_path):
     assert "miner:0" in parsed and "miner:1" in parsed
 
 
+def src_env() -> dict:
+    """The environment of a child Python that imports this checkout's qbsim."""
+    src = str(Path(qbsim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def odd_body_report() -> dict:
+    report = run_scenario(ScenarioConfig.from_dict(dict(
+        protocol="lottery", players=2, ticket_bits=4, miners=2, seed=3)))
+    report["ledgers"]["miner:0"][0]["body"] = "abc"
+    return report
+
+
+MALFORMED_REPORTS = {
+    "a list": lambda: [],
+    "a record without body": lambda: {"ledgers": {"miner:0": [
+        {"height": 0, "kind": "ticket_list", "origin_consensus": 0}]}},
+    "an odd-length body": odd_body_report,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REPORTS))
+def test_ledger_dump_of_a_malformed_report_exits_one_with_one_error_line(name, tmp_path):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(MALFORMED_REPORTS[name]()))
+    done = subprocess.run([sys.executable, "-m", "qbsim.cli", "ledger", "dump",
+                           "--report", str(report_path)],
+                          env=src_env(), capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert "is not a valid run report" in done.stderr
+    assert done.stdout == ""  # nothing is dumped from a report that fails the schema
+
+
 def test_cli_import_loads_no_scipy():
     """scipy and jsonschema (with its `referencing`/`rpds` chain) are test
     dependencies only; the CLI's import path must not need them."""
-    src = str(Path(qbsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env = src_env()
     test_only = ("scipy", "jsonschema", "referencing", "rpds")
     probe = ("import sys, qbsim.cli; "
              f"print(sorted(m for m in sys.modules if m.split('.')[0] in {test_only!r}))")

@@ -1,7 +1,8 @@
 """The compiled schema checks against jsonschema's Draft 2020-12 validator:
 same verdict and same sorted (path, message) set on every golden report,
 on the property test's generated configs and reports, and on at least
-one mutation per keyword."""
+one mutation per keyword. The predicate that runs before the walk must
+give the walk's verdict on each of them, valid or not."""
 
 import copy
 import importlib.resources
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 
 from qbsim import cli
 from qbsim.errors import ConfigError, ReportError
-from qbsim.schemacheck import SchemaCompileError, compile_schema
+from qbsim.schemacheck import SchemaCompileError, _compile, compile_schema
 from qbsim.scenario import ScenarioConfig, run_scenario, validate_report
 from test_golden import GOLDEN, ROOT
 from test_properties import configs
@@ -28,18 +29,24 @@ def load(name):
 
 
 def compiled(schema):
-    return schema, compile_schema(schema)
+    return schema, compile_schema(schema), _compile(schema)
 
 
 CONFIG, REPORT = (compiled(load(name)) for name in RUNTIME_SCHEMAS)
 
 
 def agree(schema_and_check, instance):
-    """Assert both checks give the same violations; return them."""
-    schema, check = schema_and_check
+    """Assert both checks give the same violations, that the walk alone
+    gives them too and that the predicate alone holds exactly when there
+    are none; return them."""
+    schema, check, (holds, walk) = schema_and_check
     reference = sorted((error.json_path, error.message) for error in
                        jsonschema.Draft202012Validator(schema).iter_errors(instance))
     assert sorted(check(instance)) == reference
+    errors = []
+    walk(instance, None, errors)
+    assert sorted(errors) == reference
+    assert bool(holds(instance)) == (reference == [])
     return reference
 
 
@@ -107,6 +114,7 @@ REPORT_MUTATIONS = {
     "ledger record missing fields": (
         "auction-honest", lambda r: [r["ledgers"]["miner:0"][0].pop(k) for k in ("kind", "body")]),
     "unknown ledger kind": ("auction-honest", set_path("ledgers", "miner:1", 0, "kind", "x")),
+    "odd-length ledger body": ("auction-honest", set_path("ledgers", "miner:0", 0, "body", "abc")),
     "float counter": ("lottery-exclude-honest-ideal", set_path("event_counters", "send", 1.5)),
     "bool counter": ("lottery-exclude-honest-ideal", set_path("event_counters", "send", True)),
     "missing per_miner_outputs": ("auction-honest", delete("per_miner_outputs")),
@@ -133,6 +141,15 @@ def test_report_mutations_agree(mutation, golden_reports):
         validate_report(report)
     assert err.value.violations == [f"{path}: {message}" for path, message in
                                     sorted(REPORT[1](report), key=lambda error: error[0])]
+
+
+def test_golden_event_log_parties_are_strings(golden_reports):
+    """A `PartyId` is a tuple and json writes it as a list, and the schema
+    leaves `sender` and `receiver` untyped: pin that the log names parties."""
+    for name, report in golden_reports.items():
+        for record in report.get("event_log", []):
+            for field in ("sender", "receiver"):
+                assert isinstance(record.get(field, ""), str), (name, record)
 
 
 def test_integral_float_counter_and_float_schema_version_are_valid(golden_reports):
@@ -194,6 +211,8 @@ SEMANTICS = [
     ({"additionalProperties": {"minimum": 2}, "properties": {"x": {}}},
      [{"x": 0, "y": 1}, {"y": 3}, {"z": "low"}]),
     ({"items": {"pattern": "^a"}}, [["ab", "ba", 3], "ba", []]),
+    ({"pattern": "^([0-9a-f]{2})+$"}, ["ab", "abc", "", "abcd\n", "0g", 5]),
+    ({"enum": ["a", 1, [2]]}, ["a", "b", 1, True, [2], [2.0], None]),
     ({"allOf": [{"if": {"properties": {"k": {"const": 1}}}, "then": {"required": ["v"]}}]},
      [{"k": 1}, {"k": 2}, {"k": 1, "v": 0}, {}]),
 ]

@@ -155,3 +155,44 @@ def test_delivery_refuses_a_key_index_never_issued():
     net.send_authenticated(player(0), miner(0), b"m")
     with pytest.raises(KeyExhaustionError, match="never issued"):
         net.deliver_next()
+
+
+def test_layer_calls_per_message(monkeypatch):
+    """The per-layer counts that the benchmark's span tracer reads: one
+    key, one key derivation and one tag per send; one index check and one
+    verification, which tags again, per delivery that reaches verification."""
+    calls = {}
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in ((KeyStore, "consume"), (KeyStore, "block_at"),
+                      (PolyMac, "key_from_block"), (PolyMac, "tag"), (PolyMac, "verify")):
+        count(cls, name)
+    parties = [miner(i) for i in range(10)]
+    net, log = make_net(parties=parties)
+    net.set_hook(miner(0), miner(1), lambda m: ("drop",))
+    net.set_hook(miner(2), miner(3), lambda m: ("modify", m.payload + b"!"))
+    for sender in parties:
+        for receiver in parties:
+            if sender != receiver:
+                net.send_authenticated(sender, receiver, bytes([sender.index, receiver.index]))
+    delivered = net.drain()
+    sends, verified = 90, 89  # the dropped message never reaches verification
+    assert log.counters["send"] == sends and len(delivered) == verified
+    assert [d.receiver for d in delivered if not d.ok] == [miner(3)]
+    assert calls == {"consume": sends, "key_from_block": sends, "block_at": verified,
+                     "verify": verified, "tag": sends + verified}
+
+
+def test_delivery_refuses_a_negative_key_index():
+    net, _ = make_net()
+    net.set_hook(player(0), miner(0), lambda msg: setattr(msg, "key_index", -1))
+    net.send_authenticated(player(0), miner(0), b"m")
+    with pytest.raises(KeyExhaustionError, match="never issued"):
+        net.deliver_next()
