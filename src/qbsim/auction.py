@@ -25,7 +25,6 @@ from enum import Enum
 import numpy as np
 
 from .bits import BitString
-from .commitment import parse_backend
 from .encoding import (
     MAX_BID_BITS,
     MSG_OPEN_REQUEST,
@@ -183,16 +182,9 @@ def output_from_body(body: bytes) -> VerificationOutput:
 @dataclass
 class AuctionParams(RunParams):
     buyers: int
-    bid_width: int
+    bid_width: int = DEFAULT_BID_WIDTH
     buyer_policies: dict[int, BuyerPolicy] = field(default_factory=dict)
     seller_policy: SellerPolicy = SellerPolicy.HONEST
-
-    @classmethod
-    def simple(cls, buyers, miners, seed, bid_width=DEFAULT_BID_WIDTH,
-               backend="ideal", seller_policy="honest", **kw):
-        return cls(buyers=buyers, bid_width=bid_width, miners=miners, seed=seed,
-                   backend=parse_backend(backend),
-                   seller_policy=SellerPolicy(seller_policy), **kw)
 
     @property
     def bid_cap(self) -> int:

@@ -13,9 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from math import erfc, sqrt
 
-from .auction import run_auction
+from .auction import AuctionParams, run_auction
 from .errors import QbsimError
-from .lottery import run_lottery
+from .lottery import LotteryParams, run_lottery
 from .rng import derive_seed
 from .scenario import ScenarioConfig
 
@@ -27,17 +27,15 @@ def chisquare(ones: int, n: int) -> float:
     return erfc(sqrt((2 * ones - n) ** 2 / n / 2))
 
 
-def _run_summary(config: ScenarioConfig, run_index: int) -> dict:
-    config = replace(config, seed=derive_seed(config.seed, "batch", run_index),
-                     detail_log=False)
-    if config.protocol not in ("lottery", "auction"):
-        raise QbsimError(f"batch runs need lottery or auction, got {config.protocol}")
-    run = run_lottery if config.protocol == "lottery" else run_auction
-    result = run(config.params())
+def _run_summary(params: LotteryParams | AuctionParams, run_index: int) -> dict:
+    params = replace(params, seed=derive_seed(params.seed, "batch", run_index), detail=False)
+    lottery = isinstance(params, LotteryParams)
+    result = run_lottery(params) if lottery else run_auction(params)
     out = result.outcome
-    summary = {"protocol": config.protocol, "cheaters": len(result.cheaters),
+    summary = {"protocol": "lottery" if lottery else "auction",
+               "cheaters": len(result.cheaters),
                "consistent": result.honest_ledgers_consistent[0]}
-    if config.protocol == "lottery":
+    if lottery:
         summary.update(aborted=out.aborted,
                        winning_bits=list(out.winning) if out.winning is not None else None)
     else:
@@ -71,7 +69,9 @@ def run_batch(config: ScenarioConfig, runs: int, workers: int = 1) -> dict:
     """Aggregate statistics over `runs` derived-seed scenario runs."""
     if runs < 1:
         raise QbsimError("a batch needs at least one run")
-    config = config.validated()
+    params = config.params()
+    if params is None:
+        raise QbsimError(f"batch runs need lottery or auction, got {config.protocol}")
 
     agg = {"protocol": config.protocol, "master_seed": config.seed, "runs": 0,
            "runs_with_cheaters": 0, "consistency_violations": 0}
@@ -82,11 +82,11 @@ def run_batch(config: ScenarioConfig, runs: int, workers: int = 1) -> dict:
 
     if workers <= 1:
         for i in range(runs):
-            _merge(agg, _run_summary(config, i))
+            _merge(agg, _run_summary(params, i))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, runs // (workers * 8))
-            for summary in pool.map(_run_summary, [config] * runs,
+            for summary in pool.map(_run_summary, [params] * runs,
                                     range(runs), chunksize=chunk):
                 _merge(agg, summary)
 

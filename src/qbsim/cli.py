@@ -9,7 +9,6 @@ error.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 
@@ -20,6 +19,7 @@ from .batch import run_batch
 from .consensus import MINER_SCRIPT_NAMES
 from .encoding import decode_ticket_list, decode_verification_output
 from .errors import ConfigError, QbsimError, ReportError
+from .jsonfile import read_json
 from .keystore import DEFAULT_BUDGET
 from .ledger import RecordKind
 from .lottery import CHEAT_POLICIES
@@ -206,11 +206,7 @@ def _render_body(kind: str, body: bytes) -> str:
 @click.option("--json", "as_json", is_flag=True, help="emit canonical JSON records")
 def ledger_dump(report_path, as_json):
     """Print every miner's ledger: canonical encoding plus a rendering."""
-    with open(report_path, "r", encoding="utf-8") as fp:
-        try:
-            report = json.load(fp)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise QbsimError(f"{report_path} is not a JSON file: {exc}") from None
+    report = read_json(report_path)
     try:
         validate_report(report)
     except ReportError as exc:
@@ -246,7 +242,7 @@ def entrypoint():
         sys.exit(1)
     except click.exceptions.Abort:
         sys.exit(1)
-    except QbsimError as exc:
+    except (QbsimError, OSError) as exc:  # OSError: an input or output file
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

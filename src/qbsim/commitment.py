@@ -3,13 +3,12 @@
 The registry is the in-model stand-in for the quantum exchange between
 one committer and one receiver: it holds the committed value privately,
 logs nothing of it beyond the session id and bit length, and
-adjudicates openings. Two backends:
-
-* ideal - perfectly concealing and perfectly binding: any opening that
-  differs from the committed value is rejected outright;
-* cheat-sensitive - bit flips escape detection independently with
-  probability (1 - p) each, so an opening with k flipped bits succeeds
-  with probability (1 - p)^k and is otherwise caught.
+adjudicates openings. A backend is one per-bit detection probability
+p: each flipped bit escapes detection independently with probability
+(1 - p), so an opening with k flipped bits succeeds with probability
+(1 - p)^k and is otherwise caught. The ideal backend, p = 1, is
+perfectly binding: any opening that differs from the committed value
+is rejected outright.
 
 Detection events are logged for the rest of the protocol (miners act on
 them), and a record never reaches both Opened and CheatDetected.
@@ -27,14 +26,11 @@ from .parties import PartyId
 
 
 @dataclass(frozen=True)
-class IdealBackend:
-    def __str__(self) -> str:
-        return "ideal"
+class Backend:
+    """Per-bit detection probability p in (0, 1] and its commit-log text."""
 
-
-@dataclass(frozen=True)
-class CheatSensitiveBackend:
     detection_prob_per_bit: float
+    text: str
 
     def __post_init__(self):
         if not 0.0 < self.detection_prob_per_bit <= 1.0:
@@ -43,20 +39,22 @@ class CheatSensitiveBackend:
             )
 
     def __str__(self) -> str:
-        return f"cheat:{self.detection_prob_per_bit:g}"
+        return self.text
 
 
-Backend = IdealBackend | CheatSensitiveBackend
+IDEAL = Backend(1.0, "ideal")
 
 
 def parse_backend(text: str) -> Backend:
     if text == "ideal":
-        return IdealBackend()
+        return IDEAL
     if text.startswith("cheat:"):
         try:
-            return CheatSensitiveBackend(float(text.split(":", 1)[1]))
+            p = float(text.split(":", 1)[1])
         except ValueError:
             pass  # not a number: named below
+        else:
+            return Backend(p, f"cheat:{p:g}")
     raise QbsimError(f"unknown backend {text!r} (expected 'ideal' or 'cheat:<p>')")
 
 
@@ -145,12 +143,9 @@ class CommitmentRegistry:
         if flipped == 0:
             return self._finish(record, OpenResult.accept(record.value))
 
-        if isinstance(record.backend, IdealBackend):
-            return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION))
-
         p = record.backend.detection_prob_per_bit
-        detected = bool((self._rng.random(flipped) < p).any())
-        if detected:
+        # at p = 1 every draw would detect: no draw can change the outcome
+        if p == 1.0 or (self._rng.random(flipped) < p).any():
             return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION))
         # cheat slipped through: the receiver accepts the claimed value
         return self._finish(record, OpenResult.accept(claimed))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import BitString, xor_all
-from .commitment import parse_backend
 from .encoding import decode_ticket_list, encode_open, encode_ticket_list
 from .errors import ConfigError, QbsimError
 from .ledger import RecordKind
@@ -172,11 +171,6 @@ class LotteryParams(RunParams):
     ticket_bits: int
     policies: dict[int, PlayerPolicy] = field(default_factory=dict)
     cheat_policy: str = CHEAT_POLICY_EXCLUDE
-
-    @classmethod
-    def simple(cls, players, ticket_bits, miners, seed, backend="ideal", **kw):
-        return cls(players=players, ticket_bits=ticket_bits, miners=miners,
-                   seed=seed, backend=parse_backend(backend), **kw)
 
 
 @dataclass(kw_only=True)

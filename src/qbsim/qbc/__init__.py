@@ -6,7 +6,6 @@ committer cheat, which binding_attack returns as an explicit unitary.
 """
 
 from .states import (
-    DEFAULT_DIM_CAP,
     DensityOperator,
     HilbertDims,
     OpenOperation,
@@ -31,10 +30,9 @@ from .schemes import (
     random_pure_state,
     random_scheme,
 )
-from .io import load_scheme, save_scheme, scheme_from_dict, scheme_to_dict
+from .io import load_scheme, scheme_from_dict, scheme_to_dict
 
 __all__ = [
-    "DEFAULT_DIM_CAP",
     "BindingReport",
     "DensityOperator",
     "HilbertDims",
@@ -54,7 +52,6 @@ __all__ = [
     "random_density_matrix",
     "random_pure_state",
     "random_scheme",
-    "save_scheme",
     "scheme_from_dict",
     "scheme_to_dict",
     "trace_distance",

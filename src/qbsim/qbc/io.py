@@ -7,12 +7,12 @@ schemas/qbc_scheme.schema.json for the exact shape.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 import numpy as np
 
 from ..errors import DimensionMismatchError, EncodingError, StateValidationError
+from ..jsonfile import read_json
 from .states import HilbertDims, OpenOperation, PureState, QbcScheme
 
 
@@ -56,15 +56,4 @@ def scheme_from_dict(data: dict[str, Any]) -> QbcScheme:
 
 
 def load_scheme(path: str) -> QbcScheme:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            data = json.load(fp)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise EncodingError(f"{path} is not a JSON file: {exc}") from None
-    return scheme_from_dict(data)
-
-
-def save_scheme(scheme: QbcScheme, path: str):
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(scheme_to_dict(scheme), fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    return scheme_from_dict(read_json(path, EncodingError))

@@ -13,7 +13,8 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, SchemeValidationError, StateValidationError
 
-DEFAULT_DIM_CAP = 64
+# largest joint dimension dim_a * dim_b a scheme may have
+DIM_CAP = 64
 
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
@@ -29,16 +30,15 @@ class HilbertDims:
 
     dim_a: int
     dim_b: int
-    cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         if self.dim_a < 1 or self.dim_b < 1:
             raise StateValidationError(
                 f"dimensions must be >= 1, got ({self.dim_a}, {self.dim_b})"
             )
-        if self.dim_a * self.dim_b > self.cap:
+        if self.dim_a * self.dim_b > DIM_CAP:
             raise StateValidationError(
-                f"joint dimension {self.dim_a * self.dim_b} exceeds cap {self.cap}"
+                f"joint dimension {self.dim_a * self.dim_b} exceeds cap {DIM_CAP}"
             )
 
     @property
@@ -58,7 +58,7 @@ class PureState:
                 f"expected {dims.total} amplitudes, got shape {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # `not <=` refuses NaN too
             raise StateValidationError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         self.dims = dims
         self.amplitudes = amps
@@ -98,21 +98,17 @@ class DensityOperator:
         mat = np.asarray(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"density operator must be square, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
             raise StateValidationError("matrix is not Hermitian within tolerance")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise StateValidationError(f"trace {trace!r} is not 1 within {TRACE_TOL}")
         eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -EIGENVALUE_TOL:
+        if not eigs.min() >= -EIGENVALUE_TOL:
             raise StateValidationError(f"negative eigenvalue {eigs.min()!r}")
         self.dim = mat.shape[0]
         self.matrix = mat
         self.matrix.flags.writeable = False
-
-    @classmethod
-    def diagonal(cls, populations) -> "DensityOperator":
-        return cls(np.diag(np.asarray(populations, dtype=np.complex128)))
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
@@ -135,7 +131,7 @@ class OpenOperation:
                 )
         completeness = sum(k.conj().T @ k for k in ops)
         defect = float(np.max(np.abs(completeness - np.eye(dim))))
-        if defect > KRAUS_TOL:
+        if not defect <= KRAUS_TOL:
             raise StateValidationError(
                 f"Kraus operators are not trace-preserving (defect {defect:.3e})"
             )
@@ -147,18 +143,6 @@ class OpenOperation:
     @classmethod
     def identity(cls, dim: int) -> "OpenOperation":
         return cls([np.eye(dim)])
-
-    @classmethod
-    def depolarizing(cls, dim: int) -> "OpenOperation":
-        """Replaces any input with the maximally mixed state."""
-        ops = []
-        scale = 1.0 / np.sqrt(dim)
-        for i in range(dim):
-            for j in range(dim):
-                k = np.zeros((dim, dim), dtype=np.complex128)
-                k[i, j] = scale
-                ops.append(k)
-        return cls(ops)
 
     def __repr__(self) -> str:
         return f"OpenOperation(dim={self.dim}, n_kraus={len(self.kraus_operators)})"
@@ -190,7 +174,7 @@ class QbcScheme:
 
         gap = trace_distance(apply_open(self.open_op, self.c0), apply_open(self.open_op, self.c1))
         object.__setattr__(self, "open_distinguishability", gap)
-        if gap <= DISTINGUISHABILITY_TOL:
+        if not gap > DISTINGUISHABILITY_TOL:
             raise SchemeValidationError(
                 f"opening does not distinguish the two commitments (trace distance {gap:.3e})"
             )

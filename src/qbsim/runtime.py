@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .commitment import Backend, CommitmentRegistry, OpenResult
+from .commitment import IDEAL, Backend, CommitmentRegistry, OpenResult
 from .consensus import (
     BOT,
     MINER_SCRIPT_NAMES,
@@ -33,7 +33,7 @@ class RunParams:
 
     miners: int
     seed: int
-    backend: Backend
+    backend: Backend = IDEAL
     key_budget: int = DEFAULT_BUDGET
     detail: bool = True
     byzantine_miners: dict = field(default_factory=dict)  # miner -> script name or script

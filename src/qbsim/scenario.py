@@ -29,6 +29,7 @@ from .auction import (
 )
 from .commitment import parse_backend
 from .errors import ConfigError, QbsimError, ReportError
+from .jsonfile import read_json
 from .keystore import DEFAULT_BUDGET
 from .lottery import LotteryParams, lottery_violations, parse_player_policy, run_lottery
 from .parties import miner
@@ -81,52 +82,31 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fp:
-            try:
-                data = json.load(fp)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                raise QbsimError(f"{path} is not a JSON file: {exc}") from None
-        return cls.from_dict(data)
-
-    # -------------------------------------------------------- validation
-
-    def violations(self) -> list[str]:
-        """Every violated constraint, not just the first. The protocol's
-        own limits come from its module's check."""
-        if self.protocol not in PROTOCOLS:
-            return [f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"]
-        out = []
-        if self.seed < 0:
-            out.append("seed must be non-negative")
-        try:
-            backend = parse_backend(self.backend)
-        except QbsimError as exc:
-            out.append(str(exc))
-            backend = None
-        if self.protocol == "qbc_analyze":
-            if self.scheme is None and self.scheme_file is None:
-                out.append("qbc_analyze needs an inline scheme or a scheme_file")
-            return out
-        params = self._params(backend, out)
-        check = lottery_violations if self.protocol == "lottery" else auction_violations
-        return out + check(params)
-
-    def validated(self) -> "ScenarioConfig":
-        ConfigError.check(self.violations())
-        return self
+        return cls.from_dict(read_json(path))
 
     # -------------------------------------------------------- param view
 
-    def params(self) -> LotteryParams | AuctionParams:
-        """The protocol-level parameters of a lottery or auction config."""
+    def params(self) -> LotteryParams | AuctionParams | None:
+        """The protocol-level parameters of a lottery or auction config,
+        None for `qbc_analyze`. Raises one `ConfigError` that lists every
+        violated constraint, not just the first: texts that do not parse,
+        then the protocol's own limits from its module's check."""
+        if self.protocol not in PROTOCOLS:
+            raise ConfigError([f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"])
         problems = []
-        params = self._params(parse_backend(self.backend), problems)
-        ConfigError.check(problems)
-        return params
+        if self.seed < 0:
+            problems.append("seed must be non-negative")
+        try:
+            backend = parse_backend(self.backend)
+        except QbsimError as exc:
+            problems.append(str(exc))
+            backend = None
+        if self.protocol == "qbc_analyze":
+            if self.scheme is None and self.scheme_file is None:
+                problems.append("qbc_analyze needs an inline scheme or a scheme_file")
+            ConfigError.check(problems)
+            return None
 
-    def _params(self, backend, problems: list) -> LotteryParams | AuctionParams:
-        """Parameters from the config's texts; a text that does not parse
-        goes to `problems` and is left out."""
         byzantine = {miner(i): name for i, name in
                      _by_index(self.byzantine_miners, "miner", problems, str).items()}
         common = dict(miners=self.miners, seed=self.seed, backend=backend,
@@ -135,16 +115,20 @@ class ScenarioConfig:
         if self.protocol == "lottery":
             policies = _by_index(self.player_policies, "player", problems,
                                  lambda text: parse_player_policy(text, self.ticket_bits))
-            return LotteryParams(players=self.players, ticket_bits=self.ticket_bits,
-                                 policies=policies, cheat_policy=self.cheat_policy, **common)
+            params = LotteryParams(players=self.players, ticket_bits=self.ticket_bits,
+                                   policies=policies, cheat_policy=self.cheat_policy, **common)
+            ConfigError.check(problems + lottery_violations(params))
+            return params
         try:
             seller_policy = SellerPolicy(self.seller_policy)
         except ValueError:
             problems.append(f"unknown seller policy {self.seller_policy!r}")
             seller_policy = None
         policies = _by_index(self.buyer_policies, "buyer", problems, parse_buyer_policy)
-        return AuctionParams(buyers=self.buyers, bid_width=self.bid_width,
-                             buyer_policies=policies, seller_policy=seller_policy, **common)
+        params = AuctionParams(buyers=self.buyers, bid_width=self.bid_width,
+                               buyer_policies=policies, seller_policy=seller_policy, **common)
+        ConfigError.check(problems + auction_violations(params))
+        return params
 
 
 _INT_FIELDS = frozenset(f.name for f in fields(ScenarioConfig) if f.type == "int")
@@ -188,7 +172,7 @@ def _ledger_section(ledgers) -> dict:
 
 def run_scenario(config: ScenarioConfig) -> dict:
     """Execute the configured protocol end to end and build the report."""
-    config = config.validated()
+    params = config.params()
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "qbsim_version": __version__,
@@ -196,7 +180,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         "protocol": config.protocol,
     }
 
-    if config.protocol == "qbc_analyze":
+    if params is None:  # qbc_analyze
         scheme = (load_scheme(config.scheme_file) if config.scheme is None
                   else scheme_from_dict(config.scheme))
         attack = binding_attack(scheme)
@@ -216,7 +200,7 @@ def run_scenario(config: ScenarioConfig) -> dict:
         return report
 
     run = run_lottery if config.protocol == "lottery" else run_auction
-    result = run(config.params())
+    result = run(params)
     consistent, divergence = result.honest_ledgers_consistent
     ctx = result.context
     report.update({

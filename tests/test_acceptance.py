@@ -14,13 +14,14 @@ from scipy.optimize import minimize
 from qbsim.auction import (
     AuctionParams,
     FixedBid,
+    SellerPolicy,
     complaint_openings,
     posterior_privacy_violations,
     run_auction,
 )
 from qbsim.batch import run_batch
 from qbsim.bits import BitString
-from qbsim.commitment import CheatSensitiveBackend, CommitmentRegistry, IdealBackend
+from qbsim.commitment import IDEAL, CommitmentRegistry, parse_backend
 from qbsim.consensus import (
     ConsensusInstance,
     equivocating_script,
@@ -93,8 +94,8 @@ def test_criterion_2_lottery_unforgeability():
     with criterion(2, "lottery unforgeability"):
         rejected_runs = 0
         for i in range(1_000):
-            params = LotteryParams.simple(
-                3, 8, 2, seed=37_000 + i, detail=False, policies={
+            params = LotteryParams(
+                players=3, ticket_bits=8, miners=2, seed=37_000 + i, detail=False, policies={
                     1: Equivocator(BitString.from_text("00000000"),
                                    BitString.from_text("11111111"))})
             result = run_lottery(params)
@@ -104,7 +105,7 @@ def test_criterion_2_lottery_unforgeability():
 
         log = EventLog(detail=False)
         registry = CommitmentRegistry(generator(911, "registry"), log)
-        backend = CheatSensitiveBackend(0.5)
+        backend = parse_backend("cheat:0.5")
         committed = BitString.from_text("00000000")
         claimed = BitString.from_text("11111111")
         detections = 0
@@ -142,7 +143,7 @@ def test_criterion_3_lottery_verifiability():
             params = LotteryParams(
                 players=players, ticket_bits=ticket_bits,
                 miners=int(rng.integers(1, 4)), seed=int(rng.integers(0, 2**60)),
-                backend=IdealBackend(), policies=policies,
+                backend=IDEAL, policies=policies,
                 cheat_policy=cheat_policy, detail=False)
             result = run_lottery(params)
             ok = lottery_result_matches_ledger(result, ticket_bits, cheat_policy)
@@ -162,8 +163,8 @@ def test_criterion_4_auction_winner_correctness():
         for i in range(runs):
             m = int(rng.integers(2, 6))
             values = [int(v) for v in rng.integers(1, 2**16, size=m)]
-            params = AuctionParams.simple(
-                m, int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
+            params = AuctionParams(
+                buyers=m, miners=int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
                 bid_width=16, detail=False,
                 buyer_policies={i: FixedBid(v) for i, v in enumerate(values)})
             result = run_auction(params)
@@ -178,8 +179,8 @@ def test_criterion_4_auction_winner_correctness():
 
         wins = {0: 0, 1: 0}
         for i in range(10_000):
-            result = run_auction(AuctionParams.simple(
-                2, 1, seed=91_000_000 + i, bid_width=8, detail=False,
+            result = run_auction(AuctionParams(
+                buyers=2, miners=1, seed=91_000_000 + i, bid_width=8, detail=False,
                 buyer_policies={0: FixedBid(4), 1: FixedBid(4)}))
             wins[result.outcome.winner.index] += 1
         sigma = (10_000 * 0.25) ** 0.5
@@ -197,9 +198,9 @@ def test_criterion_5_cheating_seller_detection():
             for i in range(1_000):
                 m = int(rng.integers(2, 5))
                 values = rng.choice(np.arange(1, 2**16), size=m, replace=False)
-                params = AuctionParams.simple(
-                    m, int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
-                    bid_width=17, detail=False, seller_policy=policy,
+                params = AuctionParams(
+                    buyers=m, miners=int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
+                    bid_width=17, detail=False, seller_policy=SellerPolicy(policy),
                     buyer_policies={i: FixedBid(int(v)) for i, v in enumerate(values)})
                 result = run_auction(params)
                 assert not result.degenerate_policy, (policy, values)
@@ -221,8 +222,8 @@ def test_criterion_6_posterior_privacy():
         clean = 0
         for i in range(runs):
             m = int(rng.integers(2, 5))
-            params = AuctionParams.simple(
-                m, int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
+            params = AuctionParams(
+                buyers=m, miners=int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
                 bid_width=12, detail=True)
             result = run_auction(params)
             clean += (posterior_privacy_violations(result) == []

@@ -10,6 +10,7 @@ from qbsim.auction import (
     Complainer,
     FixedBid,
     HonestBuyer,
+    SellerPolicy,
     bid_privacy_violations,
     complaint_openings,
     decide_winner,
@@ -18,6 +19,7 @@ from qbsim.auction import (
     posterior_privacy_violations,
     run_auction,
 )
+from qbsim.commitment import parse_backend
 from qbsim.errors import QbsimError
 from qbsim.parties import buyer, miner, seller
 from qbsim.scenario import ScenarioConfig, run_scenario, validate_report
@@ -80,7 +82,7 @@ def test_permute_losing_single_and_duplicates():
 
 
 def test_honest_run_example():
-    params = AuctionParams.simple(3, 2, seed=10, buyer_policies=fixed_bids(3, 7, 5))
+    params = AuctionParams(buyers=3, miners=2, seed=10, buyer_policies=fixed_bids(3, 7, 5))
     result = run_auction(params)
     out = result.outcome
     assert out.valid
@@ -104,9 +106,9 @@ def test_random_honest_runs_match_argmax_oracle():
     for _ in range(40):
         m = int(rng.integers(2, 6))
         values = [int(v) for v in rng.integers(1, 1000, size=m)]
-        params = AuctionParams.simple(m, int(rng.integers(1, 4)),
-                                      seed=int(rng.integers(0, 2**60)),
-                                      buyer_policies=fixed_bids(*values))
+        params = AuctionParams(buyers=m, miners=int(rng.integers(1, 4)),
+                               seed=int(rng.integers(0, 2**60)),
+                               buyer_policies=fixed_bids(*values))
         result = run_auction(params)
         top, argmax = brute_force_argmax(dict(enumerate(values)))
         assert result.outcome.valid
@@ -120,15 +122,15 @@ def test_random_honest_runs_match_argmax_oracle():
 def test_two_way_tie_split():
     wins = {0: 0, 1: 0}
     for seed in range(400):
-        result = run_auction(AuctionParams.simple(
-            2, 1, seed=seed, buyer_policies=fixed_bids(4, 4)))
+        result = run_auction(AuctionParams(
+            buyers=2, miners=1, seed=seed, buyer_policies=fixed_bids(4, 4)))
         wins[result.outcome.winner.index] += 1
     sigma = (400 * 0.25) ** 0.5
     assert abs(wins[0] - 200) <= 3 * sigma
 
 
 def test_honest_duplicate_losing_bids_need_no_openings():
-    params = AuctionParams.simple(4, 2, seed=12, buyer_policies=fixed_bids(4, 4, 9, 2))
+    params = AuctionParams(buyers=4, miners=2, seed=12, buyer_policies=fixed_bids(4, 4, 9, 2))
     result = run_auction(params)
     assert result.outcome.valid
     assert sorted(result.outcome.losing_bids) == [2, 4, 4]
@@ -142,8 +144,8 @@ def test_honest_duplicate_losing_bids_need_no_openings():
 def test_wrong_winner_detected():
     # reported winner buyer 2 (bid 5); buyer 1's bid 7 vanishes from the
     # combined list, the complaint is upheld, every miner outputs bot
-    params = AuctionParams.simple(3, 2, seed=13, seller_policy="wrong-winner",
-                                  buyer_policies=fixed_bids(3, 7, 5))
+    params = AuctionParams(buyers=3, miners=2, seed=13, seller_policy=SellerPolicy.WRONG_WINNER,
+                           buyer_policies=fixed_bids(3, 7, 5))
     result = run_auction(params)
     assert not result.outcome.valid
     assert result.outcome.cheater == seller()
@@ -153,16 +155,16 @@ def test_wrong_winner_detected():
 
 
 def test_inflate_bid_detected():
-    params = AuctionParams.simple(3, 2, seed=14, seller_policy="inflate",
-                                  buyer_policies=fixed_bids(3, 7, 5))
+    params = AuctionParams(buyers=3, miners=2, seed=14, seller_policy=SellerPolicy.INFLATE_BID,
+                           buyer_policies=fixed_bids(3, 7, 5))
     result = run_auction(params)
     assert not result.outcome.valid
     assert result.outcome.cheater == seller()
 
 
 def test_drop_loser_detected():
-    params = AuctionParams.simple(3, 2, seed=15, seller_policy="drop-loser",
-                                  buyer_policies=fixed_bids(3, 7, 5))
+    params = AuctionParams(buyers=3, miners=2, seed=15, seller_policy=SellerPolicy.DROP_LOSER,
+                           buyer_policies=fixed_bids(3, 7, 5))
     result = run_auction(params)
     assert not result.outcome.valid
     assert result.outcome.cheater == seller()
@@ -171,12 +173,13 @@ def test_drop_loser_detected():
 def test_drop_duplicate_loser_detected_by_multiplicity():
     # two buyers bid 4; dropping one of them keeps the value present, so
     # only the claimant/multiplicity check can catch it
-    params = AuctionParams.simple(4, 2, seed=16, seller_policy="drop-loser",
-                                  buyer_policies=fixed_bids(4, 4, 9, 4))
+    params = AuctionParams(buyers=4, miners=2, seed=16, seller_policy=SellerPolicy.DROP_LOSER,
+                           buyer_policies=fixed_bids(4, 4, 9, 4))
     caught = 0
     for seed in range(16, 28):
-        params = AuctionParams.simple(4, 2, seed=seed, seller_policy="drop-loser",
-                                      buyer_policies=fixed_bids(4, 4, 9, 4))
+        params = AuctionParams(buyers=4, miners=2, seed=seed,
+                               seller_policy=SellerPolicy.DROP_LOSER,
+                               buyer_policies=fixed_bids(4, 4, 9, 4))
         result = run_auction(params)
         if result.degenerate_policy:
             continue
@@ -191,9 +194,9 @@ def test_seller_deviations_detected_over_random_bids():
         for _ in range(15):
             m = int(rng.integers(2, 5))
             values = rng.choice(np.arange(1, 2**20), size=m, replace=False)
-            params = AuctionParams.simple(
-                m, int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
-                seller_policy=policy,
+            params = AuctionParams(
+                buyers=m, miners=int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
+                seller_policy=SellerPolicy(policy),
                 buyer_policies=fixed_bids(*[int(v) for v in values]))
             result = run_auction(params)
             if result.degenerate_policy:
@@ -203,8 +206,8 @@ def test_seller_deviations_detected_over_random_bids():
 
 
 def test_wrong_winner_degenerates_when_all_bids_equal():
-    params = AuctionParams.simple(3, 1, seed=18, seller_policy="wrong-winner",
-                                  buyer_policies=fixed_bids(6, 6, 6))
+    params = AuctionParams(buyers=3, miners=1, seed=18, seller_policy=SellerPolicy.WRONG_WINNER,
+                           buyer_policies=fixed_bids(6, 6, 6))
     result = run_auction(params)
     assert result.degenerate_policy
     assert result.outcome.valid
@@ -214,7 +217,7 @@ def test_wrong_winner_degenerates_when_all_bids_equal():
 
 
 def test_bid_change_rejected_and_buyer_excluded_under_ideal():
-    params = AuctionParams.simple(3, 2, seed=19, buyer_policies={
+    params = AuctionParams(buyers=3, miners=2, seed=19, buyer_policies={
         0: FixedBid(3), 1: ChangeBid(7, 9), 2: FixedBid(5)})
     result = run_auction(params)
     assert buyer(1) in result.cheaters
@@ -228,9 +231,8 @@ def test_bid_change_rejected_and_buyer_excluded_under_ideal():
 def test_bid_change_sometimes_succeeds_under_cheat_sensitive():
     outcomes = set()
     for seed in range(40):
-        params = AuctionParams.simple(2, 1, seed=seed, backend="cheat:0.3",
-                                      buyer_policies={0: FixedBid(3),
-                                                      1: ChangeBid(7, 9)})
+        params = AuctionParams(buyers=2, miners=1, seed=seed, backend=parse_backend("cheat:0.3"),
+                               buyer_policies={0: FixedBid(3), 1: ChangeBid(7, 9)})
         result = run_auction(params)
         if buyer(1) in result.excluded_buyers:
             outcomes.add("caught")
@@ -240,7 +242,7 @@ def test_bid_change_sometimes_succeeds_under_cheat_sensitive():
 
 
 def test_false_accuser_marked_and_verification_continues():
-    params = AuctionParams.simple(3, 2, seed=20, buyer_policies={
+    params = AuctionParams(buyers=3, miners=2, seed=20, buyer_policies={
         0: FixedBid(3), 1: FixedBid(7), 2: Complainer(5)})
     result = run_auction(params)
     assert result.outcome.valid  # honest seller survives the framing
@@ -256,8 +258,8 @@ def test_posterior_privacy_over_random_honest_runs():
     rng = np.random.default_rng(21)
     for _ in range(20):
         m = int(rng.integers(2, 6))
-        params = AuctionParams.simple(m, int(rng.integers(1, 3)),
-                                      seed=int(rng.integers(0, 2**60)))
+        params = AuctionParams(buyers=m, miners=int(rng.integers(1, 3)),
+                               seed=int(rng.integers(0, 2**60)))
         result = run_auction(params)
         assert posterior_privacy_violations(result) == []
         assert bid_privacy_violations(result) == []
@@ -265,7 +267,7 @@ def test_posterior_privacy_over_random_honest_runs():
 
 
 def test_privacy_scans_refuse_summary_mode_results():
-    result = run_auction(AuctionParams.simple(3, 2, seed=1, detail=False))
+    result = run_auction(AuctionParams(buyers=3, miners=2, seed=1, detail=False))
     with pytest.raises(QbsimError, match="detail log"):
         bid_privacy_violations(result)
     with pytest.raises(QbsimError, match="detail log"):
@@ -316,8 +318,8 @@ def test_lost_commit_notice_leaves_the_false_complaint_to_the_miner(monkeypatch)
 
 def test_removing_one_miner_leaves_outcome_unchanged():
     policies = fixed_bids(12, 5, 9)
-    r3 = run_auction(AuctionParams.simple(3, 3, seed=22, buyer_policies=dict(policies)))
-    r2 = run_auction(AuctionParams.simple(3, 2, seed=22, buyer_policies=dict(policies)))
+    r3 = run_auction(AuctionParams(buyers=3, miners=3, seed=22, buyer_policies=dict(policies)))
+    r2 = run_auction(AuctionParams(buyers=3, miners=2, seed=22, buyer_policies=dict(policies)))
     assert r3.outcome == r2.outcome
 
 
@@ -332,11 +334,11 @@ def test_buyer_policy_parsing():
 
 def test_preconditions():
     with pytest.raises(QbsimError):
-        run_auction(AuctionParams.simple(1, 1, seed=1))
+        run_auction(AuctionParams(buyers=1, miners=1, seed=1))
     with pytest.raises(QbsimError):
-        run_auction(AuctionParams.simple(2, 0, seed=1))
+        run_auction(AuctionParams(buyers=2, miners=0, seed=1))
     with pytest.raises(QbsimError):
-        run_auction(AuctionParams.simple(2, 1, seed=1, bid_width=0))
+        run_auction(AuctionParams(buyers=2, miners=1, seed=1, bid_width=0))
     with pytest.raises(QbsimError):
-        run_auction(AuctionParams.simple(2, 1, seed=1,
-                                         buyer_policies={0: FixedBid(0), 1: FixedBid(1)}))
+        run_auction(AuctionParams(buyers=2, miners=1, seed=1,
+                                  buyer_policies={0: FixedBid(0), 1: FixedBid(1)}))

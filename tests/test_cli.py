@@ -11,8 +11,10 @@ from click.testing import CliRunner
 
 import qbsim
 from qbsim.cli import main
-from qbsim.qbc import bell_pair_scheme, product_scheme, save_scheme
 from qbsim.scenario import ScenarioConfig, run_scenario
+from test_qbc_io import REPO, nan_scheme
+
+SCHEMES = REPO / "schemes"
 
 
 def json_line(output: str) -> dict:
@@ -82,19 +84,15 @@ def test_stats_subcommands_emit_aggregates():
     assert agg["runs"] == 10
 
 
-def test_qbc_analyze_bell_and_product(tmp_path):
+def test_qbc_analyze_bell_and_product():
     runner = CliRunner()
-    bell = tmp_path / "bell.json"
-    save_scheme(bell_pair_scheme(), str(bell))
-    result = runner.invoke(main, ["qbc", "analyze", str(bell)])
+    result = runner.invoke(main, ["qbc", "analyze", str(SCHEMES / "bell_pair.json")])
     assert result.exit_code == 0
     analysis = json_line(result.output)["analysis"]
     assert analysis["concealing_defect"] < 1e-10
     assert analysis["binding_strength"] < 1e-6
 
-    prod = tmp_path / "product.json"
-    save_scheme(product_scheme(), str(prod))
-    result = runner.invoke(main, ["qbc", "analyze", str(prod)])
+    result = runner.invoke(main, ["qbc", "analyze", str(SCHEMES / "product.json")])
     analysis = json_line(result.output)["analysis"]
     assert abs(analysis["concealing_defect"] - 1.0) < 1e-10
     assert abs(analysis["binding_strength"] - 1.0) < 1e-6
@@ -175,3 +173,54 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "qbsim.cli", *args],
+                          env=src_env(), capture_output=True, text=True)
+
+
+def assert_one_error_line(done: subprocess.CompletedProcess, *names: str):
+    """Exit 1 with one `error:` line naming the file(s), no traceback and
+    nothing on stdout; `stats` may also note its wall time first."""
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = [l for l in done.stderr.splitlines() if not l.endswith("wall time")]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(name in lines[0] for name in names)
+    assert done.stdout == ""
+
+
+def config_file(path: Path, data: dict) -> str:
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+LOTTERY_ARGS = ("--players", "2", "--ticket-bits", "4", "--miners", "1")
+
+UNREADABLE_OR_UNWRITABLE = {
+    "qbc analyze of a directory": lambda d: ("qbc", "analyze", str(d)),
+    "ledger dump of a directory": lambda d: ("ledger", "dump", "--report", str(d)),
+    "lottery run --config of a directory": lambda d: ("lottery", "run", "--config", str(d)),
+    "a config naming a missing scheme file": lambda d: (
+        "lottery", "run", "--config", config_file(d / "config.json", {
+            "protocol": "qbc_analyze", "scheme_file": str(d / "missing.json")})),
+    "lottery run --out into a missing directory": lambda d: (
+        "lottery", "run", *LOTTERY_ARGS, "--out", str(d / "missing-dir" / "x.json")),
+    "lottery stats --out into a missing directory": lambda d: (
+        "lottery", "stats", "--runs", "5", *LOTTERY_ARGS,
+        "--out", str(d / "missing-dir" / "x.json")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_OR_UNWRITABLE))
+def test_a_file_that_cannot_be_read_or_written_exits_one_with_one_error_line(name, tmp_path):
+    assert_one_error_line(run_cli(*UNREADABLE_OR_UNWRITABLE[name](tmp_path)))
+
+
+@pytest.mark.parametrize("entry", ["amplitude", "kraus"])
+def test_scheme_file_with_nan_exits_one_with_one_error_line(entry, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(nan_scheme(entry)))  # json writes the bare constant NaN
+    assert "NaN" in path.read_text()
+    assert_one_error_line(run_cli("qbc", "analyze", str(path)), str(path), "NaN")

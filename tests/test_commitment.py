@@ -5,9 +5,9 @@ import pytest
 
 from qbsim.bits import BitString
 from qbsim.commitment import (
-    CheatSensitiveBackend,
+    IDEAL,
+    Backend,
     CommitmentRegistry,
-    IdealBackend,
     OpenResult,
     REJECT_EQUIVOCATION,
     REJECT_UNKNOWN,
@@ -26,7 +26,7 @@ def make_registry(seed=1, detail=True):
 
 def test_commit_reveals_only_id_and_length():
     reg, log = make_registry()
-    cid = reg.commit(player(1), miner(1), BitString.from_text("0101"), IdealBackend())
+    cid = reg.commit(player(1), miner(1), BitString.from_text("0101"), IDEAL)
     assert log.records == [{"seq": 0, "event": "commit", "id": cid, "committer": "player:1",
                             "receiver": "miner:1", "backend": "ideal", "length": 4}]
     # the log never carries the committed bits
@@ -36,15 +36,15 @@ def test_commit_reveals_only_id_and_length():
 def test_identical_values_get_distinct_ids():
     reg, _ = make_registry()
     v = BitString.from_text("1100")
-    a = reg.commit(player(0), miner(0), v, IdealBackend())
-    b = reg.commit(player(0), miner(0), v, IdealBackend())
+    a = reg.commit(player(0), miner(0), v, IDEAL)
+    b = reg.commit(player(0), miner(0), v, IDEAL)
     assert a != b
 
 
 def test_honest_open_accepted_with_original_value():
     reg, log = make_registry()
     v = BitString.from_text("0101")
-    cid = reg.commit(player(0), miner(0), v, IdealBackend())
+    cid = reg.commit(player(0), miner(0), v, IDEAL)
     result = reg.open(cid, player(0), BitString.from_text("0101"))
     assert result == OpenResult.accept(v)
     assert log.records[-1]["event"] == "open"
@@ -54,7 +54,7 @@ def test_honest_open_accepted_with_original_value():
 
 def test_ideal_backend_rejects_any_changed_value():
     reg, log = make_registry()
-    cid = reg.commit(player(0), miner(0), BitString.from_text("0101"), IdealBackend())
+    cid = reg.commit(player(0), miner(0), BitString.from_text("0101"), IDEAL)
     result = reg.open(cid, player(0), BitString.from_text("1101"))
     assert not result.accepted and result.reason == REJECT_EQUIVOCATION
     assert log.records[-1]["event"] == "cheat_detected"
@@ -69,7 +69,7 @@ def test_ideal_binding_exhaustive_short_lengths():
         for v in range(1 << length):
             committed = BitString.from_int(v, length)
             claimed = BitString.from_int((v + 1) % (1 << length), length)
-            cid = reg.commit(player(0), miner(0), committed, IdealBackend())
+            cid = reg.commit(player(0), miner(0), committed, IDEAL)
             assert not reg.open(cid, player(0), claimed).accepted
 
 
@@ -80,14 +80,14 @@ def test_ideal_binding_randomized_all_pairs_sample():
         length = int(rng.integers(9, 64))
         committed = BitString.random(rng, length)
         flip_at = int(rng.integers(0, length))
-        cid = reg.commit(player(0), miner(0), committed, IdealBackend())
+        cid = reg.commit(player(0), miner(0), committed, IDEAL)
         assert not reg.open(cid, player(0), committed.flip(flip_at)).accepted
 
 
 def test_unknown_wrong_party_double_open():
     reg, _ = make_registry()
     v = BitString.from_text("01")
-    cid = reg.commit(player(0), miner(0), v, IdealBackend())
+    cid = reg.commit(player(0), miner(0), v, IDEAL)
     assert reg.open(999, player(0), v).reason == REJECT_UNKNOWN
     assert reg.open(cid, player(1), v).reason == REJECT_WRONG_PARTY
     assert reg.open(cid, player(0), v).accepted
@@ -97,7 +97,7 @@ def test_unknown_wrong_party_double_open():
 
 def test_cheat_sensitive_certain_detection_at_p_one():
     reg, _ = make_registry()
-    backend = CheatSensitiveBackend(1.0)
+    backend = parse_backend("cheat:1")
     for flip_at in range(4):
         cid = reg.commit(player(0), miner(0), BitString.from_text("0000"), backend)
         claimed = BitString.from_text("0000").flip(flip_at)
@@ -108,7 +108,7 @@ def test_cheat_sensitive_detection_rate_matches_closed_form():
     # k flipped bits escape detection with probability (1-p)^k
     reg, _ = make_registry(seed=7, detail=False)
     p, k, trials = 0.5, 8, 100_000
-    backend = CheatSensitiveBackend(p)
+    backend = parse_backend(f"cheat:{p}")
     committed = BitString.from_text("00000000")
     claimed = BitString.from_text("11111111")
     rejected = 0
@@ -123,7 +123,7 @@ def test_cheat_sensitive_detection_rate_matches_closed_form():
 def test_cheat_sensitive_rates_various_k_within_3_sigma():
     reg, _ = make_registry(seed=11, detail=False)
     p, trials = 0.3, 20_000
-    backend = CheatSensitiveBackend(p)
+    backend = parse_backend(f"cheat:{p}")
     for k in (1, 2, 5):
         committed = BitString.from_int(0, 8)
         claimed = BitString.from_int((1 << k) - 1, 8)
@@ -145,7 +145,7 @@ def test_adversarial_receiver_guess_rate_is_chance():
     trials = 1000
     for i in range(trials):
         secret = BitString.from_int(int(rng.integers(0, 2)), 1)
-        cid = reg.commit(player(0), miner(0), secret, IdealBackend())
+        cid = reg.commit(player(0), miner(0), secret, IDEAL)
         view = log.records[-1]
         # best available strategy: any deterministic function of the view
         guess = (view["id"] + view["length"]) % 2
@@ -157,7 +157,7 @@ def test_adversarial_receiver_guess_rate_is_chance():
 
 def test_status_machine_never_mixes_opened_and_cheat_detected():
     reg, log = make_registry(seed=23, detail=False)
-    backend = CheatSensitiveBackend(0.4)
+    backend = parse_backend("cheat:0.4")
     rng = np.random.default_rng(29)
     ids = []
     for _ in range(2000):
@@ -174,9 +174,28 @@ def test_status_machine_never_mixes_opened_and_cheat_detected():
 
 
 def test_parse_backend():
-    assert parse_backend("ideal") == IdealBackend()
-    assert parse_backend("cheat:0.5") == CheatSensitiveBackend(0.5)
+    assert parse_backend("ideal") == IDEAL == Backend(1.0, "ideal")
+    assert parse_backend("cheat:0.50") == Backend(0.5, "cheat:0.5")
+    assert [str(parse_backend(t)) for t in ("ideal", "cheat:1", "cheat:0.25")] == [
+        "ideal", "cheat:1", "cheat:0.25"]
     with pytest.raises(QbsimError):
         parse_backend("sha256")
     with pytest.raises(QbsimError):
         parse_backend("cheat:0")
+    for p in (0.0, 1.5, float("nan")):
+        with pytest.raises(QbsimError):
+            Backend(p, "cheat")
+
+
+def test_open_draws_from_the_registry_rng_only_when_p_below_one():
+    rng = np.random.default_rng(3)
+    reg = CommitmentRegistry(rng, EventLog(detail=False))
+    committed, claimed = BitString.from_text("0000"), BitString.from_text("1111")
+    for backend in (IDEAL, parse_backend("cheat:1")):
+        state = rng.bit_generator.state
+        cid = reg.commit(player(0), miner(0), committed, backend)
+        assert not reg.open(cid, player(0), claimed).accepted
+        assert rng.bit_generator.state == state
+    cid = reg.commit(player(0), miner(0), committed, parse_backend("cheat:0.5"))
+    reg.open(cid, player(0), claimed)
+    assert rng.bit_generator.state != state

@@ -265,8 +265,8 @@ def test_callable_script_in_lottery_params_reaches_consensus():
         called.append((phase, round_, recipient))
         return ("garbage",)
 
-    params = LotteryParams.simple(players=3, ticket_bits=8, miners=4, seed=5,
-                                  byzantine_miners={miner(2): script})
+    params = LotteryParams(players=3, ticket_bits=8, miners=4, seed=5,
+                           byzantine_miners={miner(2): script})
     assert lottery_violations(params) == []
     result = run_lottery(params)
     assert {recipient for _, _, recipient in called} == {miner(0), miner(1), miner(3)}

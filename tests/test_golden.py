@@ -102,6 +102,16 @@ GOLDEN = {
              buyer_policies=FIXED_BIDS),
         "580611554c0883cd2ec745363712bfd73e281db43a9cadae10169b47706a24e4",
     ),
+    "lottery-equivocate-cheat-1": (
+        dict(LOTTERY, seed=19, backend="cheat:1",
+             player_policies={"1": "equivocate:11001100:00110011"}),
+        "638447d9ae4e62c8feb921856a4e5879debe22a07c4b85af7b9cfc7efca3866d",
+    ),
+    "auction-change-cheat-1": (
+        dict(AUCTION, seed=20, backend="cheat:1",
+             buyer_policies={"1": "change:70:140", "2": "fixed:90"}),
+        "1885918f7050f46c063c0d051d848b8761bebdc453ce060ff5c34bed4b20f77e",
+    ),
     "qbc-bell-pair": (
         dict(protocol="qbc_analyze", scheme_file="schemes/bell_pair.json"),
         "a7efbaf1758019f455e0d3ecabf32a31d5b555e591f4537149ed7467716c30b7",

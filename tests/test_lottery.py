@@ -92,7 +92,7 @@ def test_determine_outcome_abort_policy():
 
 
 def test_two_player_example_symmetric_revenues():
-    params = LotteryParams.simple(2, 4, 1, seed=5, policies={
+    params = LotteryParams(players=2, ticket_bits=4, miners=1, seed=5, policies={
         0: FixedTicket(BitString.from_text("0101")),
         1: FixedTicket(BitString.from_text("0011")),
     })
@@ -105,7 +105,7 @@ def test_two_player_example_symmetric_revenues():
 
 
 def test_minimal_one_bit_lottery():
-    params = LotteryParams.simple(2, 1, 1, seed=6)
+    params = LotteryParams(players=2, ticket_bits=1, miners=1, seed=6)
     result = run_lottery(params)
     assert len(result.outcome.winning) == 1
 
@@ -117,7 +117,7 @@ def assert_matches_oracle(result, params):
 def test_random_honest_runs_match_ledger_oracle():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        params = LotteryParams.simple(
+        params = LotteryParams(
             players=int(rng.integers(2, 6)),
             ticket_bits=int(rng.integers(1, 17)),
             miners=int(rng.integers(1, 4)),
@@ -129,7 +129,7 @@ def test_random_honest_runs_match_ledger_oracle():
 
 
 def test_equivocator_rejected_and_excluded_under_ideal_backend():
-    params = LotteryParams.simple(3, 4, 2, seed=21, policies={
+    params = LotteryParams(players=3, ticket_bits=4, miners=2, seed=21, policies={
         1: Equivocator(BitString.from_text("0000"), BitString.from_text("1111")),
     })
     result = run_lottery(params)
@@ -141,9 +141,9 @@ def test_equivocator_rejected_and_excluded_under_ideal_backend():
 
 
 def test_equivocator_aborts_run_under_abort_policy():
-    params = LotteryParams.simple(3, 4, 2, seed=22, cheat_policy="abort", policies={
-        1: Equivocator(BitString.from_text("0000"), BitString.from_text("1111")),
-    })
+    params = LotteryParams(players=3, ticket_bits=4, miners=2, seed=22, cheat_policy="abort",
+                           policies={1: Equivocator(BitString.from_text("0000"),
+                                                    BitString.from_text("1111"))})
     result = run_lottery(params)
     assert result.outcome.aborted
     assert player(1) in result.cheaters
@@ -151,7 +151,8 @@ def test_equivocator_aborts_run_under_abort_policy():
 
 def test_equivocator_opening_committed_value_is_no_equivocation():
     t = BitString.from_text("0101")
-    params = LotteryParams.simple(2, 4, 2, seed=23, policies={0: Equivocator(t, t)})
+    params = LotteryParams(players=2, ticket_bits=4, miners=2, seed=23,
+                           policies={0: Equivocator(t, t)})
     result = run_lottery(params)
     assert result.cheaters == ()
     assert result.outcome.included == (0, 1)
@@ -163,10 +164,12 @@ def test_flipping_one_committed_bit_flips_the_winning_bit():
         1: FixedTicket(BitString.from_text("00110011")),
         2: FixedTicket(BitString.from_text("00001111")),
     }
-    result = run_lottery(LotteryParams.simple(3, 8, 2, seed=31, policies=dict(base)))
+    result = run_lottery(LotteryParams(players=3, ticket_bits=8, miners=2, seed=31,
+                                       policies=dict(base)))
     flipped = dict(base)
     flipped[1] = FixedTicket(base[1].ticket.flip(5))
-    result2 = run_lottery(LotteryParams.simple(3, 8, 2, seed=31, policies=flipped))
+    result2 = run_lottery(LotteryParams(players=3, ticket_bits=8, miners=2, seed=31,
+                                        policies=flipped))
     assert result2.outcome.winning == result.outcome.winning.flip(5)
 
 
@@ -175,8 +178,10 @@ def test_removing_one_miner_leaves_outcome_unchanged():
         0: FixedTicket(BitString.from_text("0110")),
         2: FixedTicket(BitString.from_text("1001")),
     }
-    out3 = run_lottery(LotteryParams.simple(4, 4, 3, seed=41, policies=dict(policies)))
-    out2 = run_lottery(LotteryParams.simple(4, 4, 2, seed=41, policies=dict(policies)))
+    out3 = run_lottery(LotteryParams(players=4, ticket_bits=4, miners=3, seed=41,
+                                     policies=dict(policies)))
+    out2 = run_lottery(LotteryParams(players=4, ticket_bits=4, miners=2, seed=41,
+                                     policies=dict(policies)))
     assert out3.outcome.winning == out2.outcome.winning
     assert out3.outcome.revenues == out2.outcome.revenues
 
@@ -198,7 +203,7 @@ def test_adversarial_last_player_cannot_bias_winning_bits():
 
 
 def test_miner_verdicts_all_agree():
-    params = LotteryParams.simple(3, 8, 4, seed=51)
+    params = LotteryParams(players=3, ticket_bits=8, miners=4, seed=51)
     result = run_lottery(params)
     outcomes = {v.winning for v in result.verdicts.values()}
     assert len(outcomes) == 1
@@ -208,7 +213,7 @@ def test_miner_verdicts_all_agree():
 def test_commit_messages_never_carry_ticket_bits():
     # concealing at the transport level: before opening, the only thing
     # on the wire about a ticket is its length
-    params = LotteryParams.simple(2, 8, 2, seed=61, policies={
+    params = LotteryParams(players=2, ticket_bits=8, miners=2, seed=61, policies={
         0: FixedTicket(BitString.from_text("10101010")),
         1: FixedTicket(BitString.from_text("01010101")),
     })
@@ -232,8 +237,8 @@ def test_policy_parsing():
 
 def test_preconditions():
     with pytest.raises(QbsimError):
-        run_lottery(LotteryParams.simple(1, 4, 1, seed=1))
+        run_lottery(LotteryParams(players=1, ticket_bits=4, miners=1, seed=1))
     with pytest.raises(QbsimError):
-        run_lottery(LotteryParams.simple(2, 0, 1, seed=1))
+        run_lottery(LotteryParams(players=2, ticket_bits=0, miners=1, seed=1))
     with pytest.raises(QbsimError):
-        run_lottery(LotteryParams.simple(2, 4, 0, seed=1))
+        run_lottery(LotteryParams(players=2, ticket_bits=4, miners=0, seed=1))

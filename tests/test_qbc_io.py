@@ -14,10 +14,10 @@ from qbsim.qbc import (
     concealing_defect,
     load_scheme,
     random_scheme,
-    save_scheme,
     scheme_from_dict,
     scheme_to_dict,
 )
+from qbsim.scenario import ScenarioConfig, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads(
@@ -39,7 +39,7 @@ def test_file_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     scheme = random_scheme(HilbertDims(2, 2), rng)
     path = tmp_path / "scheme.json"
-    save_scheme(scheme, str(path))
+    path.write_text(json.dumps(scheme_to_dict(scheme)))
     jsonschema.validate(json.loads(path.read_text()), SCHEMA)
     back = load_scheme(str(path))
     assert np.allclose(back.c0.amplitudes, scheme.c0.amplitudes)
@@ -67,3 +67,21 @@ def test_shipped_scheme_files(name, defect, strength):
     assert abs(report.strength - strength) < 1e-6
     if strength == 0.0:
         assert report.witness_residual < 1e-6
+
+
+def nan_scheme(entry: str) -> dict:
+    """The shipped Bell-pair scheme with one amplitude or Kraus entry NaN."""
+    data = json.loads((REPO / "schemes" / "bell_pair.json").read_text())
+    if entry == "amplitude":
+        data["c0"][0][0] = float("nan")
+    else:
+        data["kraus"][0][0][0][0] = float("nan")
+    return data
+
+
+@pytest.mark.parametrize("entry", ["amplitude", "kraus"])
+def test_inline_scheme_with_nan_is_refused(entry):
+    with pytest.raises(EncodingError):
+        scheme_from_dict(nan_scheme(entry))
+    with pytest.raises(EncodingError):
+        run_scenario(ScenarioConfig(protocol="qbc_analyze", scheme=nan_scheme(entry)))

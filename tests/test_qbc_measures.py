@@ -146,19 +146,19 @@ def test_partial_trace_dimension_mismatch():
 
 
 def test_trace_distance_identical_states_is_zero():
-    rho = DensityOperator.diagonal([0.5, 0.5])
+    rho = DensityOperator(np.diag([0.5, 0.5]))
     assert trace_distance(rho, rho) == 0.0
 
 
 def test_trace_distance_orthogonal_pure_states_is_one():
-    rho = DensityOperator.diagonal([1.0, 0.0])
-    sigma = DensityOperator.diagonal([0.0, 1.0])
+    rho = DensityOperator(np.diag([1.0, 0.0]))
+    sigma = DensityOperator(np.diag([0.0, 1.0]))
     assert abs(trace_distance(rho, sigma) - 1.0) < 1e-12
 
 
 def test_trace_distance_diagonal_example():
-    rho = DensityOperator.diagonal([0.75, 0.25])
-    sigma = DensityOperator.diagonal([0.25, 0.75])
+    rho = DensityOperator(np.diag([0.75, 0.25]))
+    sigma = DensityOperator(np.diag([0.25, 0.75]))
     assert abs(trace_distance(rho, sigma) - 0.5) < 1e-12
 
 
@@ -174,16 +174,16 @@ def test_trace_distance_matches_svd_oracle_and_is_symmetric():
 
 def test_trace_distance_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        trace_distance(DensityOperator.diagonal([1.0]), DensityOperator.diagonal([1.0, 0.0]))
+        trace_distance(DensityOperator(np.diag([1.0])), DensityOperator(np.diag([1.0, 0.0])))
 
 
 # --------------------------------------------------------------- fidelity
 
 
 def test_fidelity_identical_is_one_orthogonal_is_zero():
-    rho = DensityOperator.diagonal([0.3, 0.7])
+    rho = DensityOperator(np.diag([0.3, 0.7]))
     assert abs(fidelity(rho, rho) - 1.0) < 1e-10
-    assert fidelity(DensityOperator.diagonal([1, 0]), DensityOperator.diagonal([0, 1])) < 1e-12
+    assert fidelity(DensityOperator(np.diag([1, 0])), DensityOperator(np.diag([0, 1]))) < 1e-12
 
 
 def test_fidelity_matches_pure_state_overlap():
@@ -300,12 +300,3 @@ def test_open_keeps_orthogonal_product_states_distinguishable():
         apply_open(scheme.open_op, scheme.c0), apply_open(scheme.open_op, scheme.c1)
     )
     assert d > 0.99
-
-
-def test_depolarizing_open_maps_everything_to_maximally_mixed():
-    rng = np.random.default_rng(53)
-    op = OpenOperation.depolarizing(4)
-    for _ in range(5):
-        state = random_pure_state(HilbertDims(2, 2), rng)
-        out = apply_open(op, state)
-        assert np.allclose(out.matrix, np.eye(4) / 4, atol=1e-12)

@@ -21,10 +21,10 @@ def test_dims_must_be_positive():
         HilbertDims(2, -1)
 
 
-def test_dims_product_cap_default_and_override():
+def test_dims_product_cap():
     with pytest.raises(StateValidationError):
         HilbertDims(9, 8)  # 72 > 64
-    assert HilbertDims(9, 8, cap=128).total == 72
+    assert HilbertDims(8, 8).total == 64
 
 
 def test_pure_state_requires_unit_norm():

@@ -9,6 +9,7 @@ from qbsim.auction import SellerPolicy
 from qbsim.batch import run_batch
 from qbsim.consensus import MINER_SCRIPT_NAMES
 from qbsim.errors import ConfigError
+from qbsim import scenario
 from qbsim.lottery import CHEAT_POLICIES
 from qbsim.scenario import (
     ScenarioConfig,
@@ -44,11 +45,37 @@ def test_config_rejects_unknown_fields():
 def test_validation_lists_every_violation():
     config = ScenarioConfig(protocol="lottery", players=0, ticket_bits=0,
                             miners=0, backend="sha256", cheat_policy="retry")
-    problems = config.violations()
-    assert len(problems) == 5
     with pytest.raises(ConfigError) as err:
-        config.validated()
+        config.params()
     assert len(err.value.violations) == 5
+    with pytest.raises(ConfigError) as err:
+        run_scenario(config)
+    assert len(err.value.violations) == 5
+
+
+def count_policy_parses(monkeypatch) -> list:
+    """Every call of `parse_player_policy` made through the scenario layer."""
+    calls, parse = [], scenario.parse_player_policy
+
+    def counted(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(scenario, "parse_player_policy", counted)
+    return calls
+
+
+def test_run_scenario_parses_the_config_once(monkeypatch):
+    calls = count_policy_parses(monkeypatch)
+    run_scenario(lottery_config(player_policies={"1": "fixed:00000001"}))
+    assert len(calls) == 1
+
+
+def test_run_batch_parses_the_config_once_per_batch(monkeypatch):
+    calls = count_policy_parses(monkeypatch)
+    agg = run_batch(lottery_config(player_policies={"1": "fixed:00000001"}), runs=5)
+    assert agg["runs"] == 5
+    assert len(calls) == 1
 
 
 def test_zero_buyers_rejected_with_diagnostic():
@@ -131,12 +158,15 @@ def test_byzantine_miner_config_end_to_end():
 def test_byzantine_config_validation():
     bad = lottery_config(miners=2, byzantine_miners={"5": "equivocate",
                                                      "0": "bribe"})
-    problems = bad.violations()
-    assert any("unknown miner" in p for p in problems)
-    assert any("unknown script" in p for p in problems)
+    with pytest.raises(ConfigError) as err:
+        bad.params()
+    assert any("unknown miner" in p for p in err.value.violations)
+    assert any("unknown script" in p for p in err.value.violations)
     all_byz = lottery_config(miners=2, byzantine_miners={"0": "silent",
                                                          "1": "silent"})
-    assert any("honest miner" in p for p in all_byz.violations())
+    with pytest.raises(ConfigError) as err:
+        all_byz.params()
+    assert any("honest miner" in p for p in err.value.violations)
 
 
 def test_boundary_fault_set_flags_guarantees_void():

@@ -43,7 +43,7 @@ def test_lottery_counts_past_the_encoding_raise_config_error(field, no_run):
     with pytest.raises(ConfigError, match=field):
         run_scenario(ScenarioConfig(protocol="lottery", **fields))
     with pytest.raises(ConfigError, match=field):
-        run_lottery(LotteryParams.simple(seed=1, **fields))
+        run_lottery(LotteryParams(seed=1, **fields))
 
 
 @pytest.mark.parametrize("field", ["buyers", "miners"])
@@ -53,7 +53,7 @@ def test_auction_counts_past_the_encoding_raise_config_error(field, no_run):
     with pytest.raises(ConfigError, match=field):
         run_scenario(ScenarioConfig(protocol="auction", **fields))
     with pytest.raises(ConfigError, match=field):
-        run_auction(AuctionParams.simple(seed=1, **fields))
+        run_auction(AuctionParams(seed=1, **fields))
 
 
 def test_from_dict_rejects_a_mistyped_field_with_config_error():
