@@ -502,9 +502,11 @@ def complaint_openings(result: AuctionRunResult) -> int:
 
 
 def bid_privacy_violations(result: AuctionRunResult) -> list[str]:
-    """Deliveries to any buyer before the verification phase; buyers are
-    supposed to receive nothing at all during bidding and opening."""
+    """Messages delivered to any buyer before the verification phase, by
+    the `delivered` seq of their send records; buyers are supposed to
+    receive nothing at all during bidding and opening."""
     log = result.context.log
     phase4_seq = next(rec["seq"] for rec in log.of_kind("phase") if rec["phase"] == 4)
-    return [f"buyer-bound delivery before verification: {rec}" for rec in log.of_kind("deliver")
-            if rec["seq"] < phase4_seq and rec["receiver"].startswith("buyer:")]
+    return [f"buyer-bound delivery before verification: {rec}" for rec in log.of_kind("send")
+            if rec.get("delivered", phase4_seq) < phase4_seq
+            and rec["receiver"].startswith("buyer:")]

@@ -210,8 +210,10 @@ def ledger_dump(report_path, as_json):
     try:
         validate_report(report)
     except ReportError as exc:
+        # a report of another schema version fails at many paths; its version says why
+        first = min(exc.violations, key=lambda v: not v.startswith("$.schema_version"))
         more = len(exc.violations) - 1
-        raise QbsimError(f"{report_path} is not a valid run report: {exc.violations[0]}"
+        raise QbsimError(f"{report_path} is not a valid run report: {first}"
                          + (f" (and {more} more)" if more else "")) from None
     ledgers = report.get("ledgers")
     if ledgers is None:

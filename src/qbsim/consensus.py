@@ -203,7 +203,6 @@ class ConsensusResult:
     guarantees_void: bool
     phases_run: int
     decision_phase: int
-    transcript: list
 
 
 def vote(instance: ConsensusInstance, phase: int, round_: int, payload: bytes):
@@ -241,8 +240,6 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
 
     states = {m: PhaseKingParty(n, f_tol, instance.inputs[m]) for m in honest}
     index_of = {m: i for i, m in enumerate(participants)}
-    transcript: list[dict] = []
-    detail = log.detail if log is not None else False
     prefs_history: list[dict] = []
 
     def exchange(phase: int, round_: int, payload_of, senders) -> dict:
@@ -270,11 +267,6 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
                 value = payload_of(sender)
                 votes[sender][index_of[sender]] = value
                 payload = encode_consensus(instance.instance_id, phase, round_, value)
-                if detail:
-                    transcript.append({
-                        "phase": phase, "round": round_, "sender": str(sender),
-                        "value": None if value is None else value.hex(),
-                    })
                 for recipient in participants:
                     if recipient == sender:
                         continue
@@ -332,5 +324,4 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
         guarantees_void=guarantees_void,
         phases_run=phases,
         decision_phase=decision_phase,
-        transcript=transcript,
     )

@@ -18,7 +18,9 @@ class EventLog:
         self.counters: dict[str, int] = {}
         self._seq = 0
 
-    def append(self, event: str, **fields):
+    def append(self, event: str, **fields) -> dict | None:
+        """Log one event; in detail mode the record is returned, so its
+        producer can add to it later."""
         self.counters[event] = self.counters.get(event, 0) + 1
         if self.detail:
             # the keyword dict is the record: one dict per record, and
@@ -27,19 +29,16 @@ class EventLog:
             fields["event"] = event
             self.records.append(fields)
         self._seq += 1
+        return fields if self.detail else None
 
-    def note(self, event: str):
-        """Counter-only fast path; hot-path callers use it in summary mode
-        so no record fields get built just to be discarded."""
+    def note(self, event: str) -> int:
+        """Count one event and take its sequence number, with no record:
+        a delivery is stated on its send record, and summary-mode hot
+        paths build no fields just to discard them."""
         self.counters[event] = self.counters.get(event, 0) + 1
-        self._seq += 1
-
-    @property
-    def total_events(self) -> int:
-        return self._seq
-
-    def to_list(self) -> list[dict]:
-        return list(self.records)
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def of_kind(self, kind: str) -> list[dict]:
         """Records of one kind; a summary-mode log keeps none to scan."""

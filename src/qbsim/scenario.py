@@ -3,9 +3,9 @@
 A ScenarioConfig fully describes one run (protocol, party counts,
 policies, seed, backend); it round-trips losslessly through JSON.
 Reports are emitted in canonical JSON (sorted keys, fixed separators)
-so a repeated run with the same config is byte-identical; the timing
-section carries logical counters only, wall-clock time never enters the
-canonical bytes.
+so a repeated run with the same config is byte-identical; they carry
+logical counters only, wall-clock time never enters the canonical
+bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .qbc import binding_attack, concealing_defect, scheme_from_dict
 from .qbc.io import load_scheme
 from .schemacheck import compile_schema
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 PROTOCOLS = ("lottery", "auction", "qbc_analyze")
 
@@ -159,7 +159,6 @@ def _consensus_section(result) -> dict:
         "guarantees_void": result.guarantees_void,
         "phases_run": result.phases_run,
         "decision_phase": result.decision_phase,
-        "transcript": result.transcript,
     }
 
 
@@ -196,7 +195,6 @@ def run_scenario(config: ScenarioConfig) -> dict:
             "open_distinguishability": scheme.open_distinguishability,
         }
         report["cheaters"] = []
-        report["timing"] = {"events": 0, "messages_sent": 0, "messages_delivered": 0}
         return report
 
     run = run_lottery if config.protocol == "lottery" else run_auction
@@ -231,13 +229,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
                 "complaint_openings": complaint_openings(result),
             })
 
-    report["event_log"] = ctx.log.to_list()
+    report["event_log"] = ctx.log.records
     report["event_counters"] = dict(sorted(ctx.log.counters.items()))
-    report["timing"] = {
-        "events": ctx.log.total_events,
-        "messages_sent": ctx.log.counters.get("send", 0),
-        "messages_delivered": ctx.log.counters.get("deliver", 0),
-    }
     return report
 
 

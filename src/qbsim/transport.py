@@ -40,7 +40,7 @@ class _Link:
 
 
 class _Message:
-    __slots__ = ("msg_id", "link", "payload", "key_index", "tag", "hook_done")
+    __slots__ = ("msg_id", "link", "payload", "key_index", "tag", "hook_done", "record")
 
     def __init__(self, msg_id, link, payload, key_index, tag):
         self.msg_id = msg_id
@@ -49,6 +49,7 @@ class _Message:
         self.key_index = key_index
         self.tag = tag
         self.hook_done = False
+        self.record = None  # its send record, kept in detail mode
 
 
 class Delivery(NamedTuple):
@@ -110,12 +111,13 @@ class Network:
         if link.pos < 0:  # the FIFO was empty: the link joins the active list
             link.pos = len(self._active)
             self._active.append(link)
-        link.queue.append(_Message(msg_id, link, payload, key_index, self.mac.tag(key, payload)))
+        msg = _Message(msg_id, link, payload, key_index, self.mac.tag(key, payload))
+        link.queue.append(msg)
         self._pending += 1
         if self.log.detail:
-            self.log.append("send", sender=link.sender_name, receiver=link.receiver_name,
-                            msg_id=msg_id, size=len(payload),
-                            key_index=key_index, payload=payload.hex())
+            msg.record = self.log.append("send", sender=link.sender_name,
+                                         receiver=link.receiver_name, msg_id=msg_id,
+                                         key_index=key_index, payload=payload.hex())
         else:
             self.log.note("send")
         return msg_id
@@ -182,11 +184,9 @@ class Network:
         self.keystore.block_at(link.sender, link.receiver, msg.key_index)
         ok = self.mac.verify(self._keys.pop(msg.msg_id), msg.payload, msg.tag)
         if ok:
-            if self.log.detail:
-                self.log.append("deliver", sender=link.sender_name,
-                                receiver=link.receiver_name, msg_id=msg.msg_id)
-            else:
-                self.log.note("deliver")
+            seq = self.log.note("deliver")
+            if msg.record is not None:  # a delivery is stated once, on its send record
+                msg.record["delivered"] = seq
             return Delivery(msg.msg_id, link.sender, link.receiver, msg.payload, True)
         self.log.append("auth_failure", sender=link.sender_name, receiver=link.receiver_name,
                         msg_id=msg.msg_id)

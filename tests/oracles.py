@@ -6,6 +6,7 @@ in the package cannot hide behind its own code paths. ExplicitDomain is
 the one fixture: a small consensus domain the tests can enumerate.
 """
 
+import copy
 import struct
 from fractions import Fraction
 
@@ -90,3 +91,49 @@ def auction_argmax(bids: dict) -> tuple[int, set]:
     """Brute-force winning bid and argmax set over {index: value}."""
     top = max(bids.values())
     return top, {i for i, v in bids.items() if v == top}
+
+
+CONSENSUS_HEADER = ">BIBBBH"  # tag 0x22, instance, phase, round, undecided, value length
+
+
+def report_v1(report: dict) -> dict:
+    """The schema-1 report that a schema-2 report restates.
+
+    Version 2 states each fact once; version 1 stated four of them
+    twice. Rebuilt here: a `deliver` record for each send record's
+    `delivered` seq, each send's `size`, `timing` from the event
+    counters, and the consensus transcript from the first consensus
+    send of each (phase, round, honest sender). One miner sends nothing,
+    so its transcript is its own value, the decided body, in rounds 1-3.
+    """
+    v1 = copy.deepcopy(report)
+    v1["schema_version"] = 1
+    counters = report.get("event_counters", {})  # a qbc_analyze report has none
+    v1["timing"] = {"events": sum(counters.values()), "messages_sent": counters.get("send", 0),
+                    "messages_delivered": counters.get("deliver", 0)}
+    if "consensus" not in report:
+        return v1
+    config = report["config"]
+    byzantine = {f"miner:{index}" for index in config["byzantine_miners"]}
+    log, transcript = [], {}
+    for rec in v1["event_log"]:
+        log.append(rec)
+        if rec["event"] != "send":
+            continue
+        payload = bytes.fromhex(rec["payload"])
+        rec["size"] = len(payload)
+        if "delivered" in rec:
+            log.append({"seq": rec.pop("delivered"), "event": "deliver", "sender": rec["sender"],
+                        "receiver": rec["receiver"], "msg_id": rec["msg_id"]})
+        if payload[:1] == b"\x22" and rec["sender"] not in byzantine:
+            _, _, phase, round_, undecided, length = struct.unpack_from(CONSENSUS_HEADER, payload)
+            start = struct.calcsize(CONSENSUS_HEADER)
+            transcript.setdefault((phase, round_, rec["sender"]),
+                                  None if undecided else payload[start:start + length].hex())
+    v1["event_log"] = sorted(log, key=lambda rec: rec["seq"])
+    if config["miners"] == 1 and config["detail_log"]:
+        transcript = {(1, round_, "miner:0"): report["decided_body"] for round_ in (1, 2, 3)}
+    v1["consensus"]["transcript"] = [{"phase": phase, "round": round_, "sender": sender,
+                                      "value": value}
+                                     for (phase, round_, sender), value in transcript.items()]
+    return v1

@@ -266,6 +266,21 @@ def test_posterior_privacy_over_random_honest_runs():
         assert complaint_openings(result) == 0
 
 
+def test_bid_privacy_scan_reports_a_planted_seller_to_buyer_message(monkeypatch):
+    make_context = auction.make_context
+
+    def make_context_leaking_to_buyer_0(*args, **kwargs):
+        ctx = make_context(*args, **kwargs)
+        ctx.network.send_authenticated(seller(), buyer(0), b"\x00leak")  # delivered in phase 1
+        return ctx
+
+    monkeypatch.setattr(auction, "make_context", make_context_leaking_to_buyer_0)
+    result = run_auction(AuctionParams(buyers=3, miners=2, seed=1))
+    (violation,) = bid_privacy_violations(result)
+    assert "'sender': 'seller:0'" in violation and "'receiver': 'buyer:0'" in violation
+    assert result.outcome.valid  # the leak changes no verdict; only the scan sees it
+
+
 def test_privacy_scans_refuse_summary_mode_results():
     result = run_auction(AuctionParams(buyers=3, miners=2, seed=1, detail=False))
     with pytest.raises(QbsimError, match="detail log"):

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import qbsim
 from qbsim.cli import main
 from qbsim.scenario import ScenarioConfig, run_scenario
+from oracles import report_v1
 from test_qbc_io import REPO, nan_scheme
 
 SCHEMES = REPO / "schemes"
@@ -216,6 +217,16 @@ UNREADABLE_OR_UNWRITABLE = {
 @pytest.mark.parametrize("name", sorted(UNREADABLE_OR_UNWRITABLE))
 def test_a_file_that_cannot_be_read_or_written_exits_one_with_one_error_line(name, tmp_path):
     assert_one_error_line(run_cli(*UNREADABLE_OR_UNWRITABLE[name](tmp_path)))
+
+
+def test_ledger_dump_of_a_schema_1_report_names_its_version(tmp_path):
+    """Reports saved before schema 2 are refused by their version, not by
+    the first of the many paths where version 1 differs; re-run them."""
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report_v1(run_scenario(ScenarioConfig.from_dict(dict(
+        protocol="lottery", players=2, ticket_bits=4, miners=2, seed=3))))))
+    assert_one_error_line(run_cli("ledger", "dump", "--report", str(report_path)),
+                          str(report_path), "$.schema_version")
 
 
 @pytest.mark.parametrize("entry", ["amplitude", "kraus"])

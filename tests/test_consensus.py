@@ -215,7 +215,7 @@ def test_same_seed_same_decision_and_transcript():
             inst.propose(m, b"a" if m.index % 2 else b"b")
         result = run_consensus(inst, {miners[0]: equivocating_script(rng, [b"a", b"b"])},
                                net, log)
-        return result.decisions, result.transcript
+        return result.decisions, log.records
 
     assert run(17) == run(17)
 
@@ -251,7 +251,7 @@ def test_domain_checked_once_per_distinct_round_payload(monkeypatch):
     monkeypatch.setattr(Network, "deliver_next", recording_deliver_next)
     config = ScenarioConfig(protocol="lottery", players=3, ticket_bits=8, miners=10, seed=0)
     report = run_scenario(config)
-    assert report["timing"]["messages_delivered"] == 816
+    assert report["event_counters"]["deliver"] == 816
     assert payloads
     assert len(calls) <= len(payloads) + 10
 

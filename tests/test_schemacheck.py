@@ -103,14 +103,20 @@ def delete(*keys):
 
 REPORT_MUTATIONS = {
     "negative seq": ("lottery-exclude-honest-ideal", set_path("event_log", 0, "seq", -1)),
-    "missing timing.events": ("auction-honest", delete("timing", "events")),
+    "missing consensus.phases_run": ("auction-honest", delete("consensus", "phases_run")),
     "unknown verdict": ("auction-honest", set_path("outcome", "verdict", "maybe")),
     "verdict missing": ("auction-honest", delete("outcome", "verdict")),
     "non-hex decided_body": ("lottery-exclude-honest-ideal", set_path("decided_body", "xyz")),
     "schema_version true": ("auction-honest", set_path("schema_version", True)),
-    "round 4": ("lottery-byzantine-silent", set_path("consensus", "transcript", 0, "round", 4)),
-    "transcript value of neither type": (
-        "lottery-byzantine-silent", set_path("consensus", "transcript", 1, "value", 5)),
+    "binding strength past 1": ("qbc-bell-pair", set_path("analysis", "binding_strength", 2)),
+    "decision_phase as text": (
+        "lottery-byzantine-silent", set_path("consensus", "decision_phase", "1")),
+    "deliver record": ("auction-honest", lambda r: r["event_log"].insert(1, {
+        "seq": 1, "event": "deliver", "sender": "buyer:0", "receiver": "seller:0", "msg_id": 0})),
+    "unknown event kind": ("lottery-exclude-honest-ideal",
+                           set_path("event_log", 0, "event", "teleport")),
+    "negative delivered": ("lottery-byzantine-silent", lambda r: next(
+        rec for rec in r["event_log"] if "delivered" in rec).update(delivered=-1)),
     "ledger record missing fields": (
         "auction-honest", lambda r: [r["ledgers"]["miner:0"][0].pop(k) for k in ("kind", "body")]),
     "unknown ledger kind": ("auction-honest", set_path("ledgers", "miner:1", 0, "kind", "x")),
@@ -126,7 +132,7 @@ REPORT_MUTATIONS = {
     "unknown protocol": ("auction-honest", set_path("protocol", "raffle")),
     "empty report": ("auction-honest", lambda r: r.clear()),
     "many at once": ("auction-change-ideal", lambda r: (
-        set_path("timing", "events", -3)(r), delete("qbsim_version")(r),
+        set_path("event_counters", "send", -3)(r), delete("qbsim_version")(r),
         set_path("decided_body", "AB")(r), set_path("event_log", 2, "event", None)(r))),
 }
 
@@ -154,7 +160,7 @@ def test_golden_event_log_parties_are_strings(golden_reports):
 
 def test_integral_float_counter_and_float_schema_version_are_valid(golden_reports):
     report = mutate(golden_reports["lottery-exclude-honest-ideal"], lambda r: (
-        set_path("event_counters", "send", 2.0)(r), set_path("schema_version", 1.0)(r)))
+        set_path("event_counters", "send", 2.0)(r), set_path("schema_version", 2.0)(r)))
     assert agree(REPORT, report) == []
 
 
@@ -245,7 +251,7 @@ def test_every_published_schema_is_a_valid_draft_2020_12_schema(name):
 def test_cli_exits_one_with_the_violations_of_an_invalid_report(monkeypatch, capsys):
     def broken_run(config):
         report = run_scenario(config)
-        report["timing"]["events"] = -1
+        report["event_counters"]["send"] = -1
         return report
 
     monkeypatch.setattr(cli, "run_scenario", broken_run)
@@ -256,4 +262,4 @@ def test_cli_exits_one_with_the_violations_of_an_invalid_report(monkeypatch, cap
     assert exit_.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "$.timing.events: -1 is less than the minimum of 0" in captured.err
+    assert "$.event_counters.send: -1 is less than the minimum of 0" in captured.err
