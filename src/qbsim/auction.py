@@ -268,8 +268,15 @@ def _seller_claim(params: AuctionParams, ctx: SimContext, accepted: dict):
 
 
 def run_auction(params: AuctionParams) -> AuctionRunResult:
+    """The auction, once `params` pass `auction_violations`; a
+    `ConfigError` lists every limit they break."""
     ConfigError.check(auction_violations(params))
+    return run_valid_auction(params)
 
+
+def run_valid_auction(params: AuctionParams) -> AuctionRunResult:
+    """The auction on params already checked, as `ScenarioConfig.params()`
+    returns them."""
     buyers = [buyer(i) for i in range(params.buyers)]
     miners = [miner(j) for j in range(params.miners)]
     s = seller()
@@ -385,8 +392,7 @@ class _Verification:
 
         # step (ii): broadcast the combined list to the buyers
         combined = [claim["bid"], *losers["bids"]]
-        for b in sorted(self.revealed):
-            net.send_authenticated(m, b, encode_auction_vlist(claim["bid"], losers["bids"]))
+        net.broadcast(m, sorted(self.revealed), encode_auction_vlist(claim["bid"], losers["bids"]))
 
         # step (iii): each buyer claims the first slot holding his bid value,
         # or complains that his value is absent; a buyer whose list or
@@ -495,18 +501,29 @@ def posterior_privacy_violations(result: AuctionRunResult) -> list[str]:
 
 
 def complaint_openings(result: AuctionRunResult) -> int:
-    """Openings demanded during verification; zero in every honest run."""
+    """Openings demanded during verification, one per open-request
+    message, whether sent alone or in a broadcast; zero in every honest
+    run."""
     kind = f"{MSG_OPEN_REQUEST:02x}"
-    return sum(rec.get("payload", "").startswith(kind)
-               for rec in result.context.log.of_kind("send"))
+    log = result.context.log
+    return (sum(rec["payload"].startswith(kind) for rec in log.of_kind("send"))
+            + sum(len(rec["to"]) for rec in log.of_kind("broadcast")
+                  if rec["payload"].startswith(kind)))
 
 
 def bid_privacy_violations(result: AuctionRunResult) -> list[str]:
     """Messages delivered to any buyer before the verification phase, by
-    the `delivered` seq of their send records; buyers are supposed to
-    receive nothing at all during bidding and opening."""
+    the `delivered` seq of their send records and broadcast entries;
+    buyers are supposed to receive nothing at all during bidding and
+    opening."""
     log = result.context.log
     phase4_seq = next(rec["seq"] for rec in log.of_kind("phase") if rec["phase"] == 4)
-    return [f"buyer-bound delivery before verification: {rec}" for rec in log.of_kind("send")
-            if rec.get("delivered", phase4_seq) < phase4_seq
-            and rec["receiver"].startswith("buyer:")]
+    out = [f"buyer-bound delivery before verification: {rec}" for rec in log.of_kind("send")
+           if rec.get("delivered", phase4_seq) < phase4_seq
+           and rec["receiver"].startswith("buyer:")]
+    for rec in log.of_kind("broadcast"):
+        out += [f"buyer-bound delivery before verification: {rec['sender']} -> {receiver}, "
+                f"msg_id {rec['msg_id'] + k}, delivered at seq {delivered[0]}"
+                for k, (receiver, _, *delivered) in enumerate(rec["to"])
+                if delivered and delivered[0] < phase4_seq and receiver.startswith("buyer:")]
+    return out

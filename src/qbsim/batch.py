@@ -13,9 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from math import erfc, sqrt
 
-from .auction import AuctionParams, run_auction
+from .auction import AuctionParams, run_valid_auction
 from .errors import QbsimError
-from .lottery import LotteryParams, run_lottery
+from .lottery import LotteryParams, run_valid_lottery
 from .rng import derive_seed
 from .scenario import ScenarioConfig
 
@@ -30,7 +30,8 @@ def chisquare(ones: int, n: int) -> float:
 def _run_summary(params: LotteryParams | AuctionParams, run_index: int) -> dict:
     params = replace(params, seed=derive_seed(params.seed, "batch", run_index), detail=False)
     lottery = isinstance(params, LotteryParams)
-    result = run_lottery(params) if lottery else run_auction(params)
+    # `config.params()` checked the limits once per batch; seed and detail change none
+    result = run_valid_lottery(params) if lottery else run_valid_auction(params)
     out = result.outcome
     summary = {"protocol": "lottery" if lottery else "auction",
                "cheaters": len(result.cheaters),

@@ -240,6 +240,7 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
 
     states = {m: PhaseKingParty(n, f_tol, instance.inputs[m]) for m in honest}
     index_of = {m: i for i, m in enumerate(participants)}
+    others = {m: [r for r in participants if r != m] for m in participants}
     prefs_history: list[dict] = []
 
     def exchange(phase: int, round_: int, payload_of, senders) -> dict:
@@ -266,11 +267,8 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
             else:
                 value = payload_of(sender)
                 votes[sender][index_of[sender]] = value
-                payload = encode_consensus(instance.instance_id, phase, round_, value)
-                for recipient in participants:
-                    if recipient == sender:
-                        continue
-                    network.send_authenticated(sender, recipient, payload)
+                network.broadcast(sender, others[sender],
+                                  encode_consensus(instance.instance_id, phase, round_, value))
 
         memo: dict[bytes, bytes | None] = {}
 

@@ -40,6 +40,16 @@ class EventLog:
         self._seq = seq + 1
         return seq
 
+    def head(self, event: str, **fields) -> dict:
+        """A detail-mode record that states the events right after it
+        (a broadcast's sends): it takes the seq of the first of them and
+        consumes none, and it is counted under no kind; each of those
+        events is counted and numbered by its own `note`."""
+        fields["seq"] = self._seq
+        fields["event"] = event
+        self.records.append(fields)
+        return fields
+
     def of_kind(self, kind: str) -> list[dict]:
         """Records of one kind; a summary-mode log keeps none to scan."""
         if not self.detail:

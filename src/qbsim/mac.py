@@ -26,19 +26,25 @@ PRIME_16 = 65521
 PRIME_32 = 4294967291
 
 
+# Horner steps between reductions mod p: the accumulator stays below
+# about (_GROUP + 1) * bit_length(p) bits, so a long payload costs linear
+# time, and a payload of at most _GROUP chunks is reduced once, at the end.
+_GROUP = 16
+
+
 @functools.lru_cache(maxsize=128)
-def _chunks(payload: bytes, chunk_bits: int) -> tuple[int, ...]:
+def _chunk_groups(payload: bytes, chunk_bits: int) -> tuple[tuple[int, ...], ...]:
     """The payload cut into `chunk_bits`-wide chunks, most significant
-    first, each with the constant high bit added. Cached because an
-    honest sender tags one payload for every receiver and each receiver
-    verifies it again."""
+    first, each with the constant high bit added, in runs of _GROUP.
+    Cached because an honest sender tags one payload for every receiver
+    and each receiver verifies it again."""
     high = 1 << chunk_bits
     mask = high - 1
     nbits = len(payload) * 8
     nchunks = -(-nbits // chunk_bits)
     padded = int.from_bytes(payload, "big") << (nchunks * chunk_bits - nbits)
-    return tuple(((padded >> (i * chunk_bits)) & mask) + high
-                 for i in range(nchunks - 1, -1, -1))
+    chunks = [((padded >> (i * chunk_bits)) & mask) + high for i in range(nchunks - 1, -1, -1)]
+    return tuple(tuple(chunks[i:i + _GROUP]) for i in range(0, nchunks, _GROUP))
 
 
 @dataclass(frozen=True)
@@ -53,21 +59,26 @@ class PolyMac:
         return self.prime.bit_length() - 2
 
     def key_from_block(self, block: bytes) -> tuple[int, int]:
-        half = len(block) // 2
-        r = int.from_bytes(block[:half], "big") % self.prime
-        s = int.from_bytes(block[half:], "big") % self.prime
-        return r, s
+        # r from the first half of the block, s from the rest
+        tail_bits = (len(block) - len(block) // 2) * 8
+        whole = int.from_bytes(block, "big")
+        return (whole >> tail_bits) % self.prime, (whole & ((1 << tail_bits) - 1)) % self.prime
 
     def hash_payload(self, r: int, payload: bytes) -> int:
-        p = self.prime
-        acc = 0
-        for chunk in _chunks(payload, self.chunk_bits):
-            acc = (acc * r + chunk) % p
-        return (acc * r + len(payload)) % p
+        """The polynomial hash at r: the tag under the mask s = 0."""
+        return self.tag((r, 0), payload)
 
     def tag(self, key: tuple[int, int], payload: bytes) -> int:
+        # Horner's rule over the integers, reduced mod p once per group:
+        # equal mod p to reducing after every step
         r, s = key
-        return (self.hash_payload(r, payload) + s) % self.prime
+        p = self.prime
+        acc = 0
+        for group in _chunk_groups(payload, self.chunk_bits):
+            acc %= p
+            for chunk in group:
+                acc = acc * r + chunk
+        return (acc * r + len(payload) + s) % p
 
     def verify(self, key: tuple[int, int], payload: bytes, tag: int) -> bool:
         return self.tag(key, payload) == tag

@@ -25,19 +25,19 @@ from .auction import (
     complaint_openings,
     parse_buyer_policy,
     posterior_privacy_violations,
-    run_auction,
+    run_valid_auction,
 )
 from .commitment import parse_backend
 from .errors import ConfigError, QbsimError, ReportError
 from .jsonfile import read_json
 from .keystore import DEFAULT_BUDGET
-from .lottery import LotteryParams, lottery_violations, parse_player_policy, run_lottery
+from .lottery import LotteryParams, lottery_violations, parse_player_policy, run_valid_lottery
 from .parties import miner
 from .qbc import binding_attack, concealing_defect, scheme_from_dict
 from .qbc.io import load_scheme
 from .schemacheck import compile_schema
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 PROTOCOLS = ("lottery", "auction", "qbc_analyze")
 
@@ -197,8 +197,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
         report["cheaters"] = []
         return report
 
-    run = run_lottery if config.protocol == "lottery" else run_auction
-    result = run(params)
+    run = run_valid_lottery if config.protocol == "lottery" else run_valid_auction
+    result = run(params)  # params() checked the protocol's limits
     consistent, divergence = result.honest_ledgers_consistent
     ctx = result.context
     report.update({

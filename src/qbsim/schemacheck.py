@@ -147,12 +147,33 @@ def _additional(extra, schema):
 
 def _items(items, schema):
     sub_holds, sub = _compile(items)
+    start = len(schema.get("prefixItems", ()))  # `items` takes the rest
 
     def check(v, path, errors):
         if isinstance(v, list):
-            for index, item in enumerate(v):
-                sub(item, (path, index), errors)
+            for index in range(start, len(v)):
+                sub(v[index], (path, index), errors)
+    if start:
+        return lambda v: not isinstance(v, list) or all(map(sub_holds, v[start:])), check
     return lambda v: not isinstance(v, list) or all(map(sub_holds, v)), check
+
+
+def _prefix_items(subs, schema):
+    compiled = [_compile(sub) for sub in subs]
+    tests = [sub_holds for sub_holds, _ in compiled]
+
+    def holds(v):
+        if isinstance(v, list):
+            for item, test in zip(v, tests):
+                if not test(item):
+                    return False
+        return True
+
+    def check(v, path, errors):
+        if isinstance(v, list):
+            for index, (item, (_, sub)) in enumerate(zip(v, compiled)):
+                sub(item, (path, index), errors)
+    return holds, check
 
 
 def _pattern(text, schema):
@@ -191,6 +212,13 @@ _KEYWORDS = {
     "maximum": lambda bound, schema: _leaf(
         lambda v: v <= bound if type(v) is int else not _is_number(v) or v <= bound,
         lambda v: f"{v!r} is greater than the maximum of {bound!r}"),
+    "prefixItems": _prefix_items,
+    "minItems": lambda bound, schema: _leaf(
+        lambda v: not isinstance(v, list) or len(v) >= bound,
+        lambda v: f"{v!r} {'should be non-empty' if bound == 1 else 'is too short'}"),
+    "maxItems": lambda bound, schema: _leaf(
+        lambda v: not isinstance(v, list) or len(v) <= bound,
+        lambda v: f"{v!r} {'is expected to be empty' if bound == 0 else 'is too long'}"),
     "allOf": lambda subs, schema: _both([_compile(sub) for sub in subs]),
     "if": _if,
     "then": None,  # compiled by `if`
@@ -205,8 +233,19 @@ def _compile(schema: dict):
     unknown = sorted(schema.keys() - _KEYWORDS.keys() - _IGNORED)
     if unknown:
         raise SchemaCompileError(f"unsupported schema keywords: {unknown}")
-    return _both([_KEYWORDS[key](value, schema) for key, value in schema.items()
-                  if _KEYWORDS.get(key) is not None])
+    holds, check = _both([_KEYWORDS[key](value, schema) for key, value in schema.items()
+                          if _KEYWORDS.get(key) is not None])
+    # one call for the report's most common shapes, when the value has
+    # the exact Python type: a count or seq, and a broadcast entry
+    kind, rest, generic = schema.get("type"), schema.keys() - _IGNORED - {"type"}, holds
+    if kind == "integer" and rest == {"minimum"}:
+        bound = schema["minimum"]
+        holds = lambda v: v >= bound if type(v) is int else generic(v)
+    elif kind == "array" and rest == {"minItems", "maxItems", "prefixItems"}:
+        low, high = schema["minItems"], schema["maxItems"]
+        items = _prefix_items(schema["prefixItems"], schema)[0]
+        holds = lambda v: low <= len(v) <= high and items(v) if type(v) is list else generic(v)
+    return holds, check
 
 
 def _both(compiled):
@@ -222,7 +261,11 @@ def _both(compiled):
         first, second, third = tests
         holds = lambda v: first(v) and second(v) and third(v)
     else:
-        holds = lambda v: all(test(v) for test in tests)
+        def holds(v):
+            for test in tests:
+                if not test(v):
+                    return False
+            return True
 
     def check(v, path, errors):
         for sub in checks:

@@ -6,6 +6,11 @@ per-link FIFO, random interleaving across links, so one seed fixes the
 whole global event order. Adversary hooks may drop, modify or delay a
 message at its first delivery attempt; a modified payload simply fails
 verification and is logged as a forgery attempt.
+
+A broadcast is one payload sent to several receivers in a row: one
+authenticated message per receiver, as if each were sent alone. In
+detail mode the messages share one `broadcast` record instead of one
+`send` record each.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class _Message:
         self.key_index = key_index
         self.tag = tag
         self.hook_done = False
-        self.record = None  # its send record, kept in detail mode
+        self.record = None  # in detail mode, its send record or broadcast entry
 
 
 class Delivery(NamedTuple):
@@ -60,6 +65,10 @@ class Delivery(NamedTuple):
     receiver: PartyId
     payload: bytes | None
     ok: bool
+
+
+# a Delivery built in C, without the generated Python `__new__`
+_new_tuple = tuple.__new__
 
 
 # Hook actions: None/"deliver" pass through; ("drop",) discards;
@@ -73,7 +82,8 @@ class Network:
         self.keystore = keystore
         self.mac = PolyMac()
         self.log = log
-        self._randrange = random.Random(scheduler_seed).randrange
+        # the scheduler's draws, made as `Random.randrange` makes them
+        self._getrandbits = random.Random(scheduler_seed).getrandbits
         self._links: dict[tuple[PartyId, PartyId], _Link] = {}
         self._active: list[_Link] = []  # links with a non-empty FIFO
         self._held: list[tuple[int, _Message]] = []  # (release_step, message)
@@ -83,6 +93,7 @@ class Network:
         self._next_id = 0
         self._step = 0
         self._pending = 0
+        self._to = None  # the `to` list of the broadcast being sent, in detail mode
 
     def _link(self, sender: PartyId, receiver: PartyId) -> _Link:
         link = self._links.get((sender, receiver))
@@ -104,23 +115,52 @@ class Network:
     def send_authenticated(self, sender: PartyId, receiver: PartyId, payload: bytes) -> int:
         link = self._links.get((sender, receiver)) or self._link(sender, receiver)
         key_index, block = self.keystore.consume(sender, receiver)
-        key = self.mac.key_from_block(block)
+        mac, log = self.mac, self.log
+        key = mac.key_from_block(block)
         msg_id = self._next_id
         self._next_id = msg_id + 1
         self._keys[msg_id] = key
         if link.pos < 0:  # the FIFO was empty: the link joins the active list
             link.pos = len(self._active)
             self._active.append(link)
-        msg = _Message(msg_id, link, payload, key_index, self.mac.tag(key, payload))
+        msg = _Message(msg_id, link, payload, key_index, mac.tag(key, payload))
         link.queue.append(msg)
         self._pending += 1
-        if self.log.detail:
-            msg.record = self.log.append("send", sender=link.sender_name,
-                                         receiver=link.receiver_name, msg_id=msg_id,
-                                         key_index=key_index, payload=payload.hex())
+        to = self._to
+        if not log.detail:
+            log.note("send")
+        elif to is None:
+            msg.record = log.append("send", sender=link.sender_name, receiver=link.receiver_name,
+                                    msg_id=msg_id, key_index=key_index, payload=payload.hex())
         else:
-            self.log.note("send")
+            log.note("send")
+            msg.record = entry = [link.receiver_name, key_index]
+            to.append(entry)
         return msg_id
+
+    def broadcast(self, sender: PartyId, receivers, payload: bytes) -> None:
+        """`send_authenticated(sender, receiver, payload)` for each of the
+        `receivers` (a sequence) in turn, so keys, tags, msg ids, seqs and
+        scheduler draws are those of the single sends. In detail mode the
+        messages share one record, `{event: "broadcast", seq, msg_id,
+        sender, payload, to}`: entry k of `to` is `[receiver, key_index]`,
+        plus the seq of its delivery once delivered, and its message took
+        seq `seq + k` and msg id `msg_id + k`."""
+        log = self.log
+        if not (log.detail and receivers):
+            for receiver in receivers:
+                self.send_authenticated(sender, receiver, payload)
+            return
+        record = log.head("broadcast", sender=str(sender), msg_id=self._next_id,
+                          payload=payload.hex(), to=[])
+        self._to = to = record["to"]
+        try:
+            for receiver in receivers:
+                self.send_authenticated(sender, receiver, payload)
+        finally:
+            self._to = None
+            if not to:  # the first send was refused, so nothing was sent
+                log.records.pop()
 
     # --------------------------------------------------------- delivery
 
@@ -149,7 +189,14 @@ class Network:
         active = self._active
         if not active:
             return None
-        link = active[self._randrange(len(active))]
+        # Random._randbelow_with_getrandbits inlined: randrange's draws
+        getrandbits = self._getrandbits
+        n = len(active)
+        k = n.bit_length()
+        slot = getrandbits(k)
+        while slot >= n:
+            slot = getrandbits(k)
+        link = active[slot]
         queue = link.queue
         msg = queue.popleft()
         if not queue:  # the link leaves the active list; the last one takes its slot
@@ -185,21 +232,23 @@ class Network:
         ok = self.mac.verify(self._keys.pop(msg.msg_id), msg.payload, msg.tag)
         if ok:
             seq = self.log.note("deliver")
-            if msg.record is not None:  # a delivery is stated once, on its send record
-                msg.record["delivered"] = seq
-            return Delivery(msg.msg_id, link.sender, link.receiver, msg.payload, True)
+            # a delivery is stated once: on its send record or broadcast entry
+            record = msg.record
+            if record.__class__ is dict:
+                record["delivered"] = seq
+            elif record is not None:
+                record.append(seq)
+            return _new_tuple(Delivery, (msg.msg_id, link.sender, link.receiver,
+                                         msg.payload, True))
         self.log.append("auth_failure", sender=link.sender_name, receiver=link.receiver_name,
                         msg_id=msg.msg_id)
-        return Delivery(msg.msg_id, link.sender, link.receiver, None, False)
+        return _new_tuple(Delivery, (msg.msg_id, link.sender, link.receiver, None, False))
 
-    def drain(self, handler=None) -> list[Delivery]:
-        """Deliver until the network is empty; dispatch verified payloads."""
-        out = []
+    def drain(self, handler=None) -> None:
+        """Deliver until the network is empty; hand each verified delivery
+        to `handler`."""
+        deliver_next = self.deliver_next
         while self._pending:
-            delivery = self.deliver_next()
-            if delivery is None:
-                continue
-            out.append(delivery)
-            if handler is not None and delivery.ok:
+            delivery = deliver_next()
+            if delivery is not None and handler is not None and delivery.ok:
                 handler(delivery)
-        return out

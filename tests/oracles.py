@@ -74,7 +74,8 @@ def reference_hash_payload(prime: int, r: int, payload: bytes) -> int:
     """Wegman-Carter polynomial hash by one shift and mask per chunk:
     chunks of bit_length(prime) - 2 bits, most significant first, the
     last one zero-padded, each with a constant high bit, then the byte
-    length as a final coefficient, evaluated at r mod prime."""
+    length as a final coefficient, evaluated at r mod prime, reduced
+    after every Horner step."""
     cb = prime.bit_length() - 2
     high = 1 << cb
     mask = high - 1
@@ -91,6 +92,35 @@ def auction_argmax(bids: dict) -> tuple[int, set]:
     """Brute-force winning bid and argmax set over {index: value}."""
     top = max(bids.values())
     return top, {i for i, v in bids.items() if v == top}
+
+
+def report_v2(report: dict) -> dict:
+    """The schema-2 report that a schema-3 report restates.
+
+    Version 3 writes the messages of one broadcast as one record:
+    `{event: broadcast, seq, msg_id, sender, payload, to}`, whose entry
+    k, `[receiver, key_index]` plus the delivered seq if any, is the
+    message that took seq `seq + k` and msg id `msg_id + k`. Version 2
+    wrote each of them as its own `send` record; rebuilt here.
+    """
+    v2 = copy.deepcopy(report)
+    v2["schema_version"] = 2
+    if "event_log" not in report:  # a qbc_analyze report has no log
+        return v2
+    log = []
+    for rec in v2["event_log"]:
+        if rec["event"] != "broadcast":
+            log.append(rec)
+            continue
+        for k, entry in enumerate(rec["to"]):
+            send = {"seq": rec["seq"] + k, "event": "send", "sender": rec["sender"],
+                    "receiver": entry[0], "msg_id": rec["msg_id"] + k,
+                    "key_index": entry[1], "payload": rec["payload"]}
+            if len(entry) == 3:
+                send["delivered"] = entry[2]
+            log.append(send)
+    v2["event_log"] = log
+    return v2
 
 
 CONSENSUS_HEADER = ">BIBBBH"  # tag 0x22, instance, phase, round, undecided, value length

@@ -20,6 +20,7 @@ from qbsim.auction import (
     run_auction,
 )
 from qbsim.commitment import parse_backend
+from qbsim.encoding import encode_open_request
 from qbsim.errors import QbsimError
 from qbsim.parties import buyer, miner, seller
 from qbsim.scenario import ScenarioConfig, run_scenario, validate_report
@@ -279,6 +280,28 @@ def test_bid_privacy_scan_reports_a_planted_seller_to_buyer_message(monkeypatch)
     (violation,) = bid_privacy_violations(result)
     assert "'sender': 'seller:0'" in violation and "'receiver': 'buyer:0'" in violation
     assert result.outcome.valid  # the leak changes no verdict; only the scan sees it
+
+
+def test_scans_read_the_messages_of_broadcast_records(monkeypatch):
+    """A planted seller broadcast to buyers 0 and 2, delivered in phase 1,
+    is two privacy violations; a planted miner broadcast of an open
+    request to two buyers is two openings demanded."""
+    make_context = auction.make_context
+
+    def make_context_with_broadcasts(*args, **kwargs):
+        ctx = make_context(*args, **kwargs)
+        ctx.network.broadcast(seller(), [buyer(0), buyer(2)], b"\x00leak")
+        ctx.network.broadcast(miner(1), [buyer(1), buyer(2)], encode_open_request(0))
+        return ctx
+
+    monkeypatch.setattr(auction, "make_context", make_context_with_broadcasts)
+    result = run_auction(AuctionParams(buyers=3, miners=2, seed=1))
+    seller_leaks = [v for v in bid_privacy_violations(result) if "seller:0 -> " in v]
+    assert len(seller_leaks) == 2
+    assert "seller:0 -> buyer:0, msg_id 0," in seller_leaks[0]
+    assert "seller:0 -> buyer:2, msg_id 1," in seller_leaks[1]
+    assert complaint_openings(result) == 2
+    assert result.outcome.valid  # no planted message changes a verdict
 
 
 def test_privacy_scans_refuse_summary_mode_results():

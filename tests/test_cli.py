@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import qbsim
 from qbsim.cli import main
 from qbsim.scenario import ScenarioConfig, run_scenario
-from oracles import report_v1
+from oracles import report_v1, report_v2
 from test_qbc_io import REPO, nan_scheme
 
 SCHEMES = REPO / "schemes"
@@ -219,14 +219,29 @@ def test_a_file_that_cannot_be_read_or_written_exits_one_with_one_error_line(nam
     assert_one_error_line(run_cli(*UNREADABLE_OR_UNWRITABLE[name](tmp_path)))
 
 
+def saved_report(tmp_path, restate) -> Path:
+    """A lottery report as an earlier schema version states it, saved."""
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(restate(run_scenario(ScenarioConfig.from_dict(dict(
+        protocol="lottery", players=2, ticket_bits=4, miners=2, seed=3))))))
+    return report_path
+
+
 def test_ledger_dump_of_a_schema_1_report_names_its_version(tmp_path):
     """Reports saved before schema 2 are refused by their version, not by
     the first of the many paths where version 1 differs; re-run them."""
-    report_path = tmp_path / "report.json"
-    report_path.write_text(json.dumps(report_v1(run_scenario(ScenarioConfig.from_dict(dict(
-        protocol="lottery", players=2, ticket_bits=4, miners=2, seed=3))))))
+    report_path = saved_report(tmp_path, lambda report: report_v1(report_v2(report)))
     assert_one_error_line(run_cli("ledger", "dump", "--report", str(report_path)),
                           str(report_path), "$.schema_version")
+
+
+def test_ledger_dump_of_a_schema_2_report_names_its_version(tmp_path):
+    """A version-2 report differs from version 3 only in its version and
+    its send records, which version 3 still admits: it is refused by its
+    version all the same."""
+    report_path = saved_report(tmp_path, report_v2)
+    assert_one_error_line(run_cli("ledger", "dump", "--report", str(report_path)),
+                          str(report_path), "$.schema_version: 3 was expected")
 
 
 @pytest.mark.parametrize("entry", ["amplitude", "kraus"])

@@ -7,10 +7,12 @@ say which field changed and why. The `qbc_analyze` reports carry
 floating-point results of numpy's linear algebra, so their hashes hold
 for one numpy/LAPACK build only.
 
-Each config pins two hashes: `GOLDEN` the schema-1 report, rebuilt
-from the run's schema-2 report by `oracles.report_v1`, and `GOLDEN_V2`
-the schema-2 report itself. The schema-1 hashes predate version 2, so
-they show that version 2 dropped no fact of version 1.
+Each config pins three hashes: `GOLDEN_V3` the run's report itself,
+`GOLDEN_V2` the schema-2 report rebuilt from it by `oracles.report_v2`,
+and `GOLDEN` the schema-1 report rebuilt from that by
+`oracles.report_v1`. The schema-1 and schema-2 hashes predate the
+versions after them, so they show that no later version dropped a fact
+of an earlier one.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import report_v1
+from oracles import report_v1, report_v2
 from qbsim.scenario import ScenarioConfig, canonical_report_bytes, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,6 +196,60 @@ GOLDEN_V2 = {
 }
 
 
+GOLDEN_V3 = {
+    "lottery-exclude-honest-ideal":
+        "646b7d3c692215de70baafb261576f81d3c00e3fb99ee6b3adf57ce324a22531",
+    "lottery-exclude-fixed-equivocate-cheat":
+        "34d245735ff043c586e9597661a7fb22f211dc2c2d9e13f73a7fd56acf7b7bbd",
+    "lottery-abort-equivocate-ideal":
+        "575dadad7fda696e695a30e639cd8afc3b9406fb811f1ecabef3f9aee4437d3e",
+    "lottery-abort-fixed-cheat":
+        "e58962e2ba95c98f9bd98b832d630efd82b100e980f613aaf590b1800d1d1c2d",
+    "auction-honest":
+        "63b646a10d203a63d7d5a9064936a8baa24c0ddf69a52f5fb0184c02bd9abd97",
+    "auction-wrong-winner":
+        "b511f9dd73958264a7a106b3438e5100b6ef0b863c5beb998769bd3fe66997ce",
+    "auction-inflate":
+        "216bd06d5da0f318c98111d6697ba02d98a57591ce9603f48e5bfd60590799df",
+    "auction-drop-loser":
+        "029763e0487ca200f59689bbcbe8ce5157c3f164e1108ec67f14be7555a4196a",
+    "auction-change-ideal":
+        "1e850e88d7c513676e50eec8e6eabbe7cd303ee61d363086d64be9abf6c7d7f2",
+    "auction-change-cheat":
+        "b7d93f73dfdf1b43bb16bef876a0cfb1098fe1c38863b253f16670dcee0a71fb",
+    "auction-complain":
+        "20888eedc76670082246d41275294b5553a161130b9f2c588c4f9def9f1fe489",
+    "lottery-byzantine-silent":
+        "1ed4b03d5add0906ecc1bd4f8c3f8013ac29d0d40217ed612ab7870c9c01727e",
+    "auction-byzantine-garbage":
+        "5f8799eac0bc8920723229dcb447c95dbcaa825c9e187e31357f4e11f2054f67",
+    "lottery-byzantine-equivocate":
+        "583a13a4f43a3dd4885f23e92f1041dfbedfc59bfea908f0460739fe376bedc8",
+    "lottery-boundary-guarantees-void":
+        "8312a965c40e140eee139bc1e8ae77ae4937d10d29f051e00eb40051a8ea66b3",
+    "auction-boundary-guarantees-void":
+        "134b3e2a97201fc2673532d4e779bcf525a07495c684054ef126c36ee9901557",
+    "lottery-summary-log":
+        "1b0a816de2fd6221a0c38f950281442f1fbb23949049a1c949b84e06694299ce",
+    "auction-summary-log":
+        "9776f2421aa78d031a6e8b9b91ab13ebb0dca18c78499fcd4cb2df739ba539e3",
+    "lottery-equivocate-cheat-1":
+        "42be26e07455208d7fcb483d9f8d7353291c264be926d70a147d72ea1e318de9",
+    "auction-change-cheat-1":
+        "37531f47676b31e9f51a3fd357e070389b96f2a027d3c9ae5d39676370099db9",
+    "lottery-one-miner":
+        "5b668cdd8b1d7a84d9a833c15f37a8abc72e39865aa40643f73e7b8ffd921f6a",
+    "auction-one-miner":
+        "5b4440693e43a05608c9a8b4d53987d32a47fa9e2df4ba58408c76e7294f1376",
+    "qbc-bell-pair":
+        "da6efd71ef5a3920c78426fb8aaf9848fcba6c8d99c88d8c1eedffd6b57de65c",
+    "qbc-concealing-dim3":
+        "b68bd7b01a246c7f840ba6296e026517a6fc397dc316b1f7c37f8dc1517a8c7f",
+    "qbc-product":
+        "338c850ddab1035f598f0edda34beed6f8591687246fcd862503c8bfc2a04913",
+}
+
+
 def digest(report: dict) -> str:
     return hashlib.sha256(canonical_report_bytes(report)).hexdigest()
 
@@ -203,5 +259,7 @@ def test_golden_report_bytes(name, monkeypatch):
     monkeypatch.chdir(ROOT)  # scheme files are named relative to the checkout
     data, v1_digest = GOLDEN[name]
     report = run_scenario(ScenarioConfig.from_dict(dict(data)))
-    assert digest(report) == GOLDEN_V2[name]
-    assert digest(report_v1(report)) == v1_digest
+    assert digest(report) == GOLDEN_V3[name]
+    v2 = report_v2(report)
+    assert digest(v2) == GOLDEN_V2[name]
+    assert digest(report_v1(v2)) == v1_digest

@@ -1,6 +1,9 @@
 """MAC soundness, including the exhaustive small-field key-space sweep."""
 
+import random
+
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from oracles import reference_hash_payload
@@ -55,6 +58,33 @@ def test_one_bit_changed_payload_matches_reference(prime, payload, r, data):
     bit = data.draw(st.integers(min_value=0, max_value=len(payload) * 8 - 1))
     flipped = (int.from_bytes(payload, "big") ^ (1 << bit)).to_bytes(len(payload), "big")
     assert mac.hash_payload(r, flipped) == reference_hash_payload(prime, r, flipped)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_hash_payload_matches_reference_at_every_length(prime):
+    """Seeded payloads of every length from 0 to 200 bytes, across the
+    chunk-group boundaries where the accumulator is reduced, with the
+    largest and smallest keys r as well as random ones."""
+    rng = random.Random(prime)
+    mac = PolyMac(prime)
+    for length in range(201):
+        payload = rng.randbytes(length)
+        for r in (0, 1, prime - 1, rng.randrange(prime), rng.randrange(prime)):
+            assert mac.hash_payload(r, payload) == reference_hash_payload(prime, r, payload)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_key_and_tag_match_their_definitions(prime):
+    """A key is the block's two halves mod p, and a tag is the reference
+    hash plus the mask s, mod p."""
+    rng = random.Random(prime + 1)
+    mac = PolyMac(prime)
+    for length in (0, 1, 7, 8, 9, 31, 120):
+        block, payload = rng.randbytes(16), rng.randbytes(length)
+        r, s = mac.key_from_block(block)
+        assert (r, s) == (int.from_bytes(block[:8], "big") % prime,
+                          int.from_bytes(block[8:], "big") % prime)
+        assert mac.tag((r, s), payload) == (reference_hash_payload(prime, r, payload) + s) % prime
 
 
 def test_leading_zero_bytes_are_not_ambiguous():

@@ -69,8 +69,14 @@ def largest_pair_use(report) -> int:
     used = {}
     for rec in report["event_log"]:
         if rec["event"] == "send":
-            pair = frozenset((rec["sender"], rec["receiver"]))
-            used[pair] = max(used.get(pair, 0), rec["key_index"] + 1)
+            keys = [(rec["receiver"], rec["key_index"])]
+        elif rec["event"] == "broadcast":
+            keys = [(receiver, key_index) for receiver, key_index, *_ in rec["to"]]
+        else:
+            continue
+        for receiver, key_index in keys:
+            pair = frozenset((rec["sender"], receiver))
+            used[pair] = max(used.get(pair, 0), key_index + 1)
     return max(used.values())
 
 

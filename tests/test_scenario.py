@@ -1,5 +1,6 @@
 """Config round-trips, report determinism, schema validation, batching."""
 
+import dataclasses
 import importlib.resources
 import json
 
@@ -9,7 +10,7 @@ from qbsim.auction import SellerPolicy
 from qbsim.batch import run_batch
 from qbsim.consensus import MINER_SCRIPT_NAMES
 from qbsim.errors import ConfigError
-from qbsim import scenario
+from qbsim import auction, lottery, scenario
 from qbsim.lottery import CHEAT_POLICIES
 from qbsim.scenario import (
     ScenarioConfig,
@@ -17,6 +18,7 @@ from qbsim.scenario import (
     run_scenario,
     validate_report,
 )
+from test_golden import GOLDEN
 
 
 def lottery_config(**kw):
@@ -76,6 +78,44 @@ def test_run_batch_parses_the_config_once_per_batch(monkeypatch):
     agg = run_batch(lottery_config(player_policies={"1": "fixed:00000001"}), runs=5)
     assert agg["runs"] == 5
     assert len(calls) == 1
+
+
+def count_limit_checks(monkeypatch) -> list:
+    """Every call of the lottery's and the auction's limit checks, in the
+    modules that call them."""
+    calls = []
+    for module in (scenario, lottery, auction):
+        for name in ("lottery_violations", "auction_violations"):
+            check = getattr(module, name, None)
+            if check is not None:
+                monkeypatch.setattr(module, name,
+                                    lambda params, check=check: calls.append(params) or check(params))
+    return calls
+
+
+@pytest.mark.parametrize("config", [lottery_config, auction_config])
+def test_run_scenario_checks_the_limits_once(config, monkeypatch):
+    calls = count_limit_checks(monkeypatch)
+    run_scenario(config())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("config", [lottery_config, auction_config])
+def test_run_batch_checks_the_limits_once_per_batch(config, monkeypatch):
+    calls = count_limit_checks(monkeypatch)
+    assert run_batch(config(), runs=5)["runs"] == 5
+    assert len(calls) == 1
+
+
+def test_library_runs_check_the_limits_themselves(monkeypatch):
+    calls = count_limit_checks(monkeypatch)
+    lottery.run_lottery(lottery_config().params())
+    auction.run_auction(auction_config().params())
+    assert len(calls) == 4  # params() and the run, per protocol
+    with pytest.raises(ConfigError, match="players"):
+        lottery.run_lottery(dataclasses.replace(lottery_config().params(), players=1))
+    with pytest.raises(ConfigError, match="buyers"):
+        auction.run_auction(dataclasses.replace(auction_config().params(), buyers=1))
 
 
 def test_zero_buyers_rejected_with_diagnostic():
@@ -214,13 +254,38 @@ def test_config_schema_names_the_policies_the_protocols_define():
     assert schema["properties"]["seller_policy"]["enum"] == [p.value for p in SellerPolicy]
 
 
+def messages_of(log) -> list[tuple[int, int | None]]:
+    """(seq, delivered seq or None) of each message a detail log states:
+    a `send` record's own, or entry k of a `broadcast` record, whose
+    message took the record's seq plus k."""
+    out = []
+    for rec in log:
+        if rec["event"] == "send":
+            out.append((rec["seq"], rec.get("delivered")))
+        elif rec["event"] == "broadcast":
+            out += [(rec["seq"] + k, entry[2] if len(entry) == 3 else None)
+                    for k, entry in enumerate(rec["to"])]
+    return out
+
+
+def assert_log_states_the_counters(report):
+    """Send records plus broadcast entries are the `send` count, the
+    delivered ones the `deliver` count, and every seq is taken once: by
+    a record, by a message of a broadcast record, or by a delivery."""
+    counters, log = report["event_counters"], report["event_log"]
+    messages = messages_of(log)
+    delivered = [seq for _, seq in messages if seq is not None]
+    assert len(messages) == counters["send"] and len(delivered) == counters["deliver"]
+    own = [rec["seq"] for rec in log if rec["event"] not in ("send", "broadcast")]
+    assert sorted(own + [seq for seq, _ in messages] + delivered) == list(
+        range(sum(counters.values())))
+
+
 @pytest.mark.parametrize("detail_log", [True, False])
 @pytest.mark.parametrize("config", [lottery_config, auction_config])
 def test_timing_reads_the_event_counters(config, detail_log):
     """The counts the schema-1 `timing` section restated are read from
-    `event_counters`, and they agree with the log: every seq is taken
-    once, by a record or by a delivery its send record names in
-    `delivered`."""
+    `event_counters`, and they agree with the log."""
     report = run_scenario(config(detail_log=detail_log))
     counters, log = report["event_counters"], report["event_log"]
     assert "timing" not in report and "transcript" not in report["consensus"]
@@ -228,8 +293,15 @@ def test_timing_reads_the_event_counters(config, detail_log):
     if not detail_log:
         assert log == []
         return
-    sends = [rec for rec in log if rec["event"] == "send"]
-    delivered = [rec["delivered"] for rec in sends if "delivered" in rec]
-    assert len(sends) == counters["send"] and len(delivered) == counters["deliver"]
     assert all(rec["event"] != "deliver" and "size" not in rec for rec in log)
-    assert sorted([rec["seq"] for rec in log] + delivered) == list(range(sum(counters.values())))
+    assert "broadcast" not in counters and any(rec["event"] == "broadcast" for rec in log)
+    assert_log_states_the_counters(report)
+
+
+DETAIL_GOLDEN = sorted(name for name, (data, _) in GOLDEN.items()
+                       if data["protocol"] != "qbc_analyze" and data.get("detail_log", True))
+
+
+@pytest.mark.parametrize("name", DETAIL_GOLDEN)
+def test_golden_logs_state_the_counters(name):
+    assert_log_states_the_counters(run_scenario(ScenarioConfig.from_dict(dict(GOLDEN[name][0]))))

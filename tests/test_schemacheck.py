@@ -101,6 +101,11 @@ def delete(*keys):
     return edit
 
 
+def edit_broadcast(edit):
+    """An edit of the first broadcast record of a report's log."""
+    return lambda r: edit(next(rec for rec in r["event_log"] if rec["event"] == "broadcast"))
+
+
 REPORT_MUTATIONS = {
     "negative seq": ("lottery-exclude-honest-ideal", set_path("event_log", 0, "seq", -1)),
     "missing consensus.phases_run": ("auction-honest", delete("consensus", "phases_run")),
@@ -117,6 +122,20 @@ REPORT_MUTATIONS = {
                            set_path("event_log", 0, "event", "teleport")),
     "negative delivered": ("lottery-byzantine-silent", lambda r: next(
         rec for rec in r["event_log"] if "delivered" in rec).update(delivered=-1)),
+    "broadcast to nobody": ("lottery-byzantine-silent", edit_broadcast(
+        lambda rec: rec.update(to=[]))),
+    "broadcast to as object": ("auction-honest", edit_broadcast(
+        lambda rec: rec.update(to={"miner:1": 0}))),
+    "broadcast entry without key index": ("auction-honest", edit_broadcast(
+        lambda rec: rec["to"].__setitem__(0, rec["to"][0][:1]))),
+    "broadcast entry too long": ("lottery-byzantine-silent", edit_broadcast(
+        lambda rec: rec["to"][0].extend([7, 8]))),
+    "broadcast receiver not a string": ("auction-honest", edit_broadcast(
+        lambda rec: rec["to"][0].__setitem__(0, 1))),
+    "negative broadcast key index": ("lottery-exclude-honest-ideal", edit_broadcast(
+        lambda rec: rec["to"][0].__setitem__(1, -1))),
+    "broadcast delivered as text": ("lottery-byzantine-silent", edit_broadcast(
+        lambda rec: rec["to"][-1].__setitem__(2, "9"))),
     "ledger record missing fields": (
         "auction-honest", lambda r: [r["ledgers"]["miner:0"][0].pop(k) for k in ("kind", "body")]),
     "unknown ledger kind": ("auction-honest", set_path("ledgers", "miner:1", 0, "kind", "x")),
@@ -156,11 +175,13 @@ def test_golden_event_log_parties_are_strings(golden_reports):
         for record in report.get("event_log", []):
             for field in ("sender", "receiver"):
                 assert isinstance(record.get(field, ""), str), (name, record)
+            for entry in record.get("to", []):
+                assert isinstance(entry[0], str), (name, record)
 
 
 def test_integral_float_counter_and_float_schema_version_are_valid(golden_reports):
     report = mutate(golden_reports["lottery-exclude-honest-ideal"], lambda r: (
-        set_path("event_counters", "send", 2.0)(r), set_path("schema_version", 2.0)(r)))
+        set_path("event_counters", "send", 2.0)(r), set_path("schema_version", 3.0)(r)))
     assert agree(REPORT, report) == []
 
 
@@ -221,6 +242,16 @@ SEMANTICS = [
     ({"enum": ["a", 1, [2]]}, ["a", "b", 1, True, [2], [2.0], None]),
     ({"allOf": [{"if": {"properties": {"k": {"const": 1}}}, "then": {"required": ["v"]}}]},
      [{"k": 1}, {"k": 2}, {"k": 1, "v": 0}, {}]),
+    ({"type": "integer", "minimum": 0}, [0, 7, -1, 3.0, -2.0, 2.5, True, False, "1", None]),
+    ({"type": "array", "minItems": 1, "maxItems": 2, "items": {"type": "integer", "minimum": 1}},
+     [[], [1], [1, 2], [1, 2, 3], [0], [1, True], "ab", None]),
+    ({"minItems": 1}, [[], [0], "", {}]),
+    ({"minItems": 2, "maxItems": 3}, [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3], "abcd"]),
+    ({"maxItems": 0}, [[], [0], None]),
+    ({"prefixItems": [{"type": "string"}, {"minimum": 0}]},
+     [[], ["a"], [1], ["a", -1], [2, -1, "x"], ["a", 0, -5], {"0": 1}]),
+    ({"prefixItems": [{"type": "string"}], "items": {"type": "integer"}},
+     [["a"], ["a", 1, 2], ["a", "b"], [1, 1], [1, "b", 2.5]]),
 ]
 
 
@@ -233,8 +264,8 @@ def test_draft_2020_12_semantics_match(schema, instances):
 
 @pytest.mark.parametrize("schema", [
     {"$ref": "#/$defs/x"},
-    {"type": "array", "minItems": 1},
-    {"properties": {"a": {"items": {"minItems": 1}}}},
+    {"type": "array", "uniqueItems": True},
+    {"properties": {"a": {"items": {"contains": {}}}}},
     {"allOf": [{"$ref": "#"}]},
 ])
 def test_compiling_an_unsupported_keyword_raises(schema):

@@ -1,13 +1,16 @@
 """Authenticated network behavior: determinism, hooks, one-time keys."""
 
+import random
+
 import pytest
 
+from oracles import report_v2
 from qbsim.errors import KeyExhaustionError, QbsimError, UnknownPartyError
 from qbsim.eventlog import EventLog
 from qbsim.keystore import KeyStore
 from qbsim.mac import PolyMac
 from qbsim.parties import miner, player
-from qbsim.transport import Network
+from qbsim.transport import Delivery, Network
 
 
 def make_net(seed=1, budget=512, detail=True, parties=None):
@@ -15,6 +18,17 @@ def make_net(seed=1, budget=512, detail=True, parties=None):
     log = EventLog(detail=detail)
     net = Network(parties, KeyStore(seed, budget=budget), scheduler_seed=seed, log=log)
     return net, log
+
+
+def deliver_all(net) -> list:
+    """Every delivery until the network is empty, failed ones included:
+    what `drain` does, keeping what it hands out."""
+    out = []
+    while net.pending:
+        delivery = net.deliver_next()
+        if delivery is not None:
+            out.append(delivery)
+    return out
 
 
 def test_send_then_deliver_unmodified_verifies():
@@ -76,7 +90,9 @@ def test_same_seed_same_interleaving():
         for i in range(10):
             net.send_authenticated(player(0), miner(0), bytes([i]))
             net.send_authenticated(player(1), miner(1), bytes([i]))
-        return [d.payload + bytes([d.receiver.index]) for d in net.drain()]
+        out = []
+        net.drain(lambda d: out.append(d.payload + bytes([d.receiver.index])))
+        return out
 
     assert run(5) == run(5)
     # different seeds give a different interleaving (overwhelmingly)
@@ -103,7 +119,9 @@ def test_drop_hook_discards():
     net, log = make_net()
     net.set_hook(player(0), miner(0), lambda m: ("drop",))
     net.send_authenticated(player(0), miner(0), b"gone")
-    assert net.drain() == []
+    handed = []
+    assert net.drain(handed.append) is None
+    assert handed == [] and net.pending == 0
     assert log.counters["adversary_drop"] == 1
 
 
@@ -140,7 +158,7 @@ def test_mac_key_derived_once_per_message(monkeypatch):
     for i in range(5):
         net.send_authenticated(player(0), miner(0), bytes([i]))
         net.send_authenticated(player(1), miner(1), bytes([i]))
-    delivered = net.drain()
+    delivered = deliver_all(net)
     assert len(delivered) == 5 and all(d.ok for d in delivered)
     assert len(calls) == log.counters["send"] == 10
 
@@ -182,7 +200,7 @@ def test_layer_calls_per_message(monkeypatch):
         for receiver in parties:
             if sender != receiver:
                 net.send_authenticated(sender, receiver, bytes([sender.index, receiver.index]))
-    delivered = net.drain()
+    delivered = deliver_all(net)
     sends, verified = 90, 89  # the dropped message never reaches verification
     assert log.counters["send"] == sends and len(delivered) == verified
     assert [d.receiver for d in delivered if not d.ok] == [miner(3)]
@@ -196,3 +214,96 @@ def test_delivery_refuses_a_negative_key_index():
     net.send_authenticated(player(0), miner(0), b"m")
     with pytest.raises(KeyExhaustionError, match="never issued"):
         net.deliver_next()
+
+
+def test_delivery_is_the_named_tuple():
+    net, _ = make_net()
+    msg_id = net.send_authenticated(player(0), miner(0), b"hello")
+    d = net.deliver_next()
+    assert type(d) is Delivery
+    assert d == Delivery(msg_id, player(0), miner(0), b"hello", True)
+    assert (d.msg_id, d.sender, d.receiver, d.payload, d.ok) == tuple(d)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 99991])
+def test_scheduler_draws_are_randrange_draws(seed):
+    """The scheduler picks a slot of its active-link list with the draws
+    `random.Random(seed).randrange(n)` makes, here for every n from 300
+    down to 1: one message on each of 300 links, and a link leaves the
+    list, its slot taken by the last link, once its FIFO is empty."""
+    receivers = [miner(i) for i in range(1, 301)]
+    net, _ = make_net(seed=seed, parties=[miner(0), *receivers])
+    for receiver in receivers:
+        net.send_authenticated(miner(0), receiver, b"x")
+    order = []
+    net.drain(lambda d: order.append(d.receiver))
+
+    rng, active, expected = random.Random(seed), list(receivers), []
+    while active:
+        slot = rng.randrange(len(active))
+        expected.append(active[slot])
+        last = active.pop()
+        if slot < len(active):
+            active[slot] = last
+    assert order == expected
+
+
+def scripted_traffic(net, send_to_all):
+    """Two broadcasts, one of them to a dropped and a forged link, and
+    single sends around them; `send_to_all` sends one payload to many.
+    The pair of player 0 and miner 0 spends key block 0 before the first
+    broadcast."""
+    net.set_hook(miner(0), player(1), lambda m: ("drop",))
+    net.set_hook(miner(0), miner(1), lambda m: ("modify", b"forged"))
+    net.send_authenticated(player(0), miner(0), b"before")
+    send_to_all(net, miner(0), [player(0), player(1), miner(1)], b"vote")
+    send_to_all(net, player(1), [miner(1), miner(0)], b"list")
+    net.send_authenticated(miner(1), player(0), b"after")
+    return deliver_all(net)
+
+
+def one_by_one(net, sender, receivers, payload):
+    for receiver in receivers:
+        net.send_authenticated(sender, receiver, payload)
+
+
+def test_broadcast_is_its_single_sends_on_one_record():
+    """Same deliveries, keys, tags and counters as one send per receiver;
+    the broadcast records expand to exactly the single sends' records."""
+    single_net, single_log = make_net(seed=3)
+    single = scripted_traffic(single_net, one_by_one)
+    net, log = make_net(seed=3)
+    broadcast = scripted_traffic(net, Network.broadcast)
+    assert broadcast == single
+    assert sorted(d.ok for d in broadcast) == [False] + [True] * 5  # 7 sent, 1 dropped
+    assert log.counters == single_log.counters and log.counters["send"] == 7
+    assert report_v2({"event_log": log.records})["event_log"] == single_log.records
+    vote = next(rec for rec in log.records if rec["event"] == "broadcast")
+    deliveries = {rec["msg_id"]: rec["delivered"] for rec in single_log.records
+                  if "delivered" in rec}
+    assert vote == {"seq": 1, "event": "broadcast", "sender": "miner:0", "msg_id": 1,
+                    "payload": b"vote".hex(),
+                    "to": [["player:0", 1, deliveries[1]], ["player:1", 0], ["miner:1", 0]]}
+    assert "broadcast" not in log.counters
+
+
+def test_broadcast_in_summary_mode_and_to_nobody_writes_no_record():
+    net, log = make_net(detail=False)
+    net.broadcast(miner(0), [player(0), player(1)], b"vote")
+    assert log.counters == {"send": 2} and log.records == []
+    net, log = make_net()
+    net.broadcast(miner(0), [], b"vote")
+    assert log.counters == {} and log.records == [] and net.pending == 0
+
+
+def test_refused_broadcast_leaves_no_empty_record():
+    net, log = make_net()
+    with pytest.raises(UnknownPartyError):
+        net.broadcast(miner(0), [player(9), player(0)], b"vote")
+    assert log.records == [] and net.pending == 0
+    with pytest.raises(QbsimError):  # refused at its second receiver: one message sent
+        net.broadcast(miner(0), [player(0), miner(0)], b"vote")
+    (record,) = log.records
+    assert record["to"] == [["player:0", 0]] and net.pending == 1
+    net.send_authenticated(player(0), miner(0), b"alone")
+    assert log.records[-1]["event"] == "send"  # the broadcast is closed
