@@ -9,7 +9,7 @@ counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import replace
 from math import erfc, sqrt
 
@@ -81,10 +81,14 @@ def run_batch(config: ScenarioConfig, runs: int, workers: int = 1) -> dict:
     else:
         agg.update(bot_runs=0, degenerate_runs=0, winner_counts={})
 
+    # a pool forks all its workers at once, so it gets no more than can work
+    workers = min(workers, runs, os.cpu_count() or 1)
     if workers <= 1:
         for i in range(runs):
             _merge(agg, _run_summary(params, i))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel batch loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, runs // (workers * 8))
             for summary in pool.map(_run_summary, [params] * runs,

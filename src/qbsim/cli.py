@@ -77,8 +77,22 @@ def _config(protocol: str, summary_log: bool, fields: dict) -> ScenarioConfig:
     return ScenarioConfig(protocol=protocol, detail_log=not summary_log, **fields)
 
 
+# the options both protocols take; each destination is a `RunParams` field
+_RUN_OPTIONS = [
+    click.option("--miners", "-k", default=2, show_default=True, help="number of miners"),
+    click.option("--seed", "-s", default=0, show_default=True, help="scenario master seed"),
+    click.option("--backend", default="ideal", show_default=True,
+                 help="commitment backend: ideal or cheat:<p>"),
+    click.option("--byzantine", "byzantine_miners", multiple=True, metavar="INDEX=SCRIPT",
+                 help=f"Byzantine miner scripts: {'|'.join(MINER_SCRIPT_NAMES)} (repeatable)"),
+    click.option("--key-budget", default=DEFAULT_BUDGET, show_default=True,
+                 help="one-time key blocks per party pair"),
+]
+
+
 def _protocol_commands(group, protocol: str, options, stats_doc: str):
     """`run` and `stats` for one protocol: its options, then the shared ones."""
+    options = options + _RUN_OPTIONS
 
     @group.command("run", help=f"Run one {protocol} scenario and emit its report.")
     @_apply(options)
@@ -108,11 +122,6 @@ def _protocol_commands(group, protocol: str, options, stats_doc: str):
             sys.stdout.buffer.write(data)
 
 
-_BYZANTINE = click.option(
-    "--byzantine", "byzantine_miners", multiple=True, metavar="INDEX=SCRIPT",
-    help=f"Byzantine miner scripts: {'|'.join(MINER_SCRIPT_NAMES)} (repeatable)")
-
-
 @main.group()
 def lottery():
     """Commit-reveal lottery scenarios."""
@@ -121,17 +130,10 @@ def lottery():
 _protocol_commands(lottery, "lottery", [
     click.option("--players", "-n", default=3, show_default=True, help="number of players"),
     click.option("--ticket-bits", "-m", default=8, show_default=True, help="bits per ticket"),
-    click.option("--miners", "-k", default=2, show_default=True, help="number of miners"),
-    click.option("--seed", "-s", default=0, show_default=True, help="scenario master seed"),
-    click.option("--backend", default="ideal", show_default=True,
-                 help="commitment backend: ideal or cheat:<p>"),
     click.option("--policy", "cheat_policy", default="exclude", show_default=True,
                  type=click.Choice(CHEAT_POLICIES), help="cheat handling policy"),
     click.option("--player-policy", "player_policies", multiple=True, metavar="INDEX=SPEC",
                  help="honest | fixed:BITS | equivocate:BITS:BITS (repeatable)"),
-    _BYZANTINE,
-    click.option("--key-budget", default=DEFAULT_BUDGET, show_default=True,
-                 help="one-time key blocks per party pair"),
 ], "Aggregate winning-bit frequencies and chi-square over many runs.")
 
 
@@ -144,16 +146,10 @@ _protocol_commands(auction, "auction", [
     click.option("--buyers", "-m", default=3, show_default=True),
     click.option("--bid-width", "-w", default=32, show_default=True,
                  help="bids range over [1, 2^w - 1]"),
-    click.option("--miners", "-k", default=2, show_default=True),
-    click.option("--seed", "-s", default=0, show_default=True),
-    click.option("--backend", default="ideal", show_default=True,
-                 help="commitment backend: ideal or cheat:<p>"),
     click.option("--seller-policy", default="honest", show_default=True,
                  type=click.Choice([policy.value for policy in SellerPolicy])),
     click.option("--buyer-policy", "buyer_policies", multiple=True, metavar="INDEX=SPEC",
                  help="honest | fixed:V | change:V:W | complain:V (repeatable)"),
-    _BYZANTINE,
-    click.option("--key-budget", default=DEFAULT_BUDGET, show_default=True),
 ], "Aggregate winner frequencies and detection rates over many runs.")
 
 

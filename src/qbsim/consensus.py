@@ -6,10 +6,11 @@ rounds per phase:
   round 1  everyone broadcasts its preference; a value seen at least
            n - f_tol times becomes the new preference (two distinct
            values cannot both reach that threshold when n > 3f), else
-           the party marks itself undecided;
+           the party marks itself undecided (`adopt`);
   round 2  everyone broadcasts preference-or-undecided; each party
            picks the most frequent concrete value d (ties to the
-           lexicographically smallest encoding) and its count;
+           lexicographically smallest encoding) and its count
+           (`plurality`);
   round 3  the phase's king broadcasts its d; parties with fewer than
            n - f_tol supporting votes adopt the king's value, the rest
            keep their own d.
@@ -133,65 +134,26 @@ def resolve_script(spec, rng, candidates):
     raise ConsensusUsageError(f"unknown miner script {spec!r}")
 
 
-class PhaseKingParty:
-    """Honest party state machine; one phase = r1/r2/r3 feed cycle.
+def adopt(votes: list, threshold: int) -> bytes | None:
+    """Round 1: the value with at least `threshold` votes, else None (the
+    party is undecided). At n - f_tol > n/2 at most one value qualifies."""
+    for value in dict.fromkeys(votes):
+        if votes.count(value) >= threshold:
+            return value
+    return None
 
-    Received value lists are positional over all n participants, the
-    party's own value in its own slot and a vote everywhere else (round
-    2 may carry None, the undecided marker). The preference is None
-    while the party is undecided.
-    """
 
-    def __init__(self, n: int, f_tol: int, pref: bytes):
-        self.n = n
-        self.f_tol = f_tol
-        self.pref = pref
-        self._d = BOT
-        self._d_count = 0
-
-    # round 1
-    def r1_payload(self) -> bytes:
-        return self.pref
-
-    def r1_receive(self, values: list[bytes]):
-        counts: dict[bytes, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        threshold = self.n - self.f_tol
-        for value, count in counts.items():
-            if count >= threshold:
-                self.pref = value
-                return
-        self.pref = None
-
-    # round 2
-    def r2_payload(self) -> bytes | None:
-        return self.pref
-
-    def r2_receive(self, values: list):
-        counts: dict[bytes, int] = {}
-        for v in values:
-            if v is None:
-                continue
-            counts[v] = counts.get(v, 0) + 1
-        if counts:
-            best = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
-            # ties resolve to the lexicographically smallest encoding
-            top = best[1]
-            self._d = min(v for v, c in counts.items() if c == top)
-            self._d_count = top
-        else:
-            self._d, self._d_count = BOT, 0
-
-    # round 3
-    def r3_payload(self) -> bytes:
-        return self._d
-
-    def r3_receive(self, king_value: bytes):
-        if self._d_count >= self.n - self.f_tol:
-            self.pref = self._d
-        else:
-            self.pref = king_value
+def plurality(votes: list) -> tuple[bytes, int]:
+    """Round 2: the most frequent concrete vote, ties to the smallest
+    encoding, and its count; None, the undecided marker, is not counted.
+    Without a concrete vote it is (BOT, 0)."""
+    best, top = BOT, 0
+    for value in dict.fromkeys(votes):
+        if value is not None:
+            count = votes.count(value)
+            if count > top or (count == top and value < best):
+                best, top = value, count
+    return best, top
 
 
 @dataclass
@@ -237,17 +199,15 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
     f_actual = n - len(honest)
     guarantees_void = 3 * f_actual >= n
     phases = f_tol + 1
-
-    states = {m: PhaseKingParty(n, f_tol, instance.inputs[m]) for m in honest}
+    threshold = n - f_tol
     index_of = {m: i for i, m in enumerate(participants)}
     others = {m: [r for r in participants if r != m] for m in participants}
-    prefs_history: list[dict] = []
 
-    def exchange(phase: int, round_: int, payload_of, senders) -> dict:
-        """Send round messages from `senders`, deliver all, and return
-        votes[recipient] = one vote per participant, the recipient's own
-        value in its own slot (when it sent one) and BOT wherever nothing
-        valid arrived."""
+    def exchange(phase: int, round_: int, values: dict, senders) -> dict:
+        """Send round messages from `senders`, each honest one broadcasting
+        its entry in `values`, deliver all, and return votes[recipient] =
+        one vote per participant, the recipient's own value in its own
+        slot (when it sent one) and BOT wherever nothing valid arrived."""
         votes = {m: [BOT] * n for m in honest}
         for sender in senders:
             if sender in scripts:
@@ -265,7 +225,7 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
                                                    round_, action[1])
                     network.send_authenticated(sender, recipient, payload)
             else:
-                value = payload_of(sender)
+                value = values[sender]
                 votes[sender][index_of[sender]] = value
                 network.broadcast(sender, others[sender],
                                   encode_consensus(instance.instance_id, phase, round_, value))
@@ -284,38 +244,29 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
         network.drain(on_delivery)
         return votes
 
+    prefs = {m: instance.inputs[m] for m in honest}
+    history: list[dict] = []  # honest preferences after each phase
     for phase in range(1, phases + 1):
         king = participants[(phase - 1) % n]
-
-        r1 = exchange(phase, 1, lambda m: states[m].r1_payload(), participants)
-        for m in honest:
-            states[m].r1_receive(r1[m])
-
-        r2 = exchange(phase, 2, lambda m: states[m].r2_payload(), participants)
-        for m in honest:
-            states[m].r2_receive(r2[m])
-
-        r3 = exchange(phase, 3, lambda m: states[m].r3_payload(), [king])
-        for m in honest:
-            states[m].r3_receive(r3[m][index_of[king]])
-
-        prefs_history.append({m: states[m].pref for m in honest})
+        votes = exchange(phase, 1, prefs, participants)
+        prefs = {m: adopt(votes[m], threshold) for m in honest}
+        votes = exchange(phase, 2, prefs, participants)
+        best = {m: plurality(votes[m]) for m in honest}
+        votes = exchange(phase, 3, {m: d for m, (d, _) in best.items()}, [king])
+        slot = index_of[king]  # round 3: d with n - f_tol votes, else the king's value
+        prefs = {m: d if count >= threshold else votes[m][slot]
+                 for m, (d, count) in best.items()}
+        history.append(prefs)
         if log is not None:
             log.append("consensus_phase", instance=instance.instance_id,
                        phase=phase, king=str(king))
 
-    decisions = {m: (states[m].pref if m in states else None) for m in participants}
-
     decision_phase = phases
-    if honest:
-        final = {m: decisions[m] for m in honest}
-        for phase_index in range(phases - 1, -1, -1):
-            if prefs_history[phase_index] != final:
-                break
-            decision_phase = phase_index + 1
+    while honest and decision_phase > 1 and history[decision_phase - 2] == prefs:
+        decision_phase -= 1
 
     return ConsensusResult(
-        decisions=decisions,
+        decisions={m: prefs.get(m) for m in participants},
         honest=honest,
         f_tolerance=f_tol,
         f_actual=f_actual,
@@ -323,3 +274,12 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
         phases_run=phases,
         decision_phase=decision_phase,
     )
+
+
+def pair_key_blocks(n: int) -> int:
+    """The most one-time key blocks two of `n` miners spend on each other
+    in one instance: `exchange` sends one message each way in rounds 1
+    and 2 of every phase, and one more in each of the at most two phases
+    one of them is king. A lone miner sends nothing."""
+    phases = tolerated_faults(n) + 1
+    return 4 * phases + min(2, phases) if n >= 2 else 0

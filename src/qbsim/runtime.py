@@ -14,9 +14,9 @@ from .consensus import (
     CodecDomain,
     ConsensusInstance,
     ConsensusResult,
+    pair_key_blocks,
     resolve_script,
     run_consensus,
-    tolerated_faults,
 )
 from .encoding import MAX_COUNT, decode_payload, encode_commit_notify
 from .eventlog import EventLog
@@ -42,7 +42,6 @@ class RunParams:
 @dataclass
 class SimContext:
     seed: int
-    parties: tuple[PartyId, ...]
     log: EventLog
     network: Network
     registry: CommitmentRegistry
@@ -71,13 +70,11 @@ class SimContext:
 
 
 def make_context(seed: int, parties, key_budget: int, detail: bool) -> SimContext:
-    parties = tuple(parties)
     log = EventLog(detail=detail)
     network = Network(parties, KeyStore(seed, budget=key_budget),
                       scheduler_seed=derive_seed(seed, "scheduler"), log=log)
     registry = CommitmentRegistry(generator(seed, "registry"), log)
-    return SimContext(seed=seed, parties=parties, log=log, network=network,
-                      registry=registry)
+    return SimContext(seed=seed, log=log, network=network, registry=registry)
 
 
 def scripted_values(policies: dict, count: int, draw) -> tuple[dict, dict]:
@@ -111,8 +108,8 @@ def run_violations(params: RunParams, party_blocks: int) -> list[str]:
     miners outside it, unknown script names, a committee without an
     honest miner to finalize anything, and a key budget below the most
     one-time key blocks a pair can spend. That is `party_blocks` for a
-    protocol party and a miner, and for two miners four per consensus
-    phase plus one in each of the at most two phases one of them is king."""
+    protocol party and a miner, and `consensus.pair_key_blocks` for two
+    miners."""
     miners, byzantine = params.miners, params.byzantine_miners
     out = count_violations("miners", miners, 1)
     out += [f"byzantine script for unknown miner {m.index}"
@@ -122,8 +119,7 @@ def run_violations(params: RunParams, party_blocks: int) -> list[str]:
             if not callable(spec) and spec not in MINER_SCRIPT_NAMES]
     if miners >= 1 and len({m for m in byzantine if m.index < miners}) >= miners:
         out.append("at least one honest miner is required")
-    phases = tolerated_faults(miners) + 1
-    need = max(party_blocks, 4 * phases + min(2, phases) if miners >= 2 else 0)
+    need = max(party_blocks, pair_key_blocks(miners))
     if params.key_budget < need:
         out.append(f"key_budget must be at least {need} blocks per pair for this run, "
                    f"got {params.key_budget}")

@@ -176,6 +176,31 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    """Only a parallel `stats` batch needs the process pool; a run, a
+    serial batch and `qbc analyze` never import it."""
+    probe = ("import sys, qbsim.cli; "
+             "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_both_protocols_share_the_run_options():
+    """`--miners`, `--seed`, `--backend`, `--byzantine` and `--key-budget`
+    read the same, with help text, in all four protocol commands."""
+    shared = ("miners", "seed", "backend", "byzantine_miners", "key_budget")
+    seen = []
+    for group in ("lottery", "auction"):
+        for command in ("run", "stats"):
+            params = {p.name: p for p in main.commands[group].commands[command].params}
+            options = [params[name] for name in shared]
+            assert all(option.help for option in options), (group, command)
+            seen.append([(o.opts, o.default, o.help) for o in options])
+    assert all(entry == seen[0] for entry in seen)
+
+
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "qbsim.cli", *args],
                           env=src_env(), capture_output=True, text=True)

@@ -9,9 +9,10 @@ from qbsim.consensus import (
     BOT,
     CodecDomain,
     ConsensusInstance,
-    PhaseKingParty,
+    adopt,
     equivocating_script,
     garbage_script,
+    plurality,
     run_consensus,
     silent_script,
     tolerated_faults,
@@ -115,14 +116,13 @@ SILENT = object()
 
 
 def run_phase_exhaustive(byz_index: int, king_index: int, choices):
-    """One phase of the pure state machines at n=4, f_tol=1, honest all 'v'.
+    """One phase of the pure rules at n=4, f_tol=1, honest all 'v'.
 
     choices: 9 entries over (3 rounds x 3 honest recipients), each
     b'v', b'w' or SILENT; silence counts as a BOT vote. Returns honest
     prefs at phase end."""
-    v = b"v"
+    threshold = 3  # n - f_tol
     honest = [i for i in range(4) if i != byz_index]
-    states = {i: PhaseKingParty(4, 1, v) for i in honest}
     it = iter(choices)
     byz_choice = {(round_, i): next(it) for round_ in (1, 2, 3) for i in honest}
 
@@ -130,30 +130,17 @@ def run_phase_exhaustive(byz_index: int, king_index: int, choices):
         c = byz_choice[(round_, i)]
         return BOT if c is SILENT else c
 
-    # round 1
-    for i in honest:
-        values = [states[j].r1_payload() if j in states else inject(1, i) for j in range(4)]
-        states[i].r1_receive(values)
-    # round 2
-    undecided = None
-    payloads = {i: states[i].r2_payload() for i in honest}
-    for i in honest:
-        values = []
-        for j in range(4):
-            if j in states:
-                p = payloads[j]
-                values.append(undecided if p is None else p)
-            else:
-                values.append(inject(2, i))
-        states[i].r2_receive(values)
-    # round 3
-    king_d = states[king_index].r3_payload() if king_index in states else None
-    for i in honest:
-        if king_index in states:
-            states[i].r3_receive(king_d)
-        else:
-            states[i].r3_receive(inject(3, i))
-    return [states[i].pref for i in honest]
+    def votes(round_, i, sent):
+        """What honest i holds: each honest sender's value (None, the
+        undecided marker, included) and the Byzantine one's choice."""
+        return [sent[j] if j in sent else inject(round_, i) for j in range(4)]
+
+    prefs = {i: b"v" for i in honest}
+    prefs = {i: adopt(votes(1, i, prefs), threshold) for i in honest}
+    best = {i: plurality(votes(2, i, prefs)) for i in honest}
+    king_d = {king_index: best[king_index][0]} if king_index in best else {}
+    return [d if count >= threshold else votes(3, i, king_d)[king_index]
+            for i, (d, count) in best.items()]
 
 
 @pytest.mark.parametrize("byz_index,king_index", [(0, 0), (3, 0)])
@@ -166,6 +153,29 @@ def test_exhaustive_equivocator_choices_cannot_break_persistence(byz_index, king
     for choices in itertools.product(alphabet, repeat=9):
         prefs = run_phase_exhaustive(byz_index, king_index, choices)
         assert prefs == [b"v", b"v", b"v"], f"diverged under {choices}"
+
+
+def test_adopt_needs_the_threshold():
+    assert adopt([b"v", b"v", b"v", b"w"], 3) == b"v"
+    assert adopt([BOT, BOT, BOT, b"v"], 3) == BOT
+    assert adopt([b"v", b"v", b"w", BOT], 3) is None
+    assert adopt([b"solo"], 1) == b"solo"
+
+
+def test_plurality_ties_go_to_the_smallest_encoding():
+    assert plurality([b"b", b"a", b"b", b"a"]) == (b"a", 2)
+    assert plurality([b"w", b"v", b"w"]) == (b"w", 2)
+    assert plurality([b"v", BOT]) == (BOT, 1)  # BOT is a concrete vote
+
+
+def test_plurality_skips_undecided_markers():
+    assert plurality([None, None, None, b"w"]) == (b"w", 1)
+    assert plurality([None, b"v", None, b"v"]) == (b"v", 2)
+
+
+def test_plurality_without_a_concrete_vote_is_bot():
+    assert plurality([None, None, None]) == (BOT, 0)
+    assert plurality([]) == (BOT, 0)
 
 
 # --------------------------------------------------- randomized sweeps
