@@ -1,5 +1,9 @@
 """Byzantine agreement among the miners: multi-valued phase king.
 
+One call, `run_consensus`, runs one instance on two maps: the honest
+miners' inputs and the Byzantine miners' scripts (`SCRIPTS` builds a
+script from its config-level name).
+
 The algorithm runs f_tol + 1 phases with f_tol = floor((n-1)/3), three
 rounds per phase:
 
@@ -40,8 +44,6 @@ from dataclasses import dataclass
 
 from .encoding import decode_payload, encode_consensus
 from .errors import ConsensusUsageError, EncodingError
-from .eventlog import EventLog
-from .parties import PartyId
 from .transport import Network
 
 BOT = b""  # reserved domain element: "no valid input"
@@ -68,39 +70,8 @@ def tolerated_faults(n: int) -> int:
     return (n - 1) // 3
 
 
-class ConsensusInstance:
-    def __init__(self, instance_id: int, participants, domain):
-        self.instance_id = instance_id
-        self.participants = tuple(sorted(participants))
-        if len(set(self.participants)) != len(self.participants):
-            raise ConsensusUsageError("duplicate participants")
-        self.domain = domain
-        self.inputs: dict[PartyId, bytes] = {}
-
-    def propose(self, miner: PartyId, value: bytes):
-        if miner not in self.participants:
-            raise ConsensusUsageError(f"{miner} is not a participant")
-        if not self.domain.contains(value):
-            raise ConsensusUsageError(f"proposed value outside the domain")
-        if miner in self.inputs and self.inputs[miner] != value:
-            raise ConsensusUsageError(f"{miner} already proposed a different value")
-        self.inputs[miner] = value
-
-    @property
-    def n(self) -> int:
-        return len(self.participants)
-
-
-# Byzantine script factories. A script is called once per (phase, round,
+# Byzantine scripts. A script is called once per (phase, round,
 # recipient) and returns None (stay silent), ("garbage",) or ("value", v).
-
-
-def silent_script():
-    return lambda phase, round_, recipient: None
-
-
-def garbage_script(rng):
-    return lambda phase, round_, recipient: ("garbage",)
 
 
 def equivocating_script(rng, candidates):
@@ -117,21 +88,14 @@ def equivocating_script(rng, candidates):
     return script
 
 
-MINER_SCRIPT_NAMES = ("silent", "garbage", "equivocate")
+# Config-level script name -> factory (rng, candidates) -> script.
+SCRIPTS = {
+    "silent": lambda rng, candidates: lambda phase, round_, recipient: None,
+    "garbage": lambda rng, candidates: lambda phase, round_, recipient: ("garbage",),
+    "equivocate": equivocating_script,
+}
 
-
-def resolve_script(spec, rng, candidates):
-    """Turn a config-level script name into a script; callables pass
-    through so library users can inject anything."""
-    if callable(spec):
-        return spec
-    if spec == "silent":
-        return silent_script()
-    if spec == "garbage":
-        return garbage_script(rng)
-    if spec == "equivocate":
-        return equivocating_script(rng, candidates)
-    raise ConsensusUsageError(f"unknown miner script {spec!r}")
+MINER_SCRIPT_NAMES = tuple(SCRIPTS)
 
 
 def adopt(votes: list, threshold: int) -> bytes | None:
@@ -167,34 +131,39 @@ class ConsensusResult:
     decision_phase: int
 
 
-def vote(instance: ConsensusInstance, phase: int, round_: int, payload: bytes):
-    """The vote a delivered payload casts in (phase, round_): the value it
-    carries, None for round 2's undecided flag, BOT for anything else."""
+def vote(instance_id: int, domain, phase: int, round_: int, payload: bytes):
+    """The vote a delivered payload casts in (phase, round_) of instance
+    `instance_id`: the value it carries, None for round 2's undecided
+    flag, BOT for anything else."""
     try:
         msg = decode_payload(payload)
     except EncodingError:
         return BOT
-    if (msg["kind"] != "consensus" or msg["instance"] != instance.instance_id
+    if (msg["kind"] != "consensus" or msg["instance"] != instance_id
             or msg["phase"] != phase or msg["round"] != round_):
         return BOT
     if msg["undecided"]:
         return None if round_ == 2 else BOT
-    return msg["value"] if instance.domain.contains(msg["value"]) else BOT
+    return msg["value"] if domain.contains(msg["value"]) else BOT
 
 
-def run_consensus(instance: ConsensusInstance, scripts: dict,
-                  network: Network, log: EventLog | None = None) -> ConsensusResult:
-    """Drive one instance over the network, synchronous-round style.
+def run_consensus(inputs: dict, scripts: dict, network: Network, domain,
+                  instance_id: int = 0) -> ConsensusResult:
+    """Run one instance over the network, synchronous-round style.
 
-    `scripts` maps each Byzantine participant to its script; every other
-    participant is honest and must have proposed an input.
+    `inputs` maps each honest miner to its value and `scripts` each
+    Byzantine miner to its script; together they are the participants.
+    Each input must lie in `domain`, and no miner may be in both maps.
+    The `consensus_phase` records go to `network.log`.
     """
-    participants = instance.participants
-    n = instance.n
-    honest = tuple(m for m in participants if m not in scripts)
+    if both := inputs.keys() & scripts.keys():
+        raise ConsensusUsageError(f"{min(both)} is both honest and Byzantine")
+    honest = tuple(sorted(inputs))
     for m in honest:
-        if m not in instance.inputs:
-            raise ConsensusUsageError(f"honest miner {m} never proposed an input")
+        if not domain.contains(inputs[m]):
+            raise ConsensusUsageError(f"{m} proposed a value outside the domain")
+    participants = tuple(sorted(inputs.keys() | scripts.keys()))
+    n = len(participants)
     f_tol = tolerated_faults(n)
     f_actual = n - len(honest)
     guarantees_void = 3 * f_actual >= n
@@ -221,14 +190,13 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
                     if action[0] == "garbage":
                         payload = b"\xee_not_a_protocol_message"
                     else:
-                        payload = encode_consensus(instance.instance_id, phase,
-                                                   round_, action[1])
+                        payload = encode_consensus(instance_id, phase, round_, action[1])
                     network.send_authenticated(sender, recipient, payload)
             else:
                 value = values[sender]
                 votes[sender][index_of[sender]] = value
                 network.broadcast(sender, others[sender],
-                                  encode_consensus(instance.instance_id, phase, round_, value))
+                                  encode_consensus(instance_id, phase, round_, value))
 
         memo: dict[bytes, bytes | None] = {}
 
@@ -238,13 +206,13 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
                 return  # byzantine recipients run no honest logic
             payload = delivery.payload
             if payload not in memo:
-                memo[payload] = vote(instance, phase, round_, payload)
+                memo[payload] = vote(instance_id, domain, phase, round_, payload)
             row[index_of[delivery.sender]] = memo[payload]
 
         network.drain(on_delivery)
         return votes
 
-    prefs = {m: instance.inputs[m] for m in honest}
+    prefs = {m: inputs[m] for m in honest}
     history: list[dict] = []  # honest preferences after each phase
     for phase in range(1, phases + 1):
         king = participants[(phase - 1) % n]
@@ -257,9 +225,8 @@ def run_consensus(instance: ConsensusInstance, scripts: dict,
         prefs = {m: d if count >= threshold else votes[m][slot]
                  for m, (d, count) in best.items()}
         history.append(prefs)
-        if log is not None:
-            log.append("consensus_phase", instance=instance.instance_id,
-                       phase=phase, king=str(king))
+        network.log.append("consensus_phase", instance=instance_id, phase=phase,
+                           king=str(king))
 
     decision_phase = phases
     while honest and decision_phase > 1 and history[decision_phase - 2] == prefs:

@@ -11,11 +11,10 @@ from .commitment import IDEAL, Backend, CommitmentRegistry, OpenResult
 from .consensus import (
     BOT,
     MINER_SCRIPT_NAMES,
+    SCRIPTS,
     CodecDomain,
-    ConsensusInstance,
     ConsensusResult,
     pair_key_blocks,
-    resolve_script,
     run_consensus,
 )
 from .encoding import MAX_COUNT, decode_payload, encode_commit_notify
@@ -152,7 +151,9 @@ def finalize(ctx: SimContext, params: RunParams, protocol: str, instance_id: int
     of every miner that decided it.
 
     Honest miners propose `propose(m)`, Byzantine ones follow their
-    scripts, and membership in the domain is validity under `decode`.
+    scripts (a script name is built from `consensus.SCRIPTS`, a callable
+    runs as it is), and membership in the domain is validity under
+    `decode`.
     Past the f < n/3 bound consensus may settle on the reserved "no
     valid input" element, for some honest miners or all of them. A
     miner that decided it appends nothing, because there is no record to
@@ -161,14 +162,12 @@ def finalize(ctx: SimContext, params: RunParams, protocol: str, instance_id: int
     consensus result, the ledgers and the reference miner.
     """
     miners = [miner(j) for j in range(params.miners)]
-    instance = ConsensusInstance(instance_id, miners, CodecDomain(decode))
-    for m in miners:
-        if m not in params.byzantine_miners:
-            instance.propose(m, propose(m))
-    candidates = [instance.inputs[m] for m in sorted(instance.inputs)]
-    scripts = {m: resolve_script(spec, ctx.rng("miner-script", m.index), candidates)
+    inputs = {m: propose(m) for m in miners if m not in params.byzantine_miners}
+    candidates = list(inputs.values())
+    scripts = {m: spec if callable(spec) else
+               SCRIPTS[spec](ctx.rng("miner-script", m.index), candidates)
                for m, spec in params.byzantine_miners.items()}
-    result = run_consensus(instance, scripts, ctx.network, ctx.log)
+    result = run_consensus(inputs, scripts, ctx.network, CodecDomain(decode), instance_id)
 
     ledgers = {m: MinerLedger(m) for m in miners}
     reference = next(m for m in miners if result.decisions[m] is not None)

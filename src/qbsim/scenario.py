@@ -33,8 +33,6 @@ from .jsonfile import read_json
 from .keystore import DEFAULT_BUDGET
 from .lottery import LotteryParams, lottery_violations, parse_player_policy, run_valid_lottery
 from .parties import miner
-from .qbc import binding_attack, concealing_defect, scheme_from_dict
-from .qbc.io import load_scheme
 from .schemacheck import compile_schema
 
 SCHEMA_VERSION = 3
@@ -102,8 +100,9 @@ class ScenarioConfig:
             problems.append(str(exc))
             backend = None
         if self.protocol == "qbc_analyze":
-            if self.scheme is None and self.scheme_file is None:
-                problems.append("qbc_analyze needs an inline scheme or a scheme_file")
+            if (self.scheme is None) == (self.scheme_file is None):
+                problems.append("qbc_analyze needs exactly one of an inline scheme "
+                                "and a scheme_file")
             ConfigError.check(problems)
             return None
 
@@ -136,10 +135,12 @@ _INT_FIELDS = frozenset(f.name for f in fields(ScenarioConfig) if f.type == "int
 
 def _by_index(texts: dict[str, str], role: str, problems: list, parse) -> dict[int, Any]:
     """Each text parsed and keyed by its party index; keys that are not
-    an index and texts that do not parse go to `problems`."""
+    an index in its one form, ASCII digits without a leading zero (so
+    neither "01" nor an Arabic-Indic digit stands in for "1"), and texts
+    that do not parse go to `problems`."""
     out = {}
     for key, text in sorted(texts.items()):
-        if not key.isdecimal():
+        if not (key.isascii() and key.isdecimal()) or (key[0] == "0" and key != "0"):
             problems.append(f"{role} entry for unknown {role} {key!r}")
             continue
         try:
@@ -179,7 +180,9 @@ def run_scenario(config: ScenarioConfig) -> dict:
         "protocol": config.protocol,
     }
 
-    if params is None:  # qbc_analyze
+    if params is None:  # qbc_analyze; only this branch needs the numerics
+        from .qbc import binding_attack, concealing_defect, load_scheme, scheme_from_dict
+
         scheme = (load_scheme(config.scheme_file) if config.scheme is None
                   else scheme_from_dict(config.scheme))
         attack = binding_attack(scheme)

@@ -22,14 +22,7 @@ from qbsim.auction import (
 from qbsim.batch import run_batch
 from qbsim.bits import BitString
 from qbsim.commitment import IDEAL, CommitmentRegistry, parse_backend
-from qbsim.consensus import (
-    ConsensusInstance,
-    equivocating_script,
-    garbage_script,
-    run_consensus,
-    silent_script,
-    tolerated_faults,
-)
+from qbsim.consensus import SCRIPTS, run_consensus, tolerated_faults
 from qbsim.eventlog import EventLog
 from qbsim.keystore import KeyStore
 from qbsim.lottery import Equivocator, FixedTicket, LotteryParams, run_lottery
@@ -253,24 +246,17 @@ def test_criterion_7_consensus():
                 byz = frozenset(miner(j) for j in byz_idx)
                 scripts = {}
                 for k, b in enumerate(sorted(byz)):
-                    pick = int(rng.integers(0, 3))
-                    if pick == 0:
-                        scripts[b] = silent_script()
-                    elif pick == 1:
-                        scripts[b] = garbage_script(generator(seed, "byz", k))
-                    else:
-                        scripts[b] = equivocating_script(
-                            generator(seed, "byz", k), candidates)
-                inst = ConsensusInstance(0, miners, ExplicitDomain(candidates))
+                    name = ("silent", "garbage", "equivocate")[int(rng.integers(0, 3))]
+                    scripts[b] = SCRIPTS[name](generator(seed, "byz", k), candidates)
                 same = rng.random() < 0.5
                 common = candidates[int(rng.integers(0, len(candidates)))]
+                inputs = {}
                 for mm in miners:
                     if mm in byz:
                         continue
-                    value = (common if same
-                             else candidates[int(rng.integers(0, len(candidates)))])
-                    inst.propose(mm, value)
-                result = run_consensus(inst, scripts, net, log)
+                    inputs[mm] = (common if same
+                                  else candidates[int(rng.integers(0, len(candidates)))])
+                result = run_consensus(inputs, scripts, net, ExplicitDomain(candidates))
                 total += 1
                 decisions = {result.decisions[mm] for mm in result.honest}
                 if len(decisions) != 1:

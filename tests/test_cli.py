@@ -187,6 +187,17 @@ def test_cli_import_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
+def test_a_lottery_run_loads_no_qbc_module():
+    """Only `qbc_analyze` needs the commitment numerics of `qbsim.qbc`."""
+    probe = ("import sys, qbsim.cli; "
+             "from qbsim.scenario import ScenarioConfig, run_scenario; "
+             "run_scenario(ScenarioConfig(protocol='lottery', players=2, ticket_bits=8)); "
+             "print(sorted(m for m in sys.modules if m.startswith('qbsim.qbc')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_both_protocols_share_the_run_options():
     """`--miners`, `--seed`, `--backend`, `--byzantine` and `--key-budget`
     read the same, with help text, in all four protocol commands."""

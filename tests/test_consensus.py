@@ -7,14 +7,11 @@ import pytest
 
 from qbsim.consensus import (
     BOT,
+    SCRIPTS,
     CodecDomain,
-    ConsensusInstance,
     adopt,
-    equivocating_script,
-    garbage_script,
     plurality,
     run_consensus,
-    silent_script,
     tolerated_faults,
 )
 from qbsim.encoding import decode_payload, decode_ticket_list
@@ -37,26 +34,20 @@ def build(n, seed=1, detail=False):
     return miners, net, log
 
 
-def test_propose_validation():
+def test_usage_errors():
+    miners, net, log = build(2, detail=True)
     domain = ExplicitDomain([b"a", b"b"])
-    inst = ConsensusInstance(0, [miner(0), miner(1)], domain)
-    inst.propose(miner(0), b"a")
-    inst.propose(miner(0), b"a")  # idempotent re-proposal
-    assert inst.inputs[miner(0)] == b"a"
-    with pytest.raises(ConsensusUsageError):
-        inst.propose(miner(0), b"b")  # different re-proposal
-    with pytest.raises(ConsensusUsageError):
-        inst.propose(miner(1), b"z")  # outside the domain
-    with pytest.raises(ConsensusUsageError):
-        inst.propose(miner(7), b"a")  # not a participant
+    with pytest.raises(ConsensusUsageError):  # outside the domain
+        run_consensus({miners[0]: b"a", miners[1]: b"z"}, {}, net, domain)
+    with pytest.raises(ConsensusUsageError):  # both honest and Byzantine
+        run_consensus({miners[0]: b"a", miners[1]: b"a"},
+                      {miners[1]: SCRIPTS["silent"](None, [])}, net, domain)
+    assert log.counters == {}  # refused before anything was sent
 
 
 def test_all_honest_identical_input_decides_in_phase_one():
     miners, net, log = build(4)
-    inst = ConsensusInstance(0, miners, ExplicitDomain([b"v"]))
-    for m in miners:
-        inst.propose(m, b"v")
-    result = run_consensus(inst, {}, net, log)
+    result = run_consensus({m: b"v" for m in miners}, {}, net, ExplicitDomain([b"v"]))
     assert all(result.decisions[m] == b"v" for m in miners)
     assert result.decision_phase == 1
     assert not result.guarantees_void
@@ -66,38 +57,31 @@ def test_one_equivocator_among_four_cannot_shake_identical_honest_inputs():
     rng = generator(3, "byz")
     miners, net, log = build(4, seed=3)
     byz = miners[0]  # also the king of phase 1
-    inst = ConsensusInstance(0, miners, ExplicitDomain([b"v", b"w"]))
-    for m in miners:
-        if m != byz:
-            inst.propose(m, b"v")
-    result = run_consensus(inst, {byz: equivocating_script(rng, [b"v", b"w"])}, net, log)
+    result = run_consensus({m: b"v" for m in miners if m != byz},
+                           {byz: SCRIPTS["equivocate"](rng, [b"v", b"w"])}, net,
+                           ExplicitDomain([b"v", b"w"]))
     assert all(result.decisions[m] == b"v" for m in result.honest)
     assert result.decision_phase <= 2  # f_actual + 1
 
 
 def test_boundary_f_equals_n_over_3_flags_guarantees_void():
     miners, net, log = build(3)
-    inst = ConsensusInstance(0, miners, ExplicitDomain([b"v"]))
-    for m in miners[1:]:
-        inst.propose(m, b"v")
-    result = run_consensus(inst, {miners[0]: silent_script()}, net, log)
+    result = run_consensus({m: b"v" for m in miners[1:]},
+                           {miners[0]: SCRIPTS["silent"](None, [b"v"])}, net,
+                           ExplicitDomain([b"v"]))
     assert result.guarantees_void
 
 
 def test_single_miner_decides_its_own_input():
     miners, net, log = build(1)
-    inst = ConsensusInstance(0, miners, ExplicitDomain([b"solo"]))
-    inst.propose(miners[0], b"solo")
-    result = run_consensus(inst, {}, net, log)
+    result = run_consensus({miners[0]: b"solo"}, {}, net, ExplicitDomain([b"solo"]))
     assert result.decisions[miners[0]] == b"solo"
 
 
 def test_two_honest_miners_with_conflicting_inputs_agree_on_bot():
     miners, net, log = build(2)
-    inst = ConsensusInstance(0, miners, ExplicitDomain([b"a", b"b"]))
-    inst.propose(miners[0], b"a")
-    inst.propose(miners[1], b"b")
-    result = run_consensus(inst, {}, net, log)
+    result = run_consensus({miners[0]: b"a", miners[1]: b"b"}, {}, net,
+                           ExplicitDomain([b"a", b"b"]))
     decisions = set(result.decisions.values())
     assert len(decisions) == 1
     assert decisions == {BOT}
@@ -184,11 +168,7 @@ def test_plurality_without_a_concrete_vote_is_bot():
 def test_randomized_agreement_and_validity_small_sweep():
     rng = np.random.default_rng(42)
     candidates = [b"a", b"b", b"c", b"d"]
-    script_factories = [
-        lambda r: silent_script(),
-        lambda r: garbage_script(r),
-        lambda r: equivocating_script(r, candidates),
-    ]
+    script_factories = list(SCRIPTS.values())
     for trial in range(300):
         n = int(rng.choice([4, 7]))
         seed = int(rng.integers(0, 2**60))
@@ -199,16 +179,16 @@ def test_randomized_agreement_and_validity_small_sweep():
         scripts = {}
         for i, m in enumerate(sorted(byz_miners)):
             factory = script_factories[int(rng.integers(0, len(script_factories)))]
-            scripts[m] = factory(generator(seed, "byz", i))
-        inst = ConsensusInstance(0, miners, ExplicitDomain(candidates))
+            scripts[m] = factory(generator(seed, "byz", i), candidates)
         same_input = rng.random() < 0.5
         common = candidates[int(rng.integers(0, len(candidates)))]
+        inputs = {}
         for m in miners:
             if m in byz_miners:
                 continue
             value = common if same_input else candidates[int(rng.integers(0, len(candidates)))]
-            inst.propose(m, value)
-        result = run_consensus(inst, scripts, net, log)
+            inputs[m] = value
+        result = run_consensus(inputs, scripts, net, ExplicitDomain(candidates))
         honest_values = {result.decisions[m] for m in result.honest}
         assert len(honest_values) == 1, f"agreement violated on trial {trial}"
         if same_input:
@@ -220,11 +200,9 @@ def test_same_seed_same_decision_and_transcript():
     def run(seed):
         miners, net, log = build(4, seed=seed, detail=True)
         rng = generator(seed, "byz")
-        inst = ConsensusInstance(0, miners, ExplicitDomain([b"a", b"b"]))
-        for m in miners[1:]:
-            inst.propose(m, b"a" if m.index % 2 else b"b")
-        result = run_consensus(inst, {miners[0]: equivocating_script(rng, [b"a", b"b"])},
-                               net, log)
+        result = run_consensus({m: b"a" if m.index % 2 else b"b" for m in miners[1:]},
+                               {miners[0]: SCRIPTS["equivocate"](rng, [b"a", b"b"])},
+                               net, ExplicitDomain([b"a", b"b"]))
         return result.decisions, log.records
 
     assert run(17) == run(17)

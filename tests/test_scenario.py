@@ -175,6 +175,18 @@ def test_qbc_analyze_scenario_inline_scheme():
     assert analysis["witness_residual"] < 1e-6
 
 
+def test_qbc_analyze_refuses_an_inline_scheme_next_to_a_scheme_file():
+    """The inline scheme would run while the report's config names the
+    file: one violation, not a report of the wrong scheme."""
+    from qbsim.qbc import product_scheme, scheme_to_dict
+
+    config = ScenarioConfig(protocol="qbc_analyze", scheme=scheme_to_dict(product_scheme()),
+                            scheme_file="schemes/bell_pair.json")
+    with pytest.raises(ConfigError) as err:
+        run_scenario(config)
+    assert len(err.value.violations) == 1
+
+
 def test_byzantine_miner_config_end_to_end():
     # one equivocating miner among four cannot disturb an honest lottery
     config = lottery_config(miners=4, byzantine_miners={"0": "equivocate"})
@@ -207,6 +219,25 @@ def test_byzantine_config_validation():
     with pytest.raises(ConfigError) as err:
         all_byz.params()
     assert any("honest miner" in p for p in err.value.violations)
+
+
+@pytest.mark.parametrize("config", [
+    lottery_config(player_policies={"1": "fixed:00000000", "01": "fixed:11111111",
+                                    "\u0663": "honest"}, players=4),
+    auction_config(buyer_policies={"1": "fixed:3", "01": "fixed:7", "\u0663": "fixed:5"},
+                   buyers=4),
+    lottery_config(miners=4, byzantine_miners={"0": "silent", "00": "garbage",
+                                               "\u0663": "silent"}),
+], ids=["player", "buyer", "byzantine"])
+def test_index_keys_must_be_canonical(config):
+    """A key with a leading zero, or with a digit outside ASCII, would
+    silently run as (or overwrite) the index it spells; each is listed."""
+    with pytest.raises(ConfigError) as err:
+        config.params()
+    violations = err.value.violations
+    assert len(violations) == 2
+    assert [v for v in violations if repr("\u0663") in v]
+    assert [v for v in violations if "'01'" in v or "'00'" in v]
 
 
 def test_boundary_fault_set_flags_guarantees_void():
