@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .bits import BitString
 from .encoding import (
     MAX_BID_BITS,
@@ -247,7 +245,7 @@ def _seller_claim(params: AuctionParams, ctx: SimContext, accepted: dict):
     elif policy is SellerPolicy.INFLATE_BID:
         reason = "no headroom above the true maximum"
         if true_bid < params.bid_cap:
-            inflated = int(rng.integers(true_bid + 1, params.bid_cap + 1, dtype=np.uint64))
+            inflated = rng.integers(true_bid + 1, params.bid_cap + 1)
             return true_winner, inflated, honest_losers, False
     elif not honest_losers:  # DROP_LOSER from here on
         reason = "no losing bids to drop"
@@ -282,10 +280,9 @@ def run_valid_auction(params: AuctionParams) -> AuctionRunResult:
     s = seller()
     ctx = make_context(params.seed, [s] + buyers + miners, params.key_budget,
                        params.detail)
-    # uint64 reaches the 64-bit cap; below it the draw equals int64's
     commit_bids, open_bids = scripted_values(
         params.buyer_policies, params.buyers,
-        lambda i: int(ctx.rng("buyer", i).integers(1, params.bid_cap + 1, dtype=np.uint64)))
+        lambda i: ctx.rng("buyer", i).integers(1, params.bid_cap + 1))
     width = params.bid_width
 
     # phase 1: every buyer commits his bid to the seller and to all miners

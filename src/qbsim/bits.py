@@ -53,7 +53,8 @@ class BitString:
 
     @classmethod
     def random(cls, rng, length: int) -> "BitString":
-        # numpy integers() is bounded to 64 bits; draw in 32-bit limbs.
+        # one draw per 32-bit limb, most significant first; another limb
+        # width would change every seeded ticket
         value = 0
         remaining = length
         while remaining > 0:

@@ -144,8 +144,9 @@ class CommitmentRegistry:
             return self._finish(record, OpenResult.accept(record.value))
 
         p = record.backend.detection_prob_per_bit
-        # at p = 1 every draw would detect: no draw can change the outcome
-        if p == 1.0 or (self._rng.random(flipped) < p).any():
+        # at p = 1 every draw would detect: no draw can change the outcome;
+        # below it every flipped bit takes its draw, detected or not
+        if p == 1.0 or any([self._rng.random() < p for _ in range(flipped)]):
             return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION))
         # cheat slipped through: the receiver accepts the claimed value
         return self._finish(record, OpenResult.accept(claimed))

@@ -28,6 +28,7 @@ from .auction import (
     run_valid_auction,
 )
 from .commitment import parse_backend
+from .encoding import MAX_COUNT
 from .errors import ConfigError, QbsimError, ReportError
 from .jsonfile import read_json
 from .keystore import DEFAULT_BUDGET
@@ -131,16 +132,19 @@ class ScenarioConfig:
 
 
 _INT_FIELDS = frozenset(f.name for f in fields(ScenarioConfig) if f.type == "int")
+_INDEX_DIGITS = len(str(MAX_COUNT))  # no party count exceeds MAX_COUNT
 
 
 def _by_index(texts: dict[str, str], role: str, problems: list, parse) -> dict[int, Any]:
     """Each text parsed and keyed by its party index; keys that are not
     an index in its one form, ASCII digits without a leading zero (so
-    neither "01" nor an Arabic-Indic digit stands in for "1"), and texts
-    that do not parse go to `problems`."""
+    neither "01" nor an Arabic-Indic digit stands in for "1"), keys with
+    more digits than any index (which `int()` may refuse to read), and
+    texts that do not parse go to `problems`."""
     out = {}
     for key, text in sorted(texts.items()):
-        if not (key.isascii() and key.isdecimal()) or (key[0] == "0" and key != "0"):
+        if (not (key.isascii() and key.isdecimal()) or (key[0] == "0" and key != "0")
+                or len(key) > _INDEX_DIGITS):
             problems.append(f"{role} entry for unknown {role} {key!r}")
             continue
         try:

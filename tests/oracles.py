@@ -7,8 +7,11 @@ the one fixture: a small consensus domain the tests can enumerate.
 """
 
 import copy
+import hashlib
 import struct
 from fractions import Fraction
+
+import numpy as np
 
 from qbsim.consensus import BOT
 
@@ -167,3 +170,27 @@ def report_v1(report: dict) -> dict:
                                       "value": value}
                                      for (phase, round_, sender), value in transcript.items()]
     return v1
+
+
+def _numpy_seed_sequence(master_seed, *path) -> np.random.SeedSequence:
+    entropy = []
+    for item in path:
+        if isinstance(item, (int, np.integer)):
+            entropy.append(int(item) & 0xFFFFFFFF)
+            entropy.append((int(item) >> 32) & 0xFFFFFFFF)
+        else:
+            digest = hashlib.sha256(str(item).encode("utf-8")).digest()
+            entropy.append(int.from_bytes(digest[:4], "big"))
+            entropy.append(int.from_bytes(digest[4:8], "big"))
+    return np.random.SeedSequence([master_seed & 0xFFFFFFFFFFFFFFFF] + entropy)
+
+
+def numpy_generator(master_seed, *path) -> np.random.Generator:
+    """The substream `qbsim.rng.generator` names, built by numpy itself."""
+    return np.random.Generator(np.random.PCG64(_numpy_seed_sequence(master_seed, *path)))
+
+
+def numpy_derive_seed(master_seed, *path) -> int:
+    """`qbsim.rng.derive_seed` by numpy's SeedSequence."""
+    state = _numpy_seed_sequence(master_seed, *path).generate_state(1, np.uint64)[0]
+    return int(state) & 0x7FFFFFFFFFFFFFFF

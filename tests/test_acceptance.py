@@ -44,7 +44,12 @@ from qbsim.rng import generator
 from qbsim.scenario import ScenarioConfig, canonical_report_bytes, run_scenario
 from qbsim.transport import Network
 
-from oracles import ExplicitDomain, auction_argmax, lottery_result_matches_ledger
+from oracles import (
+    ExplicitDomain,
+    auction_argmax,
+    lottery_result_matches_ledger,
+    numpy_generator,
+)
 
 
 @contextmanager
@@ -237,7 +242,7 @@ def test_criterion_7_consensus():
             f_tol = tolerated_faults(n)
             for i in range(runs):
                 seed = 1_000_000 * n + i
-                rng = generator(seed, "driver")
+                rng = numpy_generator(seed, "driver")
                 miners = [miner(j) for j in range(n)]
                 log = EventLog(detail=False)
                 net = Network(miners, KeyStore(seed), scheduler_seed=seed, log=log)

@@ -198,6 +198,21 @@ def test_a_lottery_run_loads_no_qbc_module():
     assert out.strip() == "[]"
 
 
+def test_lottery_and_auction_runs_and_batches_load_no_numpy():
+    """numpy serves the commitment numerics of `qbsim.qbc` only."""
+    probe = ("import sys, qbsim.cli; "
+             "from qbsim.batch import run_batch; "
+             "from qbsim.scenario import ScenarioConfig, run_scenario; "
+             "run_scenario(ScenarioConfig(protocol='lottery', players=2, ticket_bits=8)); "
+             "run_scenario(ScenarioConfig(protocol='auction', buyers=3)); "
+             "run_batch(ScenarioConfig(protocol='lottery', players=2, ticket_bits=8,"
+             " detail_log=False), runs=4); "
+             "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_both_protocols_share_the_run_options():
     """`--miners`, `--seed`, `--backend`, `--byzantine` and `--key-budget`
     read the same, with help text, in all four protocol commands."""
@@ -253,6 +268,21 @@ UNREADABLE_OR_UNWRITABLE = {
 @pytest.mark.parametrize("name", sorted(UNREADABLE_OR_UNWRITABLE))
 def test_a_file_that_cannot_be_read_or_written_exits_one_with_one_error_line(name, tmp_path):
     assert_one_error_line(run_cli(*UNREADABLE_OR_UNWRITABLE[name](tmp_path)))
+
+
+def test_an_index_key_too_long_for_int_exits_one_with_one_violation(tmp_path):
+    """A key of more digits than `int()` reads from text is an unknown
+    player like any other: one violation under the `ConfigError`
+    heading, not a raw ValueError traceback."""
+    path = config_file(tmp_path / "config.json", {
+        "protocol": "lottery", "players": 2, "ticket_bits": 4,
+        "player_policies": {"1" * 4301: "honest"}})
+    done = run_cli("lottery", "run", "--config", path)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    heading, violation = done.stderr.splitlines()
+    assert heading == "invalid configuration:"
+    assert violation.startswith("  - player entry for unknown player '1111")
 
 
 def saved_report(tmp_path, restate) -> Path:
