@@ -20,7 +20,6 @@ someone actually cheated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .bits import BitString
 from .encoding import (
@@ -41,11 +40,14 @@ from .ledger import RecordKind
 from .parties import PartyId, buyer, miner, seller
 from .runtime import (
     FinalizedRun,
+    Policy,
     RunParams,
     SimContext,
     count_violations,
     finalize,
     make_context,
+    parse_policy,
+    policy_violations,
     run_violations,
     scripted_values,
 )
@@ -55,62 +57,28 @@ DEFAULT_BID_WIDTH = 32
 
 # --------------------------------------------------------------- policies
 
-
-@dataclass(frozen=True)
-class HonestBuyer:
-    """Uniform random bid, opened faithfully."""
-
-    values = ()  # drawn at run time
-
-
-@dataclass(frozen=True)
-class FixedBid:
-    value: int
-
-    @property
-    def values(self) -> tuple:
-        return (self.value,)
+# each name with the placeholders of its values: `honest` draws a uniform
+# bid, `fixed` commits and opens a chosen one, `change` commits one bid and
+# tries to open another, and `complain` bids like `fixed` but complains in
+# verification although its bid is listed, which exercises the
+# false-accuser check
+BUYER_POLICIES = {"honest": (), "fixed": ("V",), "change": ("V", "W"), "complain": ("V",)}
+SELLER_POLICIES = ("honest", "wrong-winner", "inflate", "drop-loser")
+_BID_DIGITS = len(str((1 << MAX_BID_BITS) - 1))
 
 
-@dataclass(frozen=True)
-class ChangeBid:
-    """Commits one bid, attempts to open another."""
-
-    commit_value: int
-    open_value: int
-
-    @property
-    def values(self) -> tuple:
-        return (self.commit_value, self.open_value)
+def _read_bid(text: str) -> int:
+    """A bid in its one spelling: ASCII digits without a leading zero, no
+    more than the widest bid has."""
+    if (not (text.isascii() and text.isdecimal()) or (text[0] == "0" and text != "0")
+            or len(text) > _BID_DIGITS):
+        raise QbsimError(f"bids must be at most {_BID_DIGITS} ASCII digits "
+                         "without a leading zero")
+    return int(text)
 
 
-@dataclass(frozen=True)
-class Complainer(FixedBid):
-    """Bids honestly but complains during verification even though his
-    value is in the published list; exercises the false-accuser check."""
-
-
-BuyerPolicy = HonestBuyer | FixedBid | ChangeBid | Complainer
-
-
-class SellerPolicy(Enum):
-    HONEST = "honest"
-    WRONG_WINNER = "wrong-winner"
-    INFLATE_BID = "inflate"
-    DROP_LOSER = "drop-loser"
-
-
-def parse_buyer_policy(text: str) -> BuyerPolicy:
-    name, *values = text.split(":")
-    policy = {("honest", 0): HonestBuyer, ("fixed", 1): FixedBid, ("change", 2): ChangeBid,
-              ("complain", 1): Complainer}.get((name, len(values)))
-    if policy is None:
-        raise QbsimError(f"unknown buyer policy {text!r} "
-                         "(expected honest, fixed:V, change:V:W or complain:V)")
-    try:
-        return policy(*map(int, values))
-    except ValueError:
-        raise QbsimError(f"buyer policy {text!r}: bids must be integers") from None
+def parse_buyer_policy(text: str) -> Policy:
+    return parse_policy(text, "buyer", BUYER_POLICIES, _read_bid)
 
 
 # ------------------------------------------------------------ pure pieces
@@ -181,8 +149,8 @@ def output_from_body(body: bytes) -> VerificationOutput:
 class AuctionParams(RunParams):
     buyers: int
     bid_width: int = DEFAULT_BID_WIDTH
-    buyer_policies: dict[int, BuyerPolicy] = field(default_factory=dict)
-    seller_policy: SellerPolicy = SellerPolicy.HONEST
+    buyer_policies: dict[int, Policy] = field(default_factory=dict)
+    seller_policy: str = "honest"
 
     @property
     def bid_cap(self) -> int:
@@ -207,13 +175,14 @@ def auction_violations(params: AuctionParams) -> list[str]:
     widths."""
     out = [*count_violations("buyers", params.buyers, 2),
            *count_violations("bid_width", params.bid_width, 1, MAX_BID_BITS)]
+    if params.seller_policy not in SELLER_POLICIES:
+        out.append(f"seller policy must be {'|'.join(SELLER_POLICIES)}, "
+                   f"got {params.seller_policy!r}")
     width_ok = 1 <= params.bid_width <= MAX_BID_BITS
-    for i, policy in sorted(params.buyer_policies.items()):
-        if not 0 <= i < params.buyers:
-            out.append(f"buyer policy for unknown buyer {i}")
-        elif width_ok:
-            out += [f"buyer {i} bid {v} outside [1, {params.bid_cap}]"
-                    for v in policy.values if not 1 <= v <= params.bid_cap]
+    out += policy_violations(
+        "buyer", params.buyer_policies, params.buyers, BUYER_POLICIES,
+        lambda i, bids: [f"buyer {i} bid {v} outside [1, {params.bid_cap}]"
+                         for v in bids if width_ok and not 1 <= v <= params.bid_cap])
     # a buyer and a miner: commit notice, claim list, response, and an
     # open request and opening for a complaint or a multiplicity conflict
     return out + run_violations(params, party_blocks=5)
@@ -230,11 +199,11 @@ def _seller_claim(params: AuctionParams, ctx: SimContext, accepted: dict):
     true_winner, true_bid = decide_winner(bids, ctx.rng("seller", "tiebreak"))
     honest_losers = permute_losing(bids, parties.index(true_winner), ctx.rng("seller", "permute"))
     policy = params.seller_policy
-    if policy is SellerPolicy.HONEST:
+    if policy == "honest":
         return true_winner, true_bid, honest_losers, False
     rng = ctx.rng("seller", "forgery")
 
-    if policy is SellerPolicy.WRONG_WINNER:
+    if policy == "wrong-winner":
         non_maximal = [(b, v) for b, v in bids if v < true_bid]
         reason = "no non-maximal bidder"
         if non_maximal:
@@ -242,12 +211,12 @@ def _seller_claim(params: AuctionParams, ctx: SimContext, accepted: dict):
             losing = permute_losing([(b, min(v, bid)) for b, v in bids], parties.index(winner),
                                     ctx.rng("seller", "permute2"))
             return winner, bid, losing, False
-    elif policy is SellerPolicy.INFLATE_BID:
+    elif policy == "inflate":
         reason = "no headroom above the true maximum"
         if true_bid < params.bid_cap:
             inflated = rng.integers(true_bid + 1, params.bid_cap + 1)
             return true_winner, inflated, honest_losers, False
-    elif not honest_losers:  # DROP_LOSER from here on
+    elif not honest_losers:  # drop-loser from here on
         reason = "no losing bids to drop"
     else:
         # replace one losing bid with another value <= the maximum
@@ -261,7 +230,7 @@ def _seller_claim(params: AuctionParams, ctx: SimContext, accepted: dict):
             forged = list(honest_losers)
             forged[victim_pos] = substitutes[int(rng.integers(0, len(substitutes)))]
             return true_winner, true_bid, forged, False
-    ctx.log.append("seller_policy_degenerate", policy=policy.value, reason=reason)
+    ctx.log.append("seller_policy_degenerate", policy=policy, reason=reason)
     return true_winner, true_bid, honest_losers, True
 
 
@@ -320,7 +289,7 @@ def run_valid_auction(params: AuctionParams) -> AuctionRunResult:
     # phase 4: per-miner verification; with no bid there is nothing to verify
     ctx.log.append("phase", protocol="auction", phase=4, name="verification")
     verification = _Verification(ctx, revealed, ids, {
-        buyer(i) for i, policy in params.buyer_policies.items() if isinstance(policy, Complainer)})
+        buyer(i) for i, policy in params.buyer_policies.items() if policy.name == "complain"})
     outputs: dict[PartyId, VerificationOutput] = {}
     for m in miners:
         outputs[m] = verification.verify(m, claim) if claim else VerificationOutput(valid=False)

@@ -14,7 +14,7 @@ import time
 
 import click
 
-from .auction import SellerPolicy
+from .auction import BUYER_POLICIES, SELLER_POLICIES
 from .batch import run_batch
 from .consensus import MINER_SCRIPT_NAMES
 from .encoding import decode_ticket_list, decode_verification_output
@@ -22,7 +22,8 @@ from .errors import ConfigError, QbsimError, ReportError
 from .jsonfile import read_json
 from .keystore import DEFAULT_BUDGET
 from .ledger import RecordKind
-from .lottery import CHEAT_POLICIES
+from .lottery import CHEAT_POLICIES, PLAYER_POLICIES
+from .runtime import policy_usages
 from .scenario import (ScenarioConfig, canonical_report_bytes, emit_report, run_scenario,
                        validate_report)
 
@@ -133,7 +134,7 @@ _protocol_commands(lottery, "lottery", [
     click.option("--policy", "cheat_policy", default="exclude", show_default=True,
                  type=click.Choice(CHEAT_POLICIES), help="cheat handling policy"),
     click.option("--player-policy", "player_policies", multiple=True, metavar="INDEX=SPEC",
-                 help="honest | fixed:BITS | equivocate:BITS:BITS (repeatable)"),
+                 help=f"{' | '.join(policy_usages(PLAYER_POLICIES))} (repeatable)"),
 ], "Aggregate winning-bit frequencies and chi-square over many runs.")
 
 
@@ -147,9 +148,9 @@ _protocol_commands(auction, "auction", [
     click.option("--bid-width", "-w", default=32, show_default=True,
                  help="bids range over [1, 2^w - 1]"),
     click.option("--seller-policy", default="honest", show_default=True,
-                 type=click.Choice([policy.value for policy in SellerPolicy])),
+                 type=click.Choice(SELLER_POLICIES)),
     click.option("--buyer-policy", "buyer_policies", multiple=True, metavar="INDEX=SPEC",
-                 help="honest | fixed:V | change:V:W | complain:V (repeatable)"),
+                 help=f"{' | '.join(policy_usages(BUYER_POLICIES))} (repeatable)"),
 ], "Aggregate winner frequencies and detection rates over many runs.")
 
 

@@ -26,10 +26,13 @@ from .ledger import RecordKind
 from .parties import PartyId, miner, player
 from .runtime import (
     FinalizedRun,
+    Policy,
     RunParams,
     count_violations,
     finalize,
     make_context,
+    parse_policy,
+    policy_violations,
     run_violations,
     scripted_values,
 )
@@ -41,51 +44,14 @@ CHEAT_POLICIES = (CHEAT_POLICY_EXCLUDE, CHEAT_POLICY_ABORT)
 
 # ------------------------------------------------------- player policies
 
-
-@dataclass(frozen=True)
-class HonestPlayer:
-    """Uniform random ticket, opened faithfully."""
-
-    values = ()  # drawn at run time
+# each name with the placeholders of its values: `honest` draws a uniform
+# ticket, `fixed` commits and opens a chosen one, `equivocate` commits one
+# ticket and tries to open another
+PLAYER_POLICIES = {"honest": (), "fixed": ("BITS",), "equivocate": ("BITS", "BITS")}
 
 
-@dataclass(frozen=True)
-class FixedTicket:
-    """Adversarially chosen ticket, opened faithfully."""
-
-    ticket: BitString
-
-    @property
-    def values(self) -> tuple:
-        return (self.ticket,)
-
-
-@dataclass(frozen=True)
-class Equivocator:
-    """Commits one ticket, attempts to open another."""
-
-    commit_ticket: BitString
-    open_ticket: BitString
-
-    @property
-    def values(self) -> tuple:
-        return (self.commit_ticket, self.open_ticket)
-
-
-PlayerPolicy = HonestPlayer | FixedTicket | Equivocator
-
-
-def parse_player_policy(text: str, ticket_bits: int) -> PlayerPolicy:
-    name, *texts = text.split(":")
-    policy = {("honest", 0): HonestPlayer, ("fixed", 1): FixedTicket,
-              ("equivocate", 2): Equivocator}.get((name, len(texts)))
-    if policy is None:
-        raise QbsimError(f"unknown player policy {text!r} "
-                         "(expected honest, fixed:BITS or equivocate:BITS:BITS)")
-    tickets = [BitString.from_text(t) for t in texts]
-    if any(len(t) != ticket_bits for t in tickets):
-        raise QbsimError(f"policy tickets must have length {ticket_bits}")
-    return policy(*tickets)
+def parse_player_policy(text: str) -> Policy:
+    return parse_policy(text, "player", PLAYER_POLICIES, BitString.from_text)
 
 
 # ----------------------------------------------------------- pure pieces
@@ -169,7 +135,7 @@ def determine_outcome(entries, ticket_bits: int, cheat_policy: str) -> LotteryOu
 class LotteryParams(RunParams):
     players: int
     ticket_bits: int
-    policies: dict[int, PlayerPolicy] = field(default_factory=dict)
+    policies: dict[int, Policy] = field(default_factory=dict)
     cheat_policy: str = CHEAT_POLICY_EXCLUDE
 
 
@@ -186,11 +152,11 @@ def lottery_violations(params: LotteryParams) -> list[str]:
            *count_violations("ticket_bits", params.ticket_bits, 1)]
     if params.cheat_policy not in CHEAT_POLICIES:
         out.append(f"cheat policy must be {'|'.join(CHEAT_POLICIES)}, got {params.cheat_policy!r}")
-    for i, policy in sorted(params.policies.items()):
-        if not 0 <= i < params.players:
-            out.append(f"player policy for unknown player {i}")
-        elif any(len(t) != params.ticket_bits for t in policy.values):
-            out.append(f"player {i}: policy tickets must have length {params.ticket_bits}")
+    bits = params.ticket_bits
+    out += policy_violations(
+        "player", params.policies, params.players, PLAYER_POLICIES,
+        lambda i, tickets: [f"player {i}: policy tickets must have length {bits}"]
+        if any(len(t) != bits for t in tickets) else [])
     return out + run_violations(params, party_blocks=2)  # commit notice and open
 
 

@@ -1,11 +1,12 @@
 """Shared per-run machinery: the parameters and results every protocol
-run shares, parties, network, commitment registry, log, the commit/open
-exchange, the limits every protocol shares, and consensus-to-ledger
-finalization."""
+run shares, scripted party policies, parties, network, commitment
+registry, log, the commit/open exchange, the limits every protocol
+shares, and consensus-to-ledger finalization."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .commitment import IDEAL, Backend, CommitmentRegistry, OpenResult
 from .consensus import (
@@ -18,6 +19,7 @@ from .consensus import (
     run_consensus,
 )
 from .encoding import MAX_COUNT, decode_payload, encode_commit_notify
+from .errors import QbsimError
 from .eventlog import EventLog
 from .keystore import DEFAULT_BUDGET, KeyStore
 from .ledger import MinerLedger, RecordKind, ledgers_consistent
@@ -76,10 +78,59 @@ def make_context(seed: int, parties, key_budget: int, detail: bool) -> SimContex
     return SimContext(seed=seed, log=log, network=network, registry=registry)
 
 
+class Policy(NamedTuple):
+    """A scripted party as its config text `name:value:...` spells it:
+    no values (drawn at run time), one value, or the committed value and
+    then the opened one."""
+
+    name: str
+    values: tuple = ()
+
+
+def policy_usages(table: dict) -> list[str]:
+    """Each policy of a table, which maps a name to the placeholders of
+    its values, as a config text spells it: `fixed:V`."""
+    return [":".join((name, *slots)) for name, slots in table.items()]
+
+
+def _defines(table: dict, name: str, arity: int) -> bool:
+    return name in table and len(table[name]) == arity
+
+
+def parse_policy(text: str, role: str, table: dict, convert) -> Policy:
+    """The policy `text` names in `table`, each value run through
+    `convert`; a name the table lacks, a count of values other than its
+    placeholders' and a value `convert` refuses raise `QbsimError`."""
+    name, *texts = text.split(":")
+    if not _defines(table, name, len(texts)):
+        *first, last = policy_usages(table)
+        raise QbsimError(f"unknown {role} policy {text!r} "
+                         f"(expected {', '.join(first)} or {last})")
+    try:
+        return Policy(name, tuple(map(convert, texts)))
+    except QbsimError as exc:
+        raise QbsimError(f"{role} policy {text!r}: {exc}") from None
+
+
+def policy_violations(role: str, policies: dict, count: int, table: dict, check) -> list[str]:
+    """Policies for a party index outside [0, count), or whose name and
+    value count `table` does not define, and `check(index, values)` for
+    the rest."""
+    out = []
+    for i, policy in sorted(policies.items()):
+        if not 0 <= i < count:
+            out.append(f"{role} policy for unknown {role} {i}")
+        elif not _defines(table, policy.name, len(policy.values)):
+            out.append(f"{role} {i}: unknown policy {policy!r}")
+        else:
+            out += check(i, policy.values)
+    return out
+
+
 def scripted_values(policies: dict, count: int, draw) -> tuple[dict, dict]:
     """The value each of `count` parties commits and the one it opens.
-    A policy's `values` holds one value, or the committed and then the
-    opened one; a party without values gets `draw(index)`."""
+    A `Policy` holds one value, or the committed and then the opened
+    one; a party without values gets `draw(index)`."""
     committed, opened = {}, {}
     for i in range(count):
         values = policies[i].values if i in policies else ()

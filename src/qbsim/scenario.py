@@ -19,7 +19,6 @@ from typing import Any
 from . import __version__
 from .auction import (
     AuctionParams,
-    SellerPolicy,
     auction_violations,
     bid_privacy_violations,
     complaint_openings,
@@ -113,20 +112,14 @@ class ScenarioConfig:
                       key_budget=self.key_budget, detail=self.detail_log,
                       byzantine_miners=byzantine)
         if self.protocol == "lottery":
-            policies = _by_index(self.player_policies, "player", problems,
-                                 lambda text: parse_player_policy(text, self.ticket_bits))
+            policies = _by_index(self.player_policies, "player", problems, parse_player_policy)
             params = LotteryParams(players=self.players, ticket_bits=self.ticket_bits,
                                    policies=policies, cheat_policy=self.cheat_policy, **common)
             ConfigError.check(problems + lottery_violations(params))
             return params
-        try:
-            seller_policy = SellerPolicy(self.seller_policy)
-        except ValueError:
-            problems.append(f"unknown seller policy {self.seller_policy!r}")
-            seller_policy = None
         policies = _by_index(self.buyer_policies, "buyer", problems, parse_buyer_policy)
         params = AuctionParams(buyers=self.buyers, bid_width=self.bid_width,
-                               buyer_policies=policies, seller_policy=seller_policy, **common)
+                               buyer_policies=policies, seller_policy=self.seller_policy, **common)
         ConfigError.check(problems + auction_violations(params))
         return params
 

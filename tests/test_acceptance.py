@@ -13,8 +13,6 @@ from scipy.optimize import minimize
 
 from qbsim.auction import (
     AuctionParams,
-    FixedBid,
-    SellerPolicy,
     complaint_openings,
     posterior_privacy_violations,
     run_auction,
@@ -25,7 +23,7 @@ from qbsim.commitment import IDEAL, CommitmentRegistry, parse_backend
 from qbsim.consensus import SCRIPTS, run_consensus, tolerated_faults
 from qbsim.eventlog import EventLog
 from qbsim.keystore import KeyStore
-from qbsim.lottery import Equivocator, FixedTicket, LotteryParams, run_lottery
+from qbsim.lottery import LotteryParams, run_lottery
 from qbsim.parties import miner, player, seller
 from qbsim.qbc import (
     DensityOperator,
@@ -41,6 +39,7 @@ from qbsim.qbc import (
     trace_distance,
 )
 from qbsim.rng import generator
+from qbsim.runtime import Policy
 from qbsim.scenario import ScenarioConfig, canonical_report_bytes, run_scenario
 from qbsim.transport import Network
 
@@ -94,8 +93,8 @@ def test_criterion_2_lottery_unforgeability():
         for i in range(1_000):
             params = LotteryParams(
                 players=3, ticket_bits=8, miners=2, seed=37_000 + i, detail=False, policies={
-                    1: Equivocator(BitString.from_text("00000000"),
-                                   BitString.from_text("11111111"))})
+                    1: Policy("equivocate", (BitString.from_text("00000000"),
+                                             BitString.from_text("11111111")))})
             result = run_lottery(params)
             if player(1) in result.cheaters and 1 in result.outcome.excluded:
                 rejected_runs += 1
@@ -133,10 +132,10 @@ def test_criterion_3_lottery_verifiability():
                 cheat_idx = int(rng.integers(0, players))
                 first = BitString.random(rng, ticket_bits)
                 second = first.flip(int(rng.integers(0, ticket_bits)))
-                policies[cheat_idx] = Equivocator(first, second)
+                policies[cheat_idx] = Policy("equivocate", (first, second))
             elif roll < 0.3:
                 fixed_idx = int(rng.integers(0, players))
-                policies[fixed_idx] = FixedTicket(BitString.random(rng, ticket_bits))
+                policies[fixed_idx] = Policy("fixed", (BitString.random(rng, ticket_bits),))
             cheat_policy = "abort" if rng.random() < 0.1 else "exclude"
             params = LotteryParams(
                 players=players, ticket_bits=ticket_bits,
@@ -164,7 +163,7 @@ def test_criterion_4_auction_winner_correctness():
             params = AuctionParams(
                 buyers=m, miners=int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
                 bid_width=16, detail=False,
-                buyer_policies={i: FixedBid(v) for i, v in enumerate(values)})
+                buyer_policies={i: Policy("fixed", (v,)) for i, v in enumerate(values)})
             result = run_auction(params)
             top, argmax = auction_argmax(dict(enumerate(values)))
             out = result.outcome
@@ -179,7 +178,7 @@ def test_criterion_4_auction_winner_correctness():
         for i in range(10_000):
             result = run_auction(AuctionParams(
                 buyers=2, miners=1, seed=91_000_000 + i, bid_width=8, detail=False,
-                buyer_policies={0: FixedBid(4), 1: FixedBid(4)}))
+                buyer_policies={0: Policy("fixed", (4,)), 1: Policy("fixed", (4,))}))
             wins[result.outcome.winner.index] += 1
         sigma = (10_000 * 0.25) ** 0.5
         assert abs(wins[0] - 5_000) <= 3 * sigma, wins
@@ -198,8 +197,9 @@ def test_criterion_5_cheating_seller_detection():
                 values = rng.choice(np.arange(1, 2**16), size=m, replace=False)
                 params = AuctionParams(
                     buyers=m, miners=int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
-                    bid_width=17, detail=False, seller_policy=SellerPolicy(policy),
-                    buyer_policies={i: FixedBid(int(v)) for i, v in enumerate(values)})
+                    bid_width=17, detail=False, seller_policy=policy,
+                    buyer_policies={i: Policy("fixed", (int(v),))
+                                    for i, v in enumerate(values)})
                 result = run_auction(params)
                 assert not result.degenerate_policy, (policy, values)
                 some_bot = any(not out.valid

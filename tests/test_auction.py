@@ -6,11 +6,6 @@ import pytest
 from qbsim import auction
 from qbsim.auction import (
     AuctionParams,
-    ChangeBid,
-    Complainer,
-    FixedBid,
-    HonestBuyer,
-    SellerPolicy,
     bid_privacy_violations,
     complaint_openings,
     decide_winner,
@@ -21,13 +16,14 @@ from qbsim.auction import (
 )
 from qbsim.commitment import parse_backend
 from qbsim.encoding import encode_open_request
-from qbsim.errors import QbsimError
+from qbsim.errors import ConfigError, QbsimError
 from qbsim.parties import buyer, miner, seller
+from qbsim.runtime import Policy
 from qbsim.scenario import ScenarioConfig, run_scenario, validate_report
 
 
 def fixed_bids(*values):
-    return {i: FixedBid(v) for i, v in enumerate(values)}
+    return {i: Policy("fixed", (v,)) for i, v in enumerate(values)}
 
 
 # ------------------------------------------------------------ pure pieces
@@ -145,7 +141,7 @@ def test_honest_duplicate_losing_bids_need_no_openings():
 def test_wrong_winner_detected():
     # reported winner buyer 2 (bid 5); buyer 1's bid 7 vanishes from the
     # combined list, the complaint is upheld, every miner outputs bot
-    params = AuctionParams(buyers=3, miners=2, seed=13, seller_policy=SellerPolicy.WRONG_WINNER,
+    params = AuctionParams(buyers=3, miners=2, seed=13, seller_policy="wrong-winner",
                            buyer_policies=fixed_bids(3, 7, 5))
     result = run_auction(params)
     assert not result.outcome.valid
@@ -156,7 +152,7 @@ def test_wrong_winner_detected():
 
 
 def test_inflate_bid_detected():
-    params = AuctionParams(buyers=3, miners=2, seed=14, seller_policy=SellerPolicy.INFLATE_BID,
+    params = AuctionParams(buyers=3, miners=2, seed=14, seller_policy="inflate",
                            buyer_policies=fixed_bids(3, 7, 5))
     result = run_auction(params)
     assert not result.outcome.valid
@@ -164,7 +160,7 @@ def test_inflate_bid_detected():
 
 
 def test_drop_loser_detected():
-    params = AuctionParams(buyers=3, miners=2, seed=15, seller_policy=SellerPolicy.DROP_LOSER,
+    params = AuctionParams(buyers=3, miners=2, seed=15, seller_policy="drop-loser",
                            buyer_policies=fixed_bids(3, 7, 5))
     result = run_auction(params)
     assert not result.outcome.valid
@@ -174,12 +170,12 @@ def test_drop_loser_detected():
 def test_drop_duplicate_loser_detected_by_multiplicity():
     # two buyers bid 4; dropping one of them keeps the value present, so
     # only the claimant/multiplicity check can catch it
-    params = AuctionParams(buyers=4, miners=2, seed=16, seller_policy=SellerPolicy.DROP_LOSER,
+    params = AuctionParams(buyers=4, miners=2, seed=16, seller_policy="drop-loser",
                            buyer_policies=fixed_bids(4, 4, 9, 4))
     caught = 0
     for seed in range(16, 28):
         params = AuctionParams(buyers=4, miners=2, seed=seed,
-                               seller_policy=SellerPolicy.DROP_LOSER,
+                               seller_policy="drop-loser",
                                buyer_policies=fixed_bids(4, 4, 9, 4))
         result = run_auction(params)
         if result.degenerate_policy:
@@ -197,7 +193,7 @@ def test_seller_deviations_detected_over_random_bids():
             values = rng.choice(np.arange(1, 2**20), size=m, replace=False)
             params = AuctionParams(
                 buyers=m, miners=int(rng.integers(1, 3)), seed=int(rng.integers(0, 2**60)),
-                seller_policy=SellerPolicy(policy),
+                seller_policy=policy,
                 buyer_policies=fixed_bids(*[int(v) for v in values]))
             result = run_auction(params)
             if result.degenerate_policy:
@@ -207,11 +203,45 @@ def test_seller_deviations_detected_over_random_bids():
 
 
 def test_wrong_winner_degenerates_when_all_bids_equal():
-    params = AuctionParams(buyers=3, miners=1, seed=18, seller_policy=SellerPolicy.WRONG_WINNER,
+    params = AuctionParams(buyers=3, miners=1, seed=18, seller_policy="wrong-winner",
                            buyer_policies=fixed_bids(6, 6, 6))
     result = run_auction(params)
     assert result.degenerate_policy
     assert result.outcome.valid
+
+
+@pytest.mark.parametrize("policy", ["honest", "wrong-winner", "inflate", "drop-loser"])
+def test_a_seller_policy_name_runs_the_same_deviation_as_its_config(policy):
+    bids = {"0": "fixed:3", "1": "fixed:7", "2": "fixed:5"}
+    config = ScenarioConfig(protocol="auction", buyers=3, miners=2, seed=13,
+                            seller_policy=policy, buyer_policies=bids)
+    report = run_scenario(config)
+    result = run_auction(AuctionParams(buyers=3, miners=2, seed=13, seller_policy=policy,
+                                       buyer_policies=fixed_bids(3, 7, 5)))
+    assert result.context.log.records == report["event_log"]
+    assert result.outcome.valid == (policy == "honest")
+
+
+def test_inflate_on_equal_bids_blames_the_seller():
+    result = run_auction(AuctionParams(buyers=2, miners=1, seed=1, seller_policy="inflate",
+                                       buyer_policies=fixed_bids(4, 4)))
+    assert not result.degenerate_policy
+    assert result.outcome.cheater == seller()
+
+
+@pytest.mark.parametrize("policy", [None, "bogus", "WRONG_WINNER", "Honest"])
+def test_an_unknown_seller_policy_is_one_violation_on_every_path(policy):
+    def assert_one_violation(call):
+        with pytest.raises(ConfigError) as err:
+            call()
+        assert len(err.value.violations) == 1
+        assert "seller policy" in err.value.violations[0]
+        assert repr(policy) in err.value.violations[0]
+
+    assert_one_violation(lambda: run_auction(
+        AuctionParams(buyers=2, miners=1, seed=1, seller_policy=policy)))
+    assert_one_violation(ScenarioConfig(protocol="auction", buyers=2, miners=1, seed=1,
+                                        seller_policy=policy).params)
 
 
 # ------------------------------------------------------- cheating buyers
@@ -219,7 +249,7 @@ def test_wrong_winner_degenerates_when_all_bids_equal():
 
 def test_bid_change_rejected_and_buyer_excluded_under_ideal():
     params = AuctionParams(buyers=3, miners=2, seed=19, buyer_policies={
-        0: FixedBid(3), 1: ChangeBid(7, 9), 2: FixedBid(5)})
+        0: Policy("fixed", (3,)), 1: Policy("change", (7, 9)), 2: Policy("fixed", (5,))})
     result = run_auction(params)
     assert buyer(1) in result.cheaters
     assert result.excluded_buyers == (buyer(1),)
@@ -233,7 +263,8 @@ def test_bid_change_sometimes_succeeds_under_cheat_sensitive():
     outcomes = set()
     for seed in range(40):
         params = AuctionParams(buyers=2, miners=1, seed=seed, backend=parse_backend("cheat:0.3"),
-                               buyer_policies={0: FixedBid(3), 1: ChangeBid(7, 9)})
+                               buyer_policies={0: Policy("fixed", (3,)),
+                                               1: Policy("change", (7, 9))})
         result = run_auction(params)
         if buyer(1) in result.excluded_buyers:
             outcomes.add("caught")
@@ -244,7 +275,7 @@ def test_bid_change_sometimes_succeeds_under_cheat_sensitive():
 
 def test_false_accuser_marked_and_verification_continues():
     params = AuctionParams(buyers=3, miners=2, seed=20, buyer_policies={
-        0: FixedBid(3), 1: FixedBid(7), 2: Complainer(5)})
+        0: Policy("fixed", (3,)), 1: Policy("fixed", (7,)), 2: Policy("complain", (5,))})
     result = run_auction(params)
     assert result.outcome.valid  # honest seller survives the framing
     assert result.false_accusers == (buyer(2),)
@@ -362,10 +393,10 @@ def test_removing_one_miner_leaves_outcome_unchanged():
 
 
 def test_buyer_policy_parsing():
-    assert parse_buyer_policy("honest") == HonestBuyer()
-    assert parse_buyer_policy("fixed:7") == FixedBid(7)
-    assert parse_buyer_policy("change:7:9") == ChangeBid(7, 9)
-    assert parse_buyer_policy("complain:5") == Complainer(5)
+    assert parse_buyer_policy("honest") == Policy("honest")
+    assert parse_buyer_policy("fixed:7") == Policy("fixed", (7,))
+    assert parse_buyer_policy("change:7:9") == Policy("change", (7, 9))
+    assert parse_buyer_policy("complain:5") == Policy("complain", (5,))
     with pytest.raises(QbsimError):
         parse_buyer_policy("bribe")
 
@@ -379,4 +410,5 @@ def test_preconditions():
         run_auction(AuctionParams(buyers=2, miners=1, seed=1, bid_width=0))
     with pytest.raises(QbsimError):
         run_auction(AuctionParams(buyers=2, miners=1, seed=1,
-                                  buyer_policies={0: FixedBid(0), 1: FixedBid(1)}))
+                                  buyer_policies={0: Policy("fixed", (0,)),
+                                                  1: Policy("fixed", (1,))}))

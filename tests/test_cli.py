@@ -10,7 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import qbsim
+from qbsim.auction import BUYER_POLICIES, SELLER_POLICIES
 from qbsim.cli import main
+from qbsim.lottery import PLAYER_POLICIES
 from qbsim.scenario import ScenarioConfig, run_scenario
 from oracles import report_v1, report_v2
 from test_qbc_io import REPO, nan_scheme
@@ -225,6 +227,18 @@ def test_both_protocols_share_the_run_options():
             assert all(option.help for option in options), (group, command)
             seen.append([(o.opts, o.default, o.help) for o in options])
     assert all(entry == seen[0] for entry in seen)
+
+
+def test_run_and_stats_help_lists_every_policy_name():
+    tables = {"lottery": [PLAYER_POLICIES], "auction": [BUYER_POLICIES, SELLER_POLICIES]}
+    for group, names in tables.items():
+        for command in ("run", "stats"):
+            result = CliRunner().invoke(main, [group, command, "--help"], terminal_width=200)
+            assert result.exit_code == 0
+            words = set(result.output.replace("[", " ").replace("]", " ")
+                        .replace("|", " ").replace(":", " ").split())
+            missing = {name for table in names for name in table} - words
+            assert not missing, (group, command, missing)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:

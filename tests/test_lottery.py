@@ -8,16 +8,15 @@ import pytest
 from qbsim.bits import BitString, xor_all
 from qbsim.errors import QbsimError
 from qbsim.lottery import (
-    Equivocator,
-    FixedTicket,
-    HonestPlayer,
     LotteryParams,
     determine_outcome,
+    lottery_violations,
     parse_player_policy,
     revenue_shares,
     run_lottery,
 )
 from qbsim.parties import miner, player
+from qbsim.runtime import Policy
 
 from oracles import lottery_result_matches_ledger
 
@@ -91,10 +90,18 @@ def test_determine_outcome_abort_policy():
 # --------------------------------------------------------- end to end
 
 
+def fixed(text):
+    return Policy("fixed", (BitString.from_text(text),))
+
+
+def equivocate(commit, open_):
+    return Policy("equivocate", (BitString.from_text(commit), BitString.from_text(open_)))
+
+
 def test_two_player_example_symmetric_revenues():
     params = LotteryParams(players=2, ticket_bits=4, miners=1, seed=5, policies={
-        0: FixedTicket(BitString.from_text("0101")),
-        1: FixedTicket(BitString.from_text("0011")),
+        0: fixed("0101"),
+        1: fixed("0011"),
     })
     result = run_lottery(params)
     out = result.outcome
@@ -130,7 +137,7 @@ def test_random_honest_runs_match_ledger_oracle():
 
 def test_equivocator_rejected_and_excluded_under_ideal_backend():
     params = LotteryParams(players=3, ticket_bits=4, miners=2, seed=21, policies={
-        1: Equivocator(BitString.from_text("0000"), BitString.from_text("1111")),
+        1: equivocate("0000", "1111"),
     })
     result = run_lottery(params)
     assert player(1) in result.cheaters
@@ -142,8 +149,7 @@ def test_equivocator_rejected_and_excluded_under_ideal_backend():
 
 def test_equivocator_aborts_run_under_abort_policy():
     params = LotteryParams(players=3, ticket_bits=4, miners=2, seed=22, cheat_policy="abort",
-                           policies={1: Equivocator(BitString.from_text("0000"),
-                                                    BitString.from_text("1111"))})
+                           policies={1: equivocate("0000", "1111")})
     result = run_lottery(params)
     assert result.outcome.aborted
     assert player(1) in result.cheaters
@@ -152,7 +158,7 @@ def test_equivocator_aborts_run_under_abort_policy():
 def test_equivocator_opening_committed_value_is_no_equivocation():
     t = BitString.from_text("0101")
     params = LotteryParams(players=2, ticket_bits=4, miners=2, seed=23,
-                           policies={0: Equivocator(t, t)})
+                           policies={0: Policy("equivocate", (t, t))})
     result = run_lottery(params)
     assert result.cheaters == ()
     assert result.outcome.included == (0, 1)
@@ -160,14 +166,14 @@ def test_equivocator_opening_committed_value_is_no_equivocation():
 
 def test_flipping_one_committed_bit_flips_the_winning_bit():
     base = {
-        0: FixedTicket(BitString.from_text("01010101")),
-        1: FixedTicket(BitString.from_text("00110011")),
-        2: FixedTicket(BitString.from_text("00001111")),
+        0: fixed("01010101"),
+        1: fixed("00110011"),
+        2: fixed("00001111"),
     }
     result = run_lottery(LotteryParams(players=3, ticket_bits=8, miners=2, seed=31,
                                        policies=dict(base)))
     flipped = dict(base)
-    flipped[1] = FixedTicket(base[1].ticket.flip(5))
+    flipped[1] = Policy("fixed", (base[1].values[0].flip(5),))
     result2 = run_lottery(LotteryParams(players=3, ticket_bits=8, miners=2, seed=31,
                                         policies=flipped))
     assert result2.outcome.winning == result.outcome.winning.flip(5)
@@ -175,8 +181,8 @@ def test_flipping_one_committed_bit_flips_the_winning_bit():
 
 def test_removing_one_miner_leaves_outcome_unchanged():
     policies = {
-        0: FixedTicket(BitString.from_text("0110")),
-        2: FixedTicket(BitString.from_text("1001")),
+        0: fixed("0110"),
+        2: fixed("1001"),
     }
     out3 = run_lottery(LotteryParams(players=4, ticket_bits=4, miners=3, seed=41,
                                      policies=dict(policies)))
@@ -214,8 +220,8 @@ def test_commit_messages_never_carry_ticket_bits():
     # concealing at the transport level: before opening, the only thing
     # on the wire about a ticket is its length
     params = LotteryParams(players=2, ticket_bits=8, miners=2, seed=61, policies={
-        0: FixedTicket(BitString.from_text("10101010")),
-        1: FixedTicket(BitString.from_text("01010101")),
+        0: fixed("10101010"),
+        1: fixed("01010101"),
     })
     result = run_lottery(params)
     log = result.context.log
@@ -225,14 +231,26 @@ def test_commit_messages_never_carry_ticket_bits():
 
 
 def test_policy_parsing():
-    assert parse_player_policy("honest", 4) == HonestPlayer()
-    assert parse_player_policy("fixed:0101", 4) == FixedTicket(BitString.from_text("0101"))
-    assert parse_player_policy("equivocate:0101:1111", 4) == Equivocator(
-        BitString.from_text("0101"), BitString.from_text("1111"))
+    assert parse_player_policy("honest") == Policy("honest")
+    assert parse_player_policy("fixed:0101") == fixed("0101")
+    assert parse_player_policy("equivocate:0101:1111") == equivocate("0101", "1111")
     with pytest.raises(QbsimError):
-        parse_player_policy("fixed:01", 4)
+        parse_player_policy("fixed:012")
     with pytest.raises(QbsimError):
-        parse_player_policy("steal", 4)
+        parse_player_policy("steal")
+
+
+def test_a_policy_ticket_of_another_length_is_one_violation():
+    params = LotteryParams(players=2, ticket_bits=4, miners=1, seed=1,
+                           policies={0: parse_player_policy("fixed:01")})
+    assert lottery_violations(params) == ["player 0: policy tickets must have length 4"]
+
+
+@pytest.mark.parametrize("policy", [Policy("steal"), Policy("fixed"),
+                                    Policy("honest", (BitString.from_text("0101"),))])
+def test_a_policy_the_table_lacks_is_one_violation(policy):
+    params = LotteryParams(players=2, ticket_bits=4, miners=1, seed=1, policies={1: policy})
+    assert lottery_violations(params) == [f"player 1: unknown policy {policy!r}"]
 
 
 def test_preconditions():

@@ -4,11 +4,11 @@ agree while fewer than a third of the miners are Byzantine."""
 
 from hypothesis import given, settings, strategies as st
 
-from qbsim.auction import SellerPolicy
+from qbsim.auction import BUYER_POLICIES, SELLER_POLICIES
 from qbsim.consensus import MINER_SCRIPT_NAMES
 from qbsim.errors import ConfigError
 from qbsim.keystore import DEFAULT_BUDGET
-from qbsim.lottery import CHEAT_POLICIES
+from qbsim.lottery import CHEAT_POLICIES, PLAYER_POLICIES
 from qbsim.scenario import ScenarioConfig, run_scenario, validate_report
 
 
@@ -17,11 +17,17 @@ def keyed(count, values):
     return st.dictionaries(st.integers(0, count - 1).map(str), values, max_size=count)
 
 
+def policies(table, value):
+    """Each policy of a protocol's table as a config text, its values
+    drawn from `value`."""
+    return st.one_of([st.tuples(*[value] * len(slots)).map(
+        lambda values, name=name: ":".join([name, *map(str, values)]))
+        for name, slots in table.items()])
+
+
 def lottery_fields(draw, count):
     ticket_bits = draw(st.integers(1, 8))
-    ticket = st.text("01", min_size=ticket_bits, max_size=ticket_bits)
-    policy = st.one_of(st.just("honest"), ticket.map("fixed:{}".format),
-                       st.tuples(ticket, ticket).map(lambda t: "equivocate:{}:{}".format(*t)))
+    policy = policies(PLAYER_POLICIES, st.text("01", min_size=ticket_bits, max_size=ticket_bits))
     return dict(players=count, ticket_bits=ticket_bits,
                 player_policies=draw(keyed(count, policy)),
                 cheat_policy=draw(st.sampled_from(CHEAT_POLICIES)))
@@ -29,13 +35,10 @@ def lottery_fields(draw, count):
 
 def auction_fields(draw, count):
     bid_width = draw(st.integers(1, 8))
-    bid = st.integers(1, (1 << bid_width) - 1)
-    policy = st.one_of(st.just("honest"), bid.map("fixed:{}".format),
-                       st.tuples(bid, bid).map(lambda b: "change:{}:{}".format(*b)),
-                       bid.map("complain:{}".format))
+    policy = policies(BUYER_POLICIES, st.integers(1, (1 << bid_width) - 1))
     return dict(buyers=count, bid_width=bid_width,
                 buyer_policies=draw(keyed(count, policy)),
-                seller_policy=draw(st.sampled_from([p.value for p in SellerPolicy])))
+                seller_policy=draw(st.sampled_from(SELLER_POLICIES)))
 
 
 @st.composite
@@ -69,8 +72,8 @@ def test_every_config_ends_in_a_config_error_or_a_valid_report(config):
 # use: any such text, one of the field's names followed by any count of
 # such fields, or by one or two numbers or bit strings.
 TEXT_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789:.eE+-"
-NAMES = {"backend": ["ideal", "cheat"], "lottery": ["honest", "fixed", "equivocate"],
-         "auction": ["honest", "fixed", "change", "complain"]}
+NAMES = {"backend": ["ideal", "cheat"], "lottery": list(PLAYER_POLICIES),
+         "auction": list(BUYER_POLICIES)}
 numbers = st.one_of(st.text("01", min_size=1, max_size=3), st.integers(0, 300).map(str),
                     st.floats(0, 1.5).map(str))
 

@@ -179,6 +179,24 @@ def test_malformed_texts_end_in_a_config_error(protocol, option, argument, name,
         run_scenario(ScenarioConfig.from_dict({"protocol": protocol, name: value}))
 
 
+@pytest.mark.parametrize("text", ["fixed:+7", "fixed: 7", "fixed:7 ", "fixed:0_7",
+                                  "fixed:\u0667", "fixed:007", "fixed:-7", "change:7:07",
+                                  "complain:0x7", "fixed:" + "1" * 4301])
+def test_a_bid_has_one_spelling(text):
+    config = ScenarioConfig(protocol="auction", buyers=2, miners=1, seed=1,
+                            buyer_policies={"0": text})
+    with pytest.raises(ConfigError) as err:
+        config.params()
+    assert len(err.value.violations) == 1
+    assert text[:20] in err.value.violations[0]
+
+
+def test_a_bid_in_its_one_spelling_runs():
+    config = ScenarioConfig(protocol="auction", buyers=2, miners=1, seed=1,
+                            buyer_policies={"0": "fixed:7", "1": "change:10:9"})
+    assert run_scenario(config)["outcome"]["winning_bid"] == 7
+
+
 # ------------------------------------------------ malformed input files
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qbsim.auction import SellerPolicy
+from qbsim.auction import SELLER_POLICIES
 from qbsim.batch import run_batch
 from qbsim.consensus import MINER_SCRIPT_NAMES
 from qbsim.errors import ConfigError
@@ -56,28 +56,37 @@ def test_validation_lists_every_violation():
 
 
 def count_policy_parses(monkeypatch) -> list:
-    """Every call of `parse_player_policy` made through the scenario layer."""
-    calls, parse = [], scenario.parse_player_policy
+    """Every call of `parse_player_policy` and `parse_buyer_policy` made
+    through the scenario layer."""
+    calls = []
+    for name in ("parse_player_policy", "parse_buyer_policy"):
+        def counted(text, parse=getattr(scenario, name)):
+            calls.append(text)
+            return parse(text)
 
-    def counted(*args):
-        calls.append(args)
-        return parse(*args)
-
-    monkeypatch.setattr(scenario, "parse_player_policy", counted)
+        monkeypatch.setattr(scenario, name, counted)
     return calls
+
+
+POLICY_CONFIGS = [lottery_config(player_policies={"1": "fixed:00000001"}),
+                  auction_config(buyer_policies={"1": "fixed:9"})]
 
 
 def test_run_scenario_parses_the_config_once(monkeypatch):
     calls = count_policy_parses(monkeypatch)
-    run_scenario(lottery_config(player_policies={"1": "fixed:00000001"}))
-    assert len(calls) == 1
+    for config in POLICY_CONFIGS:
+        calls.clear()
+        run_scenario(config)
+        assert len(calls) == 1
 
 
 def test_run_batch_parses_the_config_once_per_batch(monkeypatch):
     calls = count_policy_parses(monkeypatch)
-    agg = run_batch(lottery_config(player_policies={"1": "fixed:00000001"}), runs=5)
-    assert agg["runs"] == 5
-    assert len(calls) == 1
+    for config in POLICY_CONFIGS:
+        calls.clear()
+        agg = run_batch(config, runs=5)
+        assert agg["runs"] == 5
+        assert len(calls) == 1
 
 
 def count_limit_checks(monkeypatch) -> list:
@@ -282,7 +291,7 @@ def test_config_schema_names_the_policies_the_protocols_define():
     schema = json.loads(importlib.resources.files("qbsim.schemas")
                         .joinpath("scenario_config.schema.json").read_text(encoding="utf-8"))
     assert tuple(schema["properties"]["cheat_policy"]["enum"]) == CHEAT_POLICIES
-    assert schema["properties"]["seller_policy"]["enum"] == [p.value for p in SellerPolicy]
+    assert tuple(schema["properties"]["seller_policy"]["enum"]) == SELLER_POLICIES
 
 
 def messages_of(log) -> list[tuple[int, int | None]]:
