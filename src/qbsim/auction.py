@@ -179,10 +179,14 @@ def auction_violations(params: AuctionParams) -> list[str]:
         out.append(f"seller policy must be {'|'.join(SELLER_POLICIES)}, "
                    f"got {params.seller_policy!r}")
     width_ok = 1 <= params.bid_width <= MAX_BID_BITS
-    out += policy_violations(
-        "buyer", params.buyer_policies, params.buyers, BUYER_POLICIES,
-        lambda i, bids: [f"buyer {i} bid {v} outside [1, {params.bid_cap}]"
-                         for v in bids if width_ok and not 1 <= v <= params.bid_cap])
+
+    def bid_violations(i, bids):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in bids):
+            return [f"buyer {i}: policy bids must be integers, got {bids!r}"]
+        return [f"buyer {i} bid {v} outside [1, {params.bid_cap}]"
+                for v in bids if width_ok and not 1 <= v <= params.bid_cap]
+    out += policy_violations("buyer", params.buyer_policies, params.buyers, BUYER_POLICIES,
+                             bid_violations)
     # a buyer and a miner: commit notice, claim list, response, and an
     # open request and opening for a complaint or a multiplicity conflict
     return out + run_violations(params, party_blocks=5)

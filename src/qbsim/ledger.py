@@ -51,18 +51,10 @@ class MinerLedger:
     def height(self) -> int:
         return len(self._records)
 
-    def append_finalized(self, kind: RecordKind, body: bytes, origin_consensus: int,
-                         decided_body: bytes) -> LedgerRecord:
-        """Append the consensus-decided record.
-
-        decided_body is this miner's own consensus decision for the
-        instance; appending anything else is a protocol bug, not a
-        recoverable condition.
-        """
-        if body != decided_body:
-            raise LedgerError(
-                f"append without matching consensus decision on miner {self.owner}"
-            )
+    def append_finalized(self, kind: RecordKind, body: bytes,
+                         origin_consensus: int) -> LedgerRecord:
+        """Append `body`, this miner's consensus decision for instance
+        `origin_consensus`, at the next height."""
         record = LedgerRecord(len(self._records), kind, body, origin_consensus)
         self._records.append(record)
         return record

@@ -153,10 +153,15 @@ def lottery_violations(params: LotteryParams) -> list[str]:
     if params.cheat_policy not in CHEAT_POLICIES:
         out.append(f"cheat policy must be {'|'.join(CHEAT_POLICIES)}, got {params.cheat_policy!r}")
     bits = params.ticket_bits
-    out += policy_violations(
-        "player", params.policies, params.players, PLAYER_POLICIES,
-        lambda i, tickets: [f"player {i}: policy tickets must have length {bits}"]
-        if any(len(t) != bits for t in tickets) else [])
+
+    def ticket_violations(i, tickets):
+        if not all(isinstance(t, BitString) for t in tickets):
+            return [f"player {i}: policy tickets must be BitStrings, got {tickets!r}"]
+        if any(len(t) != bits for t in tickets):
+            return [f"player {i}: policy tickets must have length {bits}"]
+        return []
+    out += policy_violations("player", params.policies, params.players, PLAYER_POLICIES,
+                             ticket_violations)
     return out + run_violations(params, party_blocks=2)  # commit notice and open
 
 
@@ -223,9 +228,8 @@ def run_valid_lottery(params: LotteryParams) -> LotteryRunResult:
             verdicts[m] = LotteryOutcome(params.ticket_bits, (), params.cheat_policy,
                                          aborted=True)
             continue
-        body = ledgers[m].records[0].body
         verdicts[m] = determine_outcome(
-            decode_ticket_list(body), params.ticket_bits, params.cheat_policy)
+            decode_ticket_list(decided), params.ticket_bits, params.cheat_policy)
 
     outcome = verdicts[reference_miner]
     if outcome.excluded:

@@ -227,7 +227,7 @@ def finalize(ctx: SimContext, params: RunParams, protocol: str, instance_id: int
     for m in miners:
         decided = result.decisions[m]
         if decided:  # None for a Byzantine miner, BOT for no record
-            ledgers[m].append_finalized(kind, decided, instance_id, decided_body=decided)
+            ledgers[m].append_finalized(kind, decided, instance_id)
             ctx.log.append("ledger_append", miner=str(m), kind=kind.value,
                            height=0, body=decided.hex())
     return result, ledgers, reference

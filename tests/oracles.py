@@ -91,6 +91,13 @@ def reference_hash_payload(prime: int, r: int, payload: bytes) -> int:
     return (acc * r + len(payload)) % prime
 
 
+def records_before_phase(records: list[dict], phase: int) -> list[dict]:
+    """The detail-log records before the record that opens `phase`."""
+    end = next(i for i, rec in enumerate(records)
+               if rec["event"] == "phase" and rec["phase"] == phase)
+    return records[:end]
+
+
 def auction_argmax(bids: dict) -> tuple[int, set]:
     """Brute-force winning bid and argmax set over {index: value}."""
     top = max(bids.values())

@@ -211,9 +211,11 @@ def test_criterion_5_cheating_seller_detection():
 
 
 def test_criterion_6_posterior_privacy():
-    """Structural scan of 10,000 honest-run ledgers and broadcasts finds
-    zero (losing-buyer identity, bid) associations and zero forced
-    openings."""
+    """Structural scan of 10,000 honest-run ledgers finds zero
+    (losing-buyer identity, bid) associations and zero forced openings.
+    Only the ledgers are scanned: what the miners receive in verification
+    links every losing bid to its buyer, which
+    `test_a_miner_links_every_losing_bid_to_its_buyer` pins."""
     with criterion(6, "posterior privacy"):
         rng = np.random.default_rng(1313)
         runs = 10_000

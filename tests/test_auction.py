@@ -15,11 +15,18 @@ from qbsim.auction import (
     run_auction,
 )
 from qbsim.commitment import parse_backend
-from qbsim.encoding import encode_open_request
+from qbsim.encoding import (
+    MSG_AUCTION_RESPONSE,
+    MSG_AUCTION_VLIST,
+    decode_payload,
+    encode_open_request,
+)
 from qbsim.errors import ConfigError, QbsimError
 from qbsim.parties import buyer, miner, seller
 from qbsim.runtime import Policy
 from qbsim.scenario import ScenarioConfig, run_scenario, validate_report
+
+from oracles import records_before_phase
 
 
 def fixed_bids(*values):
@@ -298,6 +305,55 @@ def test_posterior_privacy_over_random_honest_runs():
         assert complaint_openings(result) == 0
 
 
+def miner_linked_bids(result, m) -> dict:
+    """The (buyer, bid) pairs miner `m` rebuilds from its own view: the
+    `auction_vlist` it broadcast, and the non-complaint `auction_response`
+    sends delivered to it, each naming a slot of that list."""
+    log, name = result.context.log, str(m)
+    (vlist,) = [decode_payload(bytes.fromhex(rec["payload"])) for rec in log.of_kind("broadcast")
+                if rec["sender"] == name and rec["payload"].startswith(f"{MSG_AUCTION_VLIST:02x}")]
+    slots = [vlist["winning_bid"], *vlist["losing_bids"]]
+    linked = {}
+    for rec in log.of_kind("send"):
+        if (rec["receiver"] == name and "delivered" in rec
+                and rec["payload"].startswith(f"{MSG_AUCTION_RESPONSE:02x}")):
+            msg = decode_payload(bytes.fromhex(rec["payload"]))
+            if not msg["complaint"]:
+                linked[rec["sender"]] = slots[msg["slot"]]
+    return linked
+
+
+def test_a_miner_links_every_losing_bid_to_its_buyer():
+    """Posterior privacy holds against ledger readers and other buyers,
+    not against the miners: a buyer's response names the slot of its bid
+    in the list the miner built, over an authenticated channel. This pins
+    the leak as it stands, so a change that closes it shows here."""
+    linked = losing = 0
+    for seed in range(100):
+        result = run_auction(AuctionParams(buyers=4, miners=4, seed=seed))
+        assert result.outcome.valid
+        pairs = miner_linked_bids(result, miner(0))
+        for b, bid in result.true_bids.items():
+            if b != result.outcome.winner:
+                losing += 1
+                linked += pairs.get(str(b)) == bid
+    assert (linked, losing) == (300, 300)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bids_leave_every_record_before_verification_unchanged_but_the_sellers(seed):
+    """Bid privacy as noninterference: with the seed fixed, permuting the
+    bids changes no record before phase 4 other than those addressed to
+    the seller, who alone receives the openings."""
+    views = []
+    for bids in ((5, 9, 3), (9, 3, 5)):
+        result = run_auction(AuctionParams(buyers=3, miners=4, seed=seed,
+                                           buyer_policies=fixed_bids(*bids)))
+        views.append([rec for rec in records_before_phase(result.context.log.records, 4)
+                      if rec.get("receiver") != str(seller())])
+    assert views[0] == views[1]
+
+
 def test_bid_privacy_scan_reports_a_planted_seller_to_buyer_message(monkeypatch):
     make_context = auction.make_context
 
@@ -399,6 +455,14 @@ def test_buyer_policy_parsing():
     assert parse_buyer_policy("complain:5") == Policy("complain", (5,))
     with pytest.raises(QbsimError):
         parse_buyer_policy("bribe")
+
+
+@pytest.mark.parametrize("bid", ["7", True, 7.0, None])
+def test_a_policy_bid_that_is_not_an_int_is_one_violation(bid):
+    params = AuctionParams(buyers=2, miners=1, seed=1, buyer_policies={0: Policy("fixed", (bid,))})
+    with pytest.raises(ConfigError) as err:
+        run_auction(params)
+    assert err.value.violations == [f"buyer 0: policy bids must be integers, got ({bid!r},)"]
 
 
 def test_preconditions():

@@ -95,15 +95,13 @@ def test_payload_decoders():
         decode_payload(b"")
 
 
-def test_ledger_append_heights_and_precondition():
+def test_ledger_append_heights():
     led = MinerLedger(miner(0))
     body = encode_ticket_list([(0, "opened", BitString.from_text("01"))])
-    r0 = led.append_finalized(RecordKind.TICKET_LIST, body, 0, decided_body=body)
+    r0 = led.append_finalized(RecordKind.TICKET_LIST, body, 0)
     assert r0.height == 0
-    r1 = led.append_finalized(RecordKind.TICKET_LIST, body, 1, decided_body=body)
+    r1 = led.append_finalized(RecordKind.TICKET_LIST, body, 1)
     assert r1.height == 1
-    with pytest.raises(LedgerError):
-        led.append_finalized(RecordKind.TICKET_LIST, body, 2, decided_body=b"\x01other")
     assert led.height == 2
 
 
@@ -119,13 +117,13 @@ def test_ledgers_consistent_and_divergence_point():
     other = encode_ticket_list([(0, "opened", BitString.from_text("10"))])
     a, b = MinerLedger(miner(0)), MinerLedger(miner(1))
     for led in (a, b):
-        led.append_finalized(RecordKind.TICKET_LIST, body, 0, decided_body=body)
+        led.append_finalized(RecordKind.TICKET_LIST, body, 0)
     assert ledgers_consistent([a, b]) == (True, None)
-    a.append_finalized(RecordKind.TICKET_LIST, body, 1, decided_body=body)
-    b.append_finalized(RecordKind.TICKET_LIST, other, 1, decided_body=other)
+    a.append_finalized(RecordKind.TICKET_LIST, body, 1)
+    b.append_finalized(RecordKind.TICKET_LIST, other, 1)
     assert ledgers_consistent([a, b]) == (False, 1)
     # length divergence
     c = MinerLedger(miner(2))
-    c.append_finalized(RecordKind.TICKET_LIST, body, 0, decided_body=body)
+    c.append_finalized(RecordKind.TICKET_LIST, body, 0)
     assert ledgers_consistent([a, c]) == (False, 1)
     assert ledgers_consistent([a]) == (True, None)

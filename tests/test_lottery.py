@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qbsim.bits import BitString, xor_all
-from qbsim.errors import QbsimError
+from qbsim.errors import ConfigError, QbsimError
 from qbsim.lottery import (
     LotteryParams,
     determine_outcome,
@@ -18,7 +18,7 @@ from qbsim.lottery import (
 from qbsim.parties import miner, player
 from qbsim.runtime import Policy
 
-from oracles import lottery_result_matches_ledger
+from oracles import lottery_result_matches_ledger, records_before_phase
 
 
 # ------------------------------------------------------------ pure math
@@ -230,6 +230,19 @@ def test_commit_messages_never_carry_ticket_bits():
                                       "backend", "length"} for r in commits)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_a_ticket_leaves_every_record_before_the_openings_unchanged(seed):
+    """Lottery unpredictability as noninterference: with the seed fixed,
+    player 0's ticket changes no record before the phase-2 record, so no
+    party sees anything of it before the openings."""
+    prefixes = []
+    for ticket in ("00000000", "11111111"):
+        result = run_lottery(LotteryParams(players=3, ticket_bits=8, miners=4, seed=seed,
+                                           policies={0: fixed(ticket)}))
+        prefixes.append(records_before_phase(result.context.log.records, 2))
+    assert prefixes[0] == prefixes[1]
+
+
 def test_policy_parsing():
     assert parse_player_policy("honest") == Policy("honest")
     assert parse_player_policy("fixed:0101") == fixed("0101")
@@ -244,6 +257,14 @@ def test_a_policy_ticket_of_another_length_is_one_violation():
     params = LotteryParams(players=2, ticket_bits=4, miners=1, seed=1,
                            policies={0: parse_player_policy("fixed:01")})
     assert lottery_violations(params) == ["player 0: policy tickets must have length 4"]
+
+
+def test_a_policy_ticket_that_is_not_a_bitstring_is_one_violation():
+    params = LotteryParams(players=2, ticket_bits=4, miners=1, seed=1,
+                           policies={0: Policy("fixed", ("0101",))})
+    with pytest.raises(ConfigError) as err:
+        run_lottery(params)
+    assert err.value.violations == ["player 0: policy tickets must be BitStrings, got ('0101',)"]
 
 
 @pytest.mark.parametrize("policy", [Policy("steal"), Policy("fixed"),
