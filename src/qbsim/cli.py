@@ -3,16 +3,16 @@
 Subcommands: `lottery run|stats`, `auction run|stats`, `qbc analyze`,
 `ledger dump`. Exit codes: 0 - run completed with no property
 violations; 2 - a cheater was detected (expected in adversarial
-scenarios, detailed in the report); 1 - invalid input or internal
-error.
+scenarios, detailed in the report); 1 - invalid input, usage errors
+included, or internal error.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
-
-import click
+from dataclasses import fields
 
 from .auction import BUYER_POLICIES, SELLER_POLICIES
 from .batch import run_batch
@@ -35,148 +35,154 @@ def _finish_run(config: ScenarioConfig, out: str | None) -> int:
     if out:
         with open(out, "wb") as fp:
             emit_report(report, fp)
-        click.echo(f"report written to {out}", err=True)
+        print(f"report written to {out}", file=sys.stderr)
     else:
         emit_report(report, sys.stdout.buffer)
-    click.echo(f"completed in {elapsed:.3f}s wall time", err=True)
+    print(f"completed in {elapsed:.3f}s wall time", file=sys.stderr)
     if report["cheaters"]:
-        click.echo(f"cheaters detected: {', '.join(report['cheaters'])}", err=True)
+        print(f"cheaters detected: {', '.join(report['cheaters'])}", file=sys.stderr)
         return 2
     return 0
 
 
-def _policy_map(pairs) -> dict[str, str]:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError([f"policy must look like INDEX=SPEC, got {pair!r}"])
-        index, spec = pair.split("=", 1)
-        out[index] = spec
-    return out
+class _Parser(argparse.ArgumentParser):
+    """`--help` is the only help option, no option prefix is accepted, and
+    a usage error raises `QbsimError`, which exits 1 (argparse's own 2 is
+    the cheater code here). An option not given leaves nothing in the
+    namespace, so a command can tell the options given from the defaults
+    that `option` records."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False,
+                         argument_default=argparse.SUPPRESS, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+        self.options: dict[str, tuple[str, object]] = {}  # destination -> (name, default)
+
+    def error(self, message):
+        raise QbsimError(message)
+
+    def option(self, *flags: str, default=None, help: str = "", **kwargs) -> None:
+        """Add an option, long name last: typed by its default, which its
+        help shows; a `choices` option reads as `[a|b]`."""
+        if default is not None:
+            kwargs.update(type=type(default), metavar="INTEGER" if type(default) is int else "TEXT")
+            help = f"{help}  [default: {default}]".lstrip()
+        if "choices" in kwargs:
+            kwargs["metavar"] = f"[{'|'.join(kwargs['choices'])}]"
+        action = self.add_argument(*flags, help=help, **kwargs)
+        self.options[action.dest] = (flags[-1], default)
 
 
-@click.group()
-def main():
-    """Deterministic lottery/auction simulator on an authenticated
-    quantum-blockchain stack."""
+def _group(groups, name: str, doc: str):
+    return groups.add_parser(name, help=doc, description=doc).add_subparsers(
+        metavar="COMMAND", required=True)
 
 
-def _apply(options):
-    def wrap(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
-    return wrap
+def _command(group, name: str, doc: str, fn, usage="%(prog)s [OPTIONS]") -> _Parser:
+    """Command `name` of `group`: it calls `fn(opts, given)` with every
+    option's value, defaults filled in, and the names of those given."""
+    parser = group.add_parser(name, help=doc, description=doc, usage=usage)
+    parser.set_defaults(command=lambda given: fn(
+        {dest: given.get(dest, default) for dest, (_, default) in parser.options.items()},
+        [parser.options[dest][0] for dest in given]))
+    return parser
 
 
-def _config(protocol: str, summary_log: bool, fields: dict) -> ScenarioConfig:
-    """The scenario the protocol options describe; each option's
-    destination is the config field it sets."""
-    for name in ("player_policies", "buyer_policies", "byzantine_miners"):
-        if name in fields:
-            fields[name] = _policy_map(fields[name])
-    return ScenarioConfig(protocol=protocol, detail_log=not summary_log, **fields)
+def main(argv: list[str] | None = None) -> int:
+    """Parse `argv` and run the command it names; its exit code."""
+    root = _Parser(prog="qbsim", description="Deterministic lottery/auction simulator on an "
+                   "authenticated quantum-blockchain stack.")
+    groups = root.add_subparsers(metavar="COMMAND", required=True)
+    _protocol_commands(groups, "lottery", "Commit-reveal lottery scenarios.",
+                       "Aggregate winning-bit frequencies and chi-square over many runs.")
+    _protocol_commands(groups, "auction", "Sealed-bid auction scenarios.",
+                       "Aggregate winner frequencies and detection rates over many runs.")
+    analyze = _command(_group(groups, "qbc", "Numerical commitment-scheme analysis."),
+                       "analyze", "Measure how concealing and how binding a scheme file is.",
+                       _qbc_analyze, usage="%(prog)s [OPTIONS] SCHEME_FILE")
+    analyze.option("scheme_file", metavar="SCHEME_FILE")
+    analyze.option("--out", metavar="PATH", help="write the report here instead of stdout")
+    dump = _command(_group(groups, "ledger", "Inspect ledgers from saved run reports."), "dump",
+                    "Print every miner's ledger: canonical encoding plus a rendering.",
+                    _ledger_dump)
+    dump.option("--report", dest="report_path", metavar="PATH", required=True,
+                help="a report written by `lottery run --out` / `auction run --out`  [required]")
+    dump.option("--json", dest="as_json", action="store_true", help="emit canonical JSON records")
+    given = vars(root.parse_args(argv))
+    return given.pop("command")(given) or 0
 
 
-# the options both protocols take; each destination is a `RunParams` field
-_RUN_OPTIONS = [
-    click.option("--miners", "-k", default=2, show_default=True, help="number of miners"),
-    click.option("--seed", "-s", default=0, show_default=True, help="scenario master seed"),
-    click.option("--backend", default="ideal", show_default=True,
-                 help="commitment backend: ideal or cheat:<p>"),
-    click.option("--byzantine", "byzantine_miners", multiple=True, metavar="INDEX=SCRIPT",
-                 help=f"Byzantine miner scripts: {'|'.join(MINER_SCRIPT_NAMES)} (repeatable)"),
-    click.option("--key-budget", default=DEFAULT_BUDGET, show_default=True,
-                 help="one-time key blocks per party pair"),
-]
-
-
-def _protocol_commands(group, protocol: str, options, stats_doc: str):
+def _protocol_commands(groups, protocol: str, doc: str, stats_doc: str) -> None:
     """`run` and `stats` for one protocol: its options, then the shared ones."""
-    options = options + _RUN_OPTIONS
 
-    @group.command("run", help=f"Run one {protocol} scenario and emit its report.")
-    @_apply(options)
-    @click.option("--summary-log", is_flag=True, help="keep event counters only")
-    @click.option("--config", "config_path", type=click.Path(exists=True),
-                  help="load the full scenario config from a JSON file")
-    @click.option("--out", type=click.Path(), help="write the report here instead of stdout")
-    def run(summary_log, config_path, out, **fields):
-        config = (ScenarioConfig.load(config_path) if config_path
-                  else _config(protocol, summary_log, fields))
-        sys.exit(_finish_run(config, out))
+    def config(opts, summary_log: bool) -> ScenarioConfig:
+        """The scenario the options that name a config field describe."""
+        for name in ("player_policies", "buyer_policies", "byzantine_miners"):
+            if name in opts:
+                if bad := [pair for pair in opts[name] or () if "=" not in pair]:
+                    raise ConfigError([f"policy must look like INDEX=SPEC, got {bad[0]!r}"])
+                opts[name] = dict(pair.split("=", 1) for pair in opts[name] or ())
+        return ScenarioConfig(protocol=protocol, detail_log=not summary_log, **{
+            field.name: opts[field.name] for field in fields(ScenarioConfig) if field.name in opts})
 
-    @group.command("stats", help=stats_doc)
-    @_apply(options)
-    @click.option("--runs", "-N", default=1000, show_default=True)
-    @click.option("--workers", "-K", default=1, show_default=True)
-    @click.option("--out", type=click.Path(), help="write the aggregate here instead of stdout")
-    def stats(runs, workers, out, **fields):
+    def run_one(opts, given):
+        if opts["config_path"] is None:
+            return _finish_run(config(opts, opts["summary_log"]), opts["out"])
+        if dropped := [name for name in given if name not in ("--config", "--out")]:
+            raise QbsimError(f"--config runs the file as it is; drop {', '.join(dropped)}")
+        return _finish_run(ScenarioConfig.load(opts["config_path"]), opts["out"])
+
+    def stats(opts, given):
         started = time.perf_counter()
-        agg = run_batch(_config(protocol, True, fields), runs=runs, workers=workers)
-        click.echo(f"{runs} runs in {time.perf_counter() - started:.3f}s wall time", err=True)
+        agg = run_batch(config(opts, True), runs=opts["runs"], workers=opts["workers"])
+        print(f"{opts['runs']} runs in {time.perf_counter() - started:.3f}s wall time",
+              file=sys.stderr)
         data = canonical_report_bytes(agg)
-        if out:
-            with open(out, "wb") as fp:
+        if opts["out"]:
+            with open(opts["out"], "wb") as fp:
                 fp.write(data)
         else:
             sys.stdout.buffer.write(data)
 
-
-@main.group()
-def lottery():
-    """Commit-reveal lottery scenarios."""
-
-
-_protocol_commands(lottery, "lottery", [
-    click.option("--players", "-n", default=3, show_default=True, help="number of players"),
-    click.option("--ticket-bits", "-m", default=8, show_default=True, help="bits per ticket"),
-    click.option("--policy", "cheat_policy", default="exclude", show_default=True,
-                 type=click.Choice(CHEAT_POLICIES), help="cheat handling policy"),
-    click.option("--player-policy", "player_policies", multiple=True, metavar="INDEX=SPEC",
-                 help=f"{' | '.join(policy_usages(PLAYER_POLICIES))} (repeatable)"),
-], "Aggregate winning-bit frequencies and chi-square over many runs.")
-
-
-@main.group()
-def auction():
-    """Sealed-bid auction scenarios."""
-
-
-_protocol_commands(auction, "auction", [
-    click.option("--buyers", "-m", default=3, show_default=True),
-    click.option("--bid-width", "-w", default=32, show_default=True,
-                 help="bids range over [1, 2^w - 1]"),
-    click.option("--seller-policy", default="honest", show_default=True,
-                 type=click.Choice(SELLER_POLICIES)),
-    click.option("--buyer-policy", "buyer_policies", multiple=True, metavar="INDEX=SPEC",
-                 help=f"{' | '.join(policy_usages(BUYER_POLICIES))} (repeatable)"),
-], "Aggregate winner frequencies and detection rates over many runs.")
-
-
-# -------------------------------------------------------------------- qbc
-
-
-@main.group()
-def qbc():
-    """Numerical commitment-scheme analysis."""
+    group = _group(groups, protocol, doc)
+    run = _command(group, "run", f"Run one {protocol} scenario and emit its report.", run_one)
+    batch = _command(group, "stats", stats_doc, stats)
+    for parser in (run, batch):
+        if protocol == "lottery":
+            parser.option("-n", "--players", default=3, help="number of players")
+            parser.option("-m", "--ticket-bits", default=8, help="bits per ticket")
+            parser.option("--policy", dest="cheat_policy", default="exclude",
+                          choices=CHEAT_POLICIES, help="cheat handling policy")
+            parser.option("--player-policy", dest="player_policies", action="append",
+                          metavar="INDEX=SPEC",
+                          help=f"{' | '.join(policy_usages(PLAYER_POLICIES))} (repeatable)")
+        else:
+            parser.option("-m", "--buyers", default=3)
+            parser.option("-w", "--bid-width", default=32, help="bids range over [1, 2^w - 1]")
+            parser.option("--seller-policy", default="honest", choices=SELLER_POLICIES)
+            parser.option("--buyer-policy", dest="buyer_policies", action="append",
+                          metavar="INDEX=SPEC",
+                          help=f"{' | '.join(policy_usages(BUYER_POLICIES))} (repeatable)")
+        parser.option("-k", "--miners", default=2, help="number of miners")
+        parser.option("-s", "--seed", default=0, help="scenario master seed")
+        parser.option("--backend", default="ideal", help="commitment backend: ideal or cheat:<p>")
+        parser.option("--byzantine", dest="byzantine_miners", action="append",
+                      metavar="INDEX=SCRIPT",
+                      help=f"Byzantine miner scripts: {'|'.join(MINER_SCRIPT_NAMES)} (repeatable)")
+        parser.option("--key-budget", default=DEFAULT_BUDGET,
+                      help="one-time key blocks per party pair")
+    run.option("--summary-log", action="store_true", help="keep event counters only")
+    run.option("--config", dest="config_path", metavar="PATH",
+               help="load the full scenario config from a JSON file")
+    run.option("--out", metavar="PATH", help="write the report here instead of stdout")
+    batch.option("-N", "--runs", default=1000)
+    batch.option("-K", "--workers", default=1)
+    batch.option("--out", metavar="PATH", help="write the aggregate here instead of stdout")
 
 
-@qbc.command("analyze")
-@click.argument("scheme_file", type=click.Path(exists=True))
-@click.option("--out", type=click.Path(), help="write the report here instead of stdout")
-def qbc_analyze(scheme_file, out):
-    """Measure how concealing and how binding a scheme file is."""
-    config = ScenarioConfig(protocol="qbc_analyze", scheme_file=scheme_file)
-    sys.exit(_finish_run(config, out))
-
-
-# ----------------------------------------------------------------- ledger
-
-
-@main.group()
-def ledger():
-    """Inspect ledgers from saved run reports."""
+def _qbc_analyze(opts, given):
+    config = ScenarioConfig(protocol="qbc_analyze", scheme_file=opts["scheme_file"])
+    return _finish_run(config, opts["out"])
 
 
 def _render_body(kind: str, body: bytes) -> str:
@@ -197,12 +203,8 @@ def _render_body(kind: str, body: bytes) -> str:
             f"bid {decoded['winning_bid']}, losing bids [{losers}]")
 
 
-@ledger.command("dump")
-@click.option("--report", "report_path", type=click.Path(exists=True), required=True,
-              help="a report written by `lottery run --out` / `auction run --out`")
-@click.option("--json", "as_json", is_flag=True, help="emit canonical JSON records")
-def ledger_dump(report_path, as_json):
-    """Print every miner's ledger: canonical encoding plus a rendering."""
+def _ledger_dump(opts, given):
+    report_path = opts["report_path"]
     report = read_json(report_path)
     try:
         validate_report(report)
@@ -214,36 +216,28 @@ def ledger_dump(report_path, as_json):
                          + (f" (and {more} more)" if more else "")) from None
     ledgers = report.get("ledgers")
     if ledgers is None:
-        raise click.ClickException("this report carries no ledgers")
-    if as_json:
+        raise QbsimError("this report carries no ledgers")
+    if opts["as_json"]:
         sys.stdout.buffer.write(canonical_report_bytes(ledgers))
         return
     for owner in sorted(ledgers):
-        click.echo(f"== ledger of {owner}")
+        print(f"== ledger of {owner}")
         for record in ledgers[owner]:
             body = bytes.fromhex(record["body"])  # the schema admits whole hex bytes only
-            click.echo(f"  height {record['height']} kind {record['kind']} "
-                       f"origin {record['origin_consensus']}")
-            click.echo(f"    canonical: {record['body']}")
-            click.echo(f"    rendered:  {_render_body(record['kind'], body)}")
+            print(f"  height {record['height']} kind {record['kind']} "
+                  f"origin {record['origin_consensus']}")
+            print(f"    canonical: {record['body']}")
+            print(f"    rendered:  {_render_body(record['kind'], body)}")
 
 
 def entrypoint():
     try:
-        main(standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
+        sys.exit(main(sys.argv[1:]))
     except ConfigError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(1)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
-    except click.exceptions.Abort:
-        sys.exit(1)
-    except (QbsimError, OSError) as exc:  # OSError: an input or output file
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        print(exc, file=sys.stderr)
+    except (QbsimError, OSError, KeyboardInterrupt) as exc:  # OSError: an input or output file
+        print(f"error: {str(exc) or 'interrupted'}", file=sys.stderr)
+    sys.exit(1)
 
 
 if __name__ == "__main__":

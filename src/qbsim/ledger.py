@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import LedgerError
-from .parties import PartyId
 
 
 class RecordKind(Enum):
@@ -39,8 +38,7 @@ class LedgerRecord:
 class MinerLedger:
     """Append-only: nothing here removes or rewrites a record."""
 
-    def __init__(self, owner: PartyId):
-        self.owner = owner
+    def __init__(self):
         self._records: list[LedgerRecord] = []
 
     @property

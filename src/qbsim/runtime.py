@@ -220,7 +220,7 @@ def finalize(ctx: SimContext, params: RunParams, protocol: str, instance_id: int
                for m, spec in params.byzantine_miners.items()}
     result = run_consensus(inputs, scripts, ctx.network, CodecDomain(decode), instance_id)
 
-    ledgers = {m: MinerLedger(m) for m in miners}
+    ledgers = {m: MinerLedger() for m in miners}
     reference = next(m for m in miners if result.decisions[m] is not None)
     if result.decisions[reference] == BOT:
         ctx.log.append("consensus_no_agreement", protocol=protocol)

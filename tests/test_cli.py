@@ -1,17 +1,21 @@
 """CLI surface: subcommands, exit codes, report emission, ledger dump."""
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 import qbsim
+from qbsim import cli
 from qbsim.auction import BUYER_POLICIES, SELLER_POLICIES
-from qbsim.cli import main
+from qbsim.cli import entrypoint
 from qbsim.lottery import PLAYER_POLICIES
 from qbsim.scenario import ScenarioConfig, run_scenario
 from oracles import report_v1, report_v2
@@ -20,17 +24,36 @@ from test_qbc_io import REPO, nan_scheme
 SCHEMES = REPO / "schemes"
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str
+
+
+def invoke(args: list[str]) -> Result:
+    """Run the CLI in this process as `qbsim ARGS` would; the output is
+    stdout followed by stderr."""
+    out, err = io.TextIOWrapper(io.BytesIO(), write_through=True), io.StringIO()
+    argv, sys.argv = sys.argv, ["qbsim", *args]
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            entrypoint()
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.argv = argv
+    return Result(code, out.buffer.getvalue().decode() + err.getvalue())
+
+
 def json_line(output: str) -> dict:
     """The report/aggregate is the single canonical-JSON line on stdout;
-    CliRunner interleaves the stderr wall-time note, so pick the JSON."""
+    the output also holds the stderr wall-time note, so pick the JSON."""
     return json.loads(next(l for l in output.splitlines() if l.startswith("{")))
 
 
 def test_lottery_run_emits_valid_report_and_exit_zero():
-    runner = CliRunner()
-    result = runner.invoke(main, ["lottery", "run", "--players", "2",
-                                  "--ticket-bits", "4", "--miners", "1",
-                                  "--seed", "5"])
+    result = invoke(["lottery", "run", "--players", "2",
+                     "--ticket-bits", "4", "--miners", "1",
+                     "--seed", "5"])
     assert result.exit_code == 0
     report = json_line(result.output)
     assert report["protocol"] == "lottery"
@@ -38,32 +61,28 @@ def test_lottery_run_emits_valid_report_and_exit_zero():
 
 
 def test_lottery_run_cheater_exit_code_two():
-    runner = CliRunner()
-    result = runner.invoke(main, ["lottery", "run", "--players", "2",
-                                  "--ticket-bits", "4", "--miners", "1",
-                                  "--player-policy", "0=equivocate:0000:1111"])
+    result = invoke(["lottery", "run", "--players", "2",
+                     "--ticket-bits", "4", "--miners", "1",
+                     "--player-policy", "0=equivocate:0000:1111"])
     assert result.exit_code == 2
 
 
 def test_invalid_config_exit_code_one_with_diagnostics():
-    runner = CliRunner()
-    result = runner.invoke(main, ["lottery", "run", "--players", "1",
-                                  "--ticket-bits", "0"])
+    result = invoke(["lottery", "run", "--players", "1",
+                     "--ticket-bits", "0"])
     assert result.exit_code == 1
 
 
 def test_same_seed_same_bytes_on_stdout():
-    runner = CliRunner()
     args = ["auction", "run", "--buyers", "3", "--miners", "2", "--seed", "9"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
+    first = invoke(args)
+    second = invoke(args)
     line = lambda r: next(l for l in r.output.splitlines() if l.startswith("{"))
     assert line(first) == line(second)
 
 
 def test_auction_cheating_seller_exit_two():
-    runner = CliRunner()
-    result = runner.invoke(main, [
+    result = invoke([
         "auction", "run", "--buyers", "3", "--miners", "1",
         "--seller-policy", "wrong-winner",
         "--buyer-policy", "0=fixed:3", "--buyer-policy", "1=fixed:7",
@@ -72,60 +91,55 @@ def test_auction_cheating_seller_exit_two():
 
 
 def test_stats_subcommands_emit_aggregates():
-    runner = CliRunner()
-    result = runner.invoke(main, ["lottery", "stats", "--runs", "20",
-                                  "--players", "2", "--ticket-bits", "2",
-                                  "--miners", "1"])
+    result = invoke(["lottery", "stats", "--runs", "20",
+                     "--players", "2", "--ticket-bits", "2",
+                     "--miners", "1"])
     assert result.exit_code == 0
     agg = json_line(result.output)
     assert agg["runs"] == 20
     assert len(agg["bit_one_frequencies"]) == 2
 
-    result = runner.invoke(main, ["auction", "stats", "--runs", "10",
-                                  "--buyers", "2", "--miners", "1"])
+    result = invoke(["auction", "stats", "--runs", "10",
+                     "--buyers", "2", "--miners", "1"])
     agg = json_line(result.output)
     assert agg["runs"] == 10
 
 
 def test_qbc_analyze_bell_and_product():
-    runner = CliRunner()
-    result = runner.invoke(main, ["qbc", "analyze", str(SCHEMES / "bell_pair.json")])
+    result = invoke(["qbc", "analyze", str(SCHEMES / "bell_pair.json")])
     assert result.exit_code == 0
     analysis = json_line(result.output)["analysis"]
     assert analysis["concealing_defect"] < 1e-10
     assert analysis["binding_strength"] < 1e-6
 
-    result = runner.invoke(main, ["qbc", "analyze", str(SCHEMES / "product.json")])
+    result = invoke(["qbc", "analyze", str(SCHEMES / "product.json")])
     analysis = json_line(result.output)["analysis"]
     assert abs(analysis["concealing_defect"] - 1.0) < 1e-10
     assert abs(analysis["binding_strength"] - 1.0) < 1e-6
 
 
 def test_config_file_roundtrip(tmp_path):
-    runner = CliRunner()
     config_path = tmp_path / "scenario.json"
     config_path.write_text(json.dumps({
         "protocol": "lottery", "players": 2, "ticket_bits": 3,
         "miners": 1, "seed": 11}))
-    result = runner.invoke(main, ["lottery", "run", "--config", str(config_path)])
+    result = invoke(["lottery", "run", "--config", str(config_path)])
     assert result.exit_code == 0
     report = json_line(result.output)
     assert report["config"]["seed"] == 11
 
 
 def test_ledger_dump_renders_records(tmp_path):
-    runner = CliRunner()
     report_path = tmp_path / "report.json"
-    result = runner.invoke(main, ["lottery", "run", "--players", "2",
-                                  "--ticket-bits", "4", "--miners", "2",
-                                  "--seed", "3", "--out", str(report_path)])
+    result = invoke(["lottery", "run", "--players", "2",
+                     "--ticket-bits", "4", "--miners", "2",
+                     "--seed", "3", "--out", str(report_path)])
     assert result.exit_code == 0
-    dump = runner.invoke(main, ["ledger", "dump", "--report", str(report_path)])
+    dump = invoke(["ledger", "dump", "--report", str(report_path)])
     assert dump.exit_code == 0
     assert "ledger of miner:0" in dump.output
     assert "ticket list" in dump.output
-    as_json = runner.invoke(main, ["ledger", "dump", "--report", str(report_path),
-                                   "--json"])
+    as_json = invoke(["ledger", "dump", "--report", str(report_path), "--json"])
     parsed = json_line(as_json.output)
     assert "miner:0" in parsed and "miner:1" in parsed
 
@@ -215,17 +229,34 @@ def test_lottery_and_auction_runs_and_batches_load_no_numpy():
     assert out.strip() == "False"
 
 
+def help_entries(group: str, command: str) -> dict[str, tuple[str, str]]:
+    """The options of a command's `--help`, keyed by long name: each one's
+    names with metavar, and its help text with the default it shows."""
+    result = invoke([group, command, "--help"])
+    assert result.exit_code == 0
+    entries = {}
+    for line in result.output.split("options:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            names, *text = re.split(r"\s{2,}", line.strip(), maxsplit=1)
+            long_name = next(w for w in names.replace(",", " ").split() if w.startswith("--"))
+            entries[long_name] = [names, text]
+        else:  # the help text goes on, wrapped
+            entries[long_name][1].append(line.strip())
+    return {name: (names, " ".join(text)) for name, (names, text) in entries.items()}
+
+
 def test_both_protocols_share_the_run_options():
     """`--miners`, `--seed`, `--backend`, `--byzantine` and `--key-budget`
     read the same, with help text, in all four protocol commands."""
-    shared = ("miners", "seed", "backend", "byzantine_miners", "key_budget")
+    shared = ("--miners", "--seed", "--backend", "--byzantine", "--key-budget")
     seen = []
     for group in ("lottery", "auction"):
         for command in ("run", "stats"):
-            params = {p.name: p for p in main.commands[group].commands[command].params}
-            options = [params[name] for name in shared]
-            assert all(option.help for option in options), (group, command)
-            seen.append([(o.opts, o.default, o.help) for o in options])
+            entries = help_entries(group, command)
+            options = [entries[name] for name in shared]
+            assert all(text and not text.startswith("[default")
+                       for _, text in options), (group, command)
+            seen.append(options)
     assert all(entry == seen[0] for entry in seen)
 
 
@@ -233,7 +264,7 @@ def test_run_and_stats_help_lists_every_policy_name():
     tables = {"lottery": [PLAYER_POLICIES], "auction": [BUYER_POLICIES, SELLER_POLICIES]}
     for group, names in tables.items():
         for command in ("run", "stats"):
-            result = CliRunner().invoke(main, [group, command, "--help"], terminal_width=200)
+            result = invoke([group, command, "--help"])
             assert result.exit_code == 0
             words = set(result.output.replace("[", " ").replace("]", " ")
                         .replace("|", " ").replace(":", " ").split())
@@ -330,3 +361,89 @@ def test_scheme_file_with_nan_exits_one_with_one_error_line(entry, tmp_path):
     path.write_text(json.dumps(nan_scheme(entry)))  # json writes the bare constant NaN
     assert "NaN" in path.read_text()
     assert_one_error_line(run_cli("qbc", "analyze", str(path)), str(path), "NaN")
+
+
+def test_run_refuses_every_other_option_beside_config(tmp_path):
+    """`--config` runs the file as it is: an option that would be dropped
+    is refused by name instead, and nothing runs."""
+    path = config_file(tmp_path / "auction.json", {"protocol": "auction", "buyers": 3,
+                                                   "miners": 1, "seed": 4})
+    assert_one_error_line(run_cli("lottery", "run", "--config", path, "--seed", "9",
+                     "--summary-log"), "--seed", "--summary-log")
+    assert_one_error_line(run_cli("auction", "run", "-k", "3", "--config", path), "--miners")
+
+
+def test_a_config_file_runs_its_own_protocol_under_either_run(tmp_path):
+    """`--out` is the one option taken beside `--config`, and the file's
+    `protocol` runs under the `run` of either group."""
+    path = config_file(tmp_path / "auction.json", {"protocol": "auction", "buyers": 3,
+                                                   "miners": 1, "seed": 4})
+    reports = []
+    for group in ("lottery", "auction"):
+        out = tmp_path / f"{group}.json"
+        done = run_cli(group, "run", "--config", path, "--out", str(out))
+        assert done.returncode == 0 and done.stdout == ""
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config"]["seed"] == 4
+
+
+def test_lottery_and_auction_runs_import_only_the_standard_library():
+    """A run and a batch through the CLI load no third-party module; the
+    snapshot comes first, as site hooks may preload some."""
+    probe = """if True:
+        import sys
+        before = set(sys.modules)
+        import contextlib, io
+        import qbsim.cli
+        for argv in (["lottery", "run"], ["auction", "run"], ["lottery", "stats", "--runs", "5"]):
+            sys.argv = ["qbsim", *argv]
+            out = io.TextIOWrapper(io.BytesIO())
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    qbsim.cli.entrypoint()
+                except SystemExit as exc:
+                    assert exc.code == 0, (argv, exc.code)
+            out.flush()
+            assert out.buffer.getvalue().startswith(b"{"), argv
+        added = {name.split(".")[0] for name in set(sys.modules) - before}
+        print(sorted(added - sys.stdlib_module_names - {"qbsim"}))
+    """
+    out = subprocess.run([sys.executable, "-c", probe], env=src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+USAGE_ERRORS = {
+    "a non-integer count": ("lottery", "run", "--miners", "two"),
+    "an unknown option": ("lottery", "run", "--bogus", "1"),
+    "an abbreviated option": ("lottery", "run", "--mine", "3"),
+    "a bad choice": ("auction", "run", "--seller-policy", "bogus"),
+    "a missing subcommand": (),
+    "a missing command of a group": ("lottery",),
+    "a missing required option": ("ledger", "dump"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_a_usage_error_exits_one_with_one_error_line(name):
+    """Exit 1, not 2: 2 is the cheater code."""
+    assert_one_error_line(run_cli(*USAGE_ERRORS[name]))
+
+
+def test_help_exits_zero_and_shows_every_default():
+    entries = help_entries("lottery", "run")
+    shown = {name: text for name, (_, text) in entries.items() if "[default: " in text}
+    assert {name: text.split("[default: ")[1] for name, text in shown.items()} == {
+        "--players": "3]", "--ticket-bits": "8]", "--policy": "exclude]", "--miners": "2]",
+        "--seed": "0]", "--backend": "ideal]", "--key-budget": "65536]"}
+
+
+def test_an_interrupt_exits_one(monkeypatch):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_scenario", interrupted)
+    result = invoke(["lottery", "run"])
+    assert result.exit_code == 1
+    assert result.output == "error: interrupted\n"

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbsim.consensus import (
     BOT,
@@ -194,6 +195,83 @@ def test_randomized_agreement_and_validity_small_sweep():
         if same_input:
             assert honest_values == {common}, f"validity violated on trial {trial}"
         assert result.decision_phase <= result.f_actual + 1
+
+
+# -------------------------------------------------- searched adversary
+
+POOL = (b"\x0f", b"\x33", b"\x55")  # pairwise 4 bits apart: a flip is never another input
+FORGED = b"forged"
+
+
+def flipped(value: bytes, bit: int) -> bytes:
+    return (int.from_bytes(value, "big") ^ 1 << bit).to_bytes(len(value), "big")
+
+
+TABLE_DOMAIN = ExplicitDomain([*POOL, *(flipped(v, b) for v in POOL for b in range(8)), FORGED])
+
+# one table entry, what a Byzantine miner sends one recipient in one
+# (phase, round); an input is named by its index among the honest inputs
+ENTRY = st.one_of(
+    st.just(("silent",)), st.just(("garbage",)), st.just(("bot",)),
+    st.tuples(st.just("input"), st.integers(0, 5)),
+    st.tuples(st.just("flip"), st.integers(0, 5), st.integers(0, 7)),
+    st.just(("forged",)))
+
+
+def table_script(table: dict, candidates: list):
+    """The script that sends what `table` says for each (phase, round, recipient)."""
+    def script(phase, round_, recipient):
+        kind, *args = table[phase, round_, recipient.index]
+        if kind == "silent":
+            return None
+        if kind == "garbage":
+            return ("garbage",)
+        if kind in ("bot", "forged"):
+            return ("value", BOT if kind == "bot" else FORGED)
+        value = candidates[args[0] % len(candidates)]
+        return ("value", value if kind == "input" else flipped(value, args[1]))
+
+    return script
+
+
+@st.composite
+def table_adversaries(draw):
+    """(n, honest inputs, Byzantine tables): n in {4, 7}, at most f_tol
+    Byzantine miners, each honest input from POOL, and one table entry
+    per (phase, round, recipient) for each Byzantine miner."""
+    n = draw(st.sampled_from([4, 7]))
+    f = draw(st.integers(0, tolerated_faults(n)))
+    byzantine = draw(st.lists(st.sampled_from(range(n)), min_size=f, max_size=f, unique=True))
+    common = draw(st.one_of(st.none(), st.sampled_from(POOL)))
+    inputs = {i: common or draw(st.sampled_from(POOL)) for i in range(n) if i not in byzantine}
+    keys = [(phase, round_, recipient) for phase in range(1, tolerated_faults(n) + 2)
+            for round_ in (1, 2, 3) for recipient in range(n)]
+    tables = {i: dict(zip(keys, draw(st.lists(ENTRY, min_size=len(keys), max_size=len(keys)))))
+              for i in sorted(byzantine)}
+    return n, inputs, tables
+
+
+def run_table_adversary(n, inputs, tables):
+    miners, net, log = build(n)
+    candidates = list(inputs.values())
+    return run_consensus({miners[i]: value for i, value in inputs.items()},
+                         {miners[i]: table_script(table, candidates)
+                          for i, table in tables.items()}, net, TABLE_DOMAIN)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(table_adversaries())
+def test_table_scripted_byzantine_miners_cannot_break_agreement(adversary):
+    """Every Byzantine miner a table of what it sends whom, including
+    bit-flipped inputs and a forged record the domain admits: while
+    f <= f_tol the honest miners agree, and equal honest inputs are
+    decided."""
+    n, inputs, tables = adversary
+    result = run_table_adversary(n, inputs, tables)
+    decided = {result.decisions[m] for m in result.honest}
+    assert len(decided) == 1
+    if len(set(inputs.values())) == 1:
+        assert decided == set(inputs.values())
 
 
 def test_same_seed_same_decision_and_transcript():

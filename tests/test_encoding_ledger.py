@@ -20,7 +20,7 @@ from qbsim.encoding import (
 )
 from qbsim.errors import EncodingError, LedgerError
 from qbsim.ledger import LedgerRecord, MinerLedger, RecordKind, ledgers_consistent
-from qbsim.parties import buyer, miner
+from qbsim.parties import buyer
 
 
 ticket_entry = st.tuples(
@@ -96,7 +96,7 @@ def test_payload_decoders():
 
 
 def test_ledger_append_heights():
-    led = MinerLedger(miner(0))
+    led = MinerLedger()
     body = encode_ticket_list([(0, "opened", BitString.from_text("01"))])
     r0 = led.append_finalized(RecordKind.TICKET_LIST, body, 0)
     assert r0.height == 0
@@ -115,7 +115,7 @@ def test_ledger_record_validation():
 def test_ledgers_consistent_and_divergence_point():
     body = encode_ticket_list([(0, "opened", BitString.from_text("11"))])
     other = encode_ticket_list([(0, "opened", BitString.from_text("10"))])
-    a, b = MinerLedger(miner(0)), MinerLedger(miner(1))
+    a, b = MinerLedger(), MinerLedger()
     for led in (a, b):
         led.append_finalized(RecordKind.TICKET_LIST, body, 0)
     assert ledgers_consistent([a, b]) == (True, None)
@@ -123,7 +123,7 @@ def test_ledgers_consistent_and_divergence_point():
     b.append_finalized(RecordKind.TICKET_LIST, other, 1)
     assert ledgers_consistent([a, b]) == (False, 1)
     # length divergence
-    c = MinerLedger(miner(2))
+    c = MinerLedger()
     c.append_finalized(RecordKind.TICKET_LIST, body, 0)
     assert ledgers_consistent([a, c]) == (False, 1)
     assert ledgers_consistent([a]) == (True, None)
