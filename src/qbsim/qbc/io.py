@@ -2,26 +2,31 @@
 
 A scheme file is JSON with dims, the two amplitude vectors as
 [real, imag] pairs, and a list of Kraus matrices; see
-schemas/qbc_scheme.schema.json for the exact shape.
+schemas/qbc_scheme.schema.json for the exact shape. A dimension must be
+an int and every entry a real number; neither is coerced.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from ..errors import DimensionMismatchError, EncodingError, StateValidationError
 from ..jsonfile import read_json
 from .states import HilbertDims, OpenOperation, PureState, QbcScheme
 
 
-def _complex_vector(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise EncodingError(f"malformed scheme description: {value!r} is not a real number")
+    return value
 
 
-def _pairs(vector: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in vector]
+def _complex_vector(pairs) -> list[complex]:
+    return [complex(_real(re), _real(im)) for re, im in pairs]
+
+
+def _pairs(vector) -> list[list[float]]:
+    return [[z.real, z.imag] for z in vector]
 
 
 def scheme_to_dict(scheme: QbcScheme) -> dict[str, Any]:
@@ -39,14 +44,14 @@ def scheme_to_dict(scheme: QbcScheme) -> dict[str, Any]:
 
 def scheme_from_dict(data: dict[str, Any]) -> QbcScheme:
     try:
-        dims = HilbertDims(int(data["dim_a"]), int(data["dim_b"]))
+        dim_a, dim_b = data["dim_a"], data["dim_b"]
+        if type(dim_a) is not int or type(dim_b) is not int:
+            raise EncodingError("malformed scheme description: dimensions must be integers, "
+                                f"got {dim_a!r} and {dim_b!r}")
+        dims = HilbertDims(dim_a, dim_b)
         c0 = PureState(dims, _complex_vector(data["c0"]))
         c1 = PureState(dims, _complex_vector(data["c1"]))
-        kraus = [
-            np.array([[complex(re, im) for re, im in row] for row in op], dtype=np.complex128)
-            for op in data["kraus"]
-        ]
-        open_op = OpenOperation(kraus)
+        open_op = OpenOperation([list(map(_complex_vector, op)) for op in data["kraus"]])
     except (KeyError, TypeError, ValueError,
             DimensionMismatchError, StateValidationError) as exc:
         # semantic validity (e.g. an opening that cannot distinguish the

@@ -1,25 +1,25 @@
 """Distinguishability measures and the concealing/binding quantities.
 
-Conventions: trace distance D(rho, sigma) = (1/2)||rho - sigma||_1 and
-square-root fidelity F(rho, sigma) = Tr sqrt(sqrt(rho) sigma sqrt(rho)),
-so 1 - F <= D <= sqrt(1 - F^2).
+Convention: trace distance D(rho, sigma) = (1/2)||rho - sigma||_1, the
+half sum of the absolute eigenvalues of rho - sigma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from math import fsum
 
 from ..errors import DimensionMismatchError
+from .linalg import conj, dot, eigvalsh, gram, norm, svd
 from .states import DensityOperator, OpenOperation, PureState, QbcScheme
 
 
 def partial_trace_a(state: PureState) -> DensityOperator:
     """Reduced state on B: what the receiver holds before opening."""
-    m = state.as_matrix()
+    db = state.dims.dim_b
     # rho_B[b, b'] = sum_a psi[a, b] * conj(psi[a, b'])
-    return DensityOperator(m.T @ m.conj())
+    columns = [state.amplitudes[b::db] for b in range(db)]
+    return DensityOperator(gram(columns, columns))
 
 
 def _check_same_dim(rho: DensityOperator, sigma: DensityOperator):
@@ -29,20 +29,8 @@ def _check_same_dim(rho: DensityOperator, sigma: DensityOperator):
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     _check_same_dim(rho, sigma)
-    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(np.clip(0.5 * np.abs(eigs).sum(), 0.0, 1.0))
-
-
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    eigs, vecs = np.linalg.eigh(matrix)
-    eigs = np.clip(eigs, 0.0, None)
-    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
-
-
-def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    _check_same_dim(rho, sigma)
-    product = _psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix)
-    return float(np.clip(np.linalg.svd(product, compute_uv=False).sum(), 0.0, 1.0))
+    diff = [[a - b for a, b in zip(x, y)] for x, y in zip(rho.matrix, sigma.matrix)]
+    return min(max(0.5 * fsum(map(abs, eigvalsh(diff))), 0.0), 1.0)
 
 
 def concealing_defect(scheme: QbcScheme) -> float:
@@ -60,53 +48,50 @@ class BindingReport:
 
     strength: float
     best_overlap: float
-    witness_unitary: np.ndarray
+    witness_unitary: tuple[tuple[complex, ...], ...]
     witness_residual: float
-
-
-def _overlap_matrix(scheme: QbcScheme) -> np.ndarray:
-    # <c1|(U x I)|c0> = Tr(U @ N) with N = Psi0 @ Psi1^dagger on A.
-    psi0 = scheme.c0.as_matrix()
-    psi1 = scheme.c1.as_matrix()
-    return psi0 @ psi1.conj().T
 
 
 def binding_attack(scheme: QbcScheme) -> BindingReport:
     """Maximize |<c1|(U x I_B)|c0>| over unitaries U on A.
 
-    The maximum is the nuclear norm of Psi0 Psi1^dagger (equivalently the
-    fidelity of the two B-marginals), attained at U = W V^dagger from the
-    SVD V S W^dagger of that matrix; U is returned as an explicit witness.
+    <c1|(U x I)|c0> = Tr(U N) with N = Psi0 Psi1^dagger on A. The maximum
+    is the nuclear norm of N (equivalently the fidelity of the two
+    B-marginals), attained at U = W V^dagger from the SVD V S W^dagger of
+    N; U is returned as an explicit witness. Where N is rank-deficient,
+    V is completed as `linalg.svd` states, so for N = 0 the witness is the
+    identity.
     """
-    n = _overlap_matrix(scheme)
-    v, s, wh = np.linalg.svd(n)
-    best = float(np.clip(s.sum(), 0.0, 1.0))
-    witness = wh.conj().T @ v.conj().T
-    moved = (witness @ scheme.c0.as_matrix()).reshape(-1)
-    residual = distance_up_to_phase(moved, scheme.c1.amplitudes)
+    rows0, rows1 = scheme.c0.as_matrix(), scheme.c1.as_matrix()
+    s, v, w = svd(gram(rows0, rows1))
+    best = min(max(fsum(s), 0.0), 1.0)
+    witness = tuple(map(tuple, gram(w, v)))
+    columns0 = list(zip(*rows0))
+    moved = [dot(row, col) for row in witness for col in columns0]
     return BindingReport(
         strength=1.0 - best,
         best_overlap=best,
         witness_unitary=witness,
-        witness_residual=residual,
+        witness_residual=distance_up_to_phase(moved, scheme.c1.amplitudes),
     )
 
 
 def apply_open(op: OpenOperation, state: PureState) -> DensityOperator:
+    """sum_k K |psi><psi| K^dagger, as the outer products of the K |psi>."""
     if op.dim != state.dims.total:
         raise DimensionMismatchError(
             f"opening acts on dim {op.dim}, state lives on {state.dims.total}"
         )
-    rho = state.projector()
-    out = np.zeros_like(rho)
-    for k in op.kraus_operators:
-        out += k @ rho @ k.conj().T
-    return DensityOperator(out)
+    images = list(zip(*([dot(row, state.amplitudes) for row in k]
+                        for k in op.kraus_operators)))
+    return DensityOperator(gram(images, images))
 
 
-def distance_up_to_phase(x: np.ndarray, y: np.ndarray) -> float:
+def distance_up_to_phase(x, y) -> float:
     """Euclidean distance after aligning the global phase of x to y."""
-    inner = np.vdot(y, x)
-    phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-    return float(np.linalg.norm(x / phase - y))
-
+    inner = dot(conj(y), x)
+    size = norm((inner,))
+    pr, pi = (inner.real / size, inner.imag / size) if size > 0 else (1.0, 0.0)
+    # x / phase = x * conj(phase), as |phase| = 1
+    return norm([complex(a.real * pr + a.imag * pi - b.real, a.imag * pr - a.real * pi - b.imag)
+                 for a, b in zip(x, y)])

@@ -1,8 +1,8 @@
-"""Reference scheme constructors used by tests, demos and the analyzer."""
+"""The two textbook schemes at the ends of the concealing/binding trade-off."""
 
 from __future__ import annotations
 
-import numpy as np
+from math import sqrt
 
 from .states import HilbertDims, OpenOperation, PureState, QbcScheme
 
@@ -14,7 +14,7 @@ def bell_pair_scheme() -> QbcScheme:
     bit-flip unitary on A maps one onto the other.
     """
     dims = HilbertDims(2, 2)
-    s = 1 / np.sqrt(2)
+    s = 1 / sqrt(2)
     c0 = PureState(dims, [s, 0, 0, s])  # (|00> + |11>)/sqrt(2)
     c1 = PureState(dims, [0, s, s, 0])  # (|01> + |10>)/sqrt(2)
     return QbcScheme(dims, c0, c1, OpenOperation.identity(4))
@@ -26,51 +26,3 @@ def product_scheme() -> QbcScheme:
     c0 = PureState.basis(dims, 0, 0)
     c1 = PureState.basis(dims, 0, 1)
     return QbcScheme(dims, c0, c1, OpenOperation.identity(4))
-
-
-def random_pure_state(dims: HilbertDims, rng: np.random.Generator) -> PureState:
-    amps = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
-    return PureState.normalized(dims, amps)
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with the standard phase fix."""
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def random_scheme(dims: HilbertDims, rng: np.random.Generator) -> QbcScheme:
-    """Two independent random commitments with the identity opening."""
-    return QbcScheme(
-        dims,
-        random_pure_state(dims, rng),
-        random_pure_state(dims, rng),
-        OpenOperation.identity(dims.total),
-    )
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density matrix (Ginibre ensemble)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho)
-
-
-def exactly_concealing_scheme(dim: int, rng: np.random.Generator) -> QbcScheme:
-    """Both commitments purify the same B-state, so concealing is exact.
-
-    c1 = (U x I) c0 for a random U on A, which is simultaneously the
-    cheating unitary the binding measure must rediscover.
-    """
-    dims = HilbertDims(dim, dim)
-    rho_b = random_density_matrix(dim, rng)
-    # Psi^T conj(Psi) = rho_b holds for Psi = sqrt(rho_b)^T.
-    eigs, vecs = np.linalg.eigh(rho_b)
-    sqrt_rho = (vecs * np.sqrt(np.clip(eigs, 0, None))) @ vecs.conj().T
-    psi0 = sqrt_rho.T
-    c0 = PureState.normalized(dims, psi0.reshape(-1))
-    u = haar_unitary(dim, rng)
-    c1 = PureState.normalized(dims, (u @ c0.as_matrix()).reshape(-1))
-    return QbcScheme(dims, c0, c1, OpenOperation.identity(dims.total))

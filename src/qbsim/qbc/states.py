@@ -2,16 +2,18 @@
 
 A commitment scheme lives on a tensor product of two finite-dimensional
 spaces: the committer keeps side A, the receiver holds side B. Amplitude
-vectors are indexed row-major as (a_index, b_index).
+vectors are indexed row-major as (a_index, b_index). Vectors are tuples
+and matrices tuples of rows of Python complex numbers; the constructors
+accept any nested sequence of numbers, numpy arrays included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import mul
 
 from ..errors import DimensionMismatchError, SchemeValidationError, StateValidationError
+from .linalg import conj, eigvalsh, gram, norm
 
 # largest joint dimension dim_a * dim_b a scheme may have
 DIM_CAP = 64
@@ -22,6 +24,14 @@ TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 KRAUS_TOL = 1e-10
 DISTINGUISHABILITY_TOL = 1e-12
+
+
+def _matrix(rows) -> tuple[tuple[complex, ...], ...]:
+    return tuple(tuple(map(complex, row)) for row in rows)
+
+
+def _is_square(matrix: tuple) -> bool:
+    return all(len(row) == len(matrix) for row in matrix)
 
 
 @dataclass(frozen=True)
@@ -52,38 +62,40 @@ class PureState:
     __slots__ = ("dims", "amplitudes")
 
     def __init__(self, dims: HilbertDims, amplitudes):
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.shape[0] != dims.total:
+        amps = tuple(map(complex, amplitudes))
+        if len(amps) != dims.total:
             raise DimensionMismatchError(
-                f"expected {dims.total} amplitudes, got shape {amps.shape}"
+                f"expected {dims.total} amplitudes, got {len(amps)}"
             )
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_TOL:  # `not <=` refuses NaN too
-            raise StateValidationError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+        size = norm(amps)
+        if not abs(size - 1.0) <= NORM_TOL:  # `not <=` refuses NaN too
+            raise StateValidationError(f"state norm {size!r} is not 1 within {NORM_TOL}")
         self.dims = dims
         self.amplitudes = amps
-        self.amplitudes.flags.writeable = False
 
     @classmethod
     def normalized(cls, dims: HilbertDims, amplitudes) -> "PureState":
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        norm = np.linalg.norm(amps)
-        if norm == 0:
+        amps = tuple(map(complex, amplitudes))
+        size = norm(amps)
+        if size == 0:
             raise StateValidationError("cannot normalize the zero vector")
-        return cls(dims, amps / norm)
+        return cls(dims, [complex(z.real / size, z.imag / size) for z in amps])
 
     @classmethod
     def basis(cls, dims: HilbertDims, a_index: int, b_index: int) -> "PureState":
-        amps = np.zeros(dims.total, dtype=np.complex128)
-        amps[a_index * dims.dim_b + b_index] = 1.0
+        amps = [0j] * dims.total
+        amps[a_index * dims.dim_b + b_index] = 1 + 0j
         return cls(dims, amps)
 
-    def as_matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to (dim_a, dim_b)."""
-        return self.amplitudes.reshape(self.dims.dim_a, self.dims.dim_b)
+    def as_matrix(self) -> tuple[tuple[complex, ...], ...]:
+        """Amplitudes as dim_a rows of dim_b."""
+        db = self.dims.dim_b
+        return tuple(self.amplitudes[a * db:(a + 1) * db] for a in range(self.dims.dim_a))
 
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+    def projector(self) -> tuple[tuple[complex, ...], ...]:
+        """|psi><psi|."""
+        column = [(z,) for z in self.amplitudes]
+        return _matrix(gram(column, column))
 
     def __repr__(self) -> str:
         return f"PureState(dims=({self.dims.dim_a},{self.dims.dim_b}))"
@@ -95,20 +107,20 @@ class DensityOperator:
     __slots__ = ("dim", "matrix")
 
     def __init__(self, matrix):
-        mat = np.asarray(matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(f"density operator must be square, got {mat.shape}")
-        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL:
+        mat = _matrix(matrix)
+        if not mat or not _is_square(mat):
+            raise DimensionMismatchError("density operator must be a non-empty square matrix")
+        if not all(abs(z - w.conjugate()) <= HERMITIAN_TOL
+                   for row, col in zip(mat, zip(*mat)) for z, w in zip(row, col)):
             raise StateValidationError("matrix is not Hermitian within tolerance")
-        trace = complex(np.trace(mat))
+        trace = sum(mat[i][i] for i in range(len(mat)))
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise StateValidationError(f"trace {trace!r} is not 1 within {TRACE_TOL}")
-        eigs = np.linalg.eigvalsh(mat)
-        if not eigs.min() >= -EIGENVALUE_TOL:
-            raise StateValidationError(f"negative eigenvalue {eigs.min()!r}")
-        self.dim = mat.shape[0]
+        least = eigvalsh(mat)[0]
+        if not least >= -EIGENVALUE_TOL:
+            raise StateValidationError(f"negative eigenvalue {least!r}")
+        self.dim = len(mat)
         self.matrix = mat
-        self.matrix.flags.writeable = False
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
@@ -120,29 +132,29 @@ class OpenOperation:
     __slots__ = ("dim", "kraus_operators")
 
     def __init__(self, kraus_operators):
-        ops = [np.asarray(k, dtype=np.complex128) for k in kraus_operators]
+        ops = tuple(map(_matrix, kraus_operators))
         if not ops:
             raise StateValidationError("the Kraus list must be non-empty")
-        dim = ops[0].shape[0]
+        dim = len(ops[0])
         for k in ops:
-            if k.ndim != 2 or k.shape != (dim, dim):
-                raise DimensionMismatchError(
-                    f"every Kraus operator must be {dim}x{dim}, got {k.shape}"
-                )
-        completeness = sum(k.conj().T @ k for k in ops)
-        defect = float(np.max(np.abs(completeness - np.eye(dim))))
-        if not defect <= KRAUS_TOL:
+            if len(k) != dim or not _is_square(k):
+                raise DimensionMismatchError(f"every Kraus operator must be {dim}x{dim}")
+        # sum_k K^H K, entry (i, j): column i of every K against column j; a
+        # check, not a reported number, so complex arithmetic serves
+        columns = [[c for part in parts for c in part] for parts in zip(*(zip(*k) for k in ops))]
+        defects = [abs(sum(map(mul, x, y)) - (i == j))
+                   for i, x in enumerate(map(conj, columns)) for j, y in enumerate(columns)]
+        bad = [d for d in defects if not d <= KRAUS_TOL]  # a NaN too
+        if bad:
             raise StateValidationError(
-                f"Kraus operators are not trace-preserving (defect {defect:.3e})"
+                f"Kraus operators are not trace-preserving (defect {max(bad):.3e})"
             )
         self.dim = dim
-        self.kraus_operators = tuple(ops)
-        for k in self.kraus_operators:
-            k.flags.writeable = False
+        self.kraus_operators = ops
 
     @classmethod
     def identity(cls, dim: int) -> "OpenOperation":
-        return cls([np.eye(dim)])
+        return cls([[[complex(i == j) for j in range(dim)] for i in range(dim)]])
 
     def __repr__(self) -> str:
         return f"OpenOperation(dim={self.dim}, n_kraus={len(self.kraus_operators)})"

@@ -2,8 +2,9 @@
 
 Everything here reimplements the checked computation from scratch
 (struct-level parsing, straight-line arithmetic) so a transcription bug
-in the package cannot hide behind its own code paths. ExplicitDomain is
-the one fixture: a small consensus domain the tests can enumerate.
+in the package cannot hide behind its own code paths. The fixtures are
+ExplicitDomain, a small consensus domain the tests can enumerate, and the
+numpy constructors of random states and commitment schemes.
 """
 
 import copy
@@ -14,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from qbsim.consensus import BOT
+from qbsim.errors import DimensionMismatchError
+from qbsim.qbc import DensityOperator, HilbertDims, OpenOperation, PureState, QbcScheme
 
 
 class ExplicitDomain:
@@ -201,3 +204,68 @@ def numpy_derive_seed(master_seed, *path) -> int:
     """`qbsim.rng.derive_seed` by numpy's SeedSequence."""
     state = _numpy_seed_sequence(master_seed, *path).generate_state(1, np.uint64)[0]
     return int(state) & 0x7FFFFFFFFFFFFFFF
+
+
+# ------------------------------------------------ commitment-scheme oracles
+# numpy constructors and measures the tests hold `qbsim.qbc` against; the
+# package itself computes in pure Python.
+
+
+def random_pure_state(dims: HilbertDims, rng: np.random.Generator) -> PureState:
+    amps = rng.normal(size=dims.total) + 1j * rng.normal(size=dims.total)
+    return PureState.normalized(dims, amps)
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR with the standard phase fix."""
+    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def random_scheme(dims: HilbertDims, rng: np.random.Generator) -> QbcScheme:
+    """Two independent random commitments with the identity opening."""
+    return QbcScheme(
+        dims,
+        random_pure_state(dims, rng),
+        random_pure_state(dims, rng),
+        OpenOperation.identity(dims.total),
+    )
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank random density matrix (Ginibre ensemble)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+def _psd_sqrt(matrix) -> np.ndarray:
+    eigs, vecs = np.linalg.eigh(np.asarray(matrix))
+    eigs = np.clip(eigs, 0.0, None)
+    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
+
+
+def exactly_concealing_scheme(dim: int, rng: np.random.Generator) -> QbcScheme:
+    """Both commitments purify the same B-state, so concealing is exact.
+
+    c1 = (U x I) c0 for a random U on A, which is simultaneously the
+    cheating unitary the binding measure must rediscover.
+    """
+    dims = HilbertDims(dim, dim)
+    # Psi^T conj(Psi) = rho_b holds for Psi = sqrt(rho_b)^T.
+    psi0 = _psd_sqrt(random_density_matrix(dim, rng)).T
+    c0 = PureState.normalized(dims, psi0.reshape(-1))
+    u = haar_unitary(dim, rng)
+    c1 = PureState.normalized(dims, (u @ np.asarray(c0.as_matrix())).reshape(-1))
+    return QbcScheme(dims, c0, c1, OpenOperation.identity(dims.total))
+
+
+def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """Square-root fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), as the
+    nuclear norm of sqrt(rho) sqrt(sigma); 1 - F <= D <= sqrt(1 - F^2)."""
+    if rho.dim != sigma.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    product = _psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix)
+    return float(np.clip(np.linalg.svd(product, compute_uv=False).sum(), 0.0, 1.0))

@@ -32,10 +32,7 @@ from qbsim.qbc import (
     bell_pair_scheme,
     binding_attack,
     concealing_defect,
-    fidelity,
     product_scheme,
-    random_density_matrix,
-    random_scheme,
     trace_distance,
 )
 from qbsim.rng import generator
@@ -46,8 +43,11 @@ from qbsim.transport import Network
 from oracles import (
     ExplicitDomain,
     auction_argmax,
+    fidelity,
     lottery_result_matches_ledger,
     numpy_generator,
+    random_density_matrix,
+    random_scheme,
 )
 
 
@@ -306,7 +306,7 @@ def test_criterion_8_qbc_model():
         assert abs(binding_attack(prod).strength - 1.0) <= 1e-6
 
         def search_max_overlap(scheme: QbcScheme) -> float:
-            psi0, psi1 = scheme.c0.as_matrix(), scheme.c1.as_matrix()
+            psi0, psi1 = np.asarray(scheme.c0.as_matrix()), np.asarray(scheme.c1.as_matrix())
 
             def overlap(angles):
                 theta, phi, psi_ = angles

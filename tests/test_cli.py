@@ -215,7 +215,9 @@ def test_a_lottery_run_loads_no_qbc_module():
 
 
 def test_lottery_and_auction_runs_and_batches_load_no_numpy():
-    """numpy serves the commitment numerics of `qbsim.qbc` only."""
+    """Runs and batches load no numpy. Nothing in the package does: numpy
+    is a test oracle only, and `qbc analyze` is checked by
+    `test_qbc_analyze_imports_only_the_standard_library`."""
     probe = ("import sys, qbsim.cli; "
              "from qbsim.batch import run_batch; "
              "from qbsim.scenario import ScenarioConfig, run_scenario; "
@@ -388,15 +390,17 @@ def test_a_config_file_runs_its_own_protocol_under_either_run(tmp_path):
     assert json.loads(reports[0])["config"]["seed"] == 4
 
 
-def test_lottery_and_auction_runs_import_only_the_standard_library():
-    """A run and a batch through the CLI load no third-party module; the
-    snapshot comes first, as site hooks may preload some."""
-    probe = """if True:
+def third_party_imports(*argvs: list[str]) -> str:
+    """The top-level modules outside the standard library and qbsim that a
+    fresh interpreter loads while it runs each `qbsim ARGV` in turn, each
+    to exit 0 with a JSON report on stdout; the snapshot comes first, as
+    site hooks may preload some."""
+    probe = f"""if True:
         import sys
         before = set(sys.modules)
         import contextlib, io
         import qbsim.cli
-        for argv in (["lottery", "run"], ["auction", "run"], ["lottery", "stats", "--runs", "5"]):
+        for argv in {list(argvs)!r}:
             sys.argv = ["qbsim", *argv]
             out = io.TextIOWrapper(io.BytesIO())
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -405,13 +409,25 @@ def test_lottery_and_auction_runs_import_only_the_standard_library():
                 except SystemExit as exc:
                     assert exc.code == 0, (argv, exc.code)
             out.flush()
-            assert out.buffer.getvalue().startswith(b"{"), argv
-        added = {name.split(".")[0] for name in set(sys.modules) - before}
-        print(sorted(added - sys.stdlib_module_names - {"qbsim"}))
+            assert out.buffer.getvalue().startswith(b"{{"), argv
+        added = {{name.split(".")[0] for name in set(sys.modules) - before}}
+        print(sorted(added - sys.stdlib_module_names - {{"qbsim"}}))
     """
-    out = subprocess.run([sys.executable, "-c", probe], env=src_env(), check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", probe], env=src_env(), check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_lottery_and_auction_runs_import_only_the_standard_library():
+    """A run and a batch through the CLI load no third-party module."""
+    assert third_party_imports(["lottery", "run"], ["auction", "run"],
+                               ["lottery", "stats", "--runs", "5"]) == "[]"
+
+
+def test_qbc_analyze_imports_only_the_standard_library():
+    """The commitment numerics are pure Python: `qbc analyze` of every
+    shipped scheme loads no third-party module, numpy included."""
+    assert third_party_imports(*(["qbc", "analyze", str(path)]
+                                 for path in sorted(SCHEMES.glob("*.json")))) == "[]"
 
 
 USAGE_ERRORS = {

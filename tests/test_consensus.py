@@ -274,6 +274,20 @@ def test_table_scripted_byzantine_miners_cannot_break_agreement(adversary):
         assert decided == set(inputs.values())
 
 
+
+def test_round_three_keeps_a_value_only_at_the_full_threshold():
+    """n = 4 and a silent Byzantine king that, in its king's round, sends
+    its own input to miners 2 and 3 only, then backs miner 3 in phase 2.
+    Miner 3 then sees its plurality value with n - f_tol - 1 votes: a round
+    3 that kept it there would end with two honest decisions. Found by a
+    3,000-example table search against that weakened round 3."""
+    keys = [(phase, round_, recipient) for phase in (1, 2) for round_ in (1, 2, 3)
+            for recipient in range(4)]
+    table = dict.fromkeys(keys, ("silent",))
+    table.update({key: ("input", 0) for key in [(1, 3, 2), (1, 3, 3), (2, 1, 3), (2, 2, 3)]})
+    result = run_table_adversary(4, {1: POOL[0], 2: POOL[0], 3: POOL[1]}, {0: table})
+    assert len({result.decisions[m] for m in result.honest}) == 1
+
 def test_same_seed_same_decision_and_transcript():
     def run(seed):
         miners, net, log = build(4, seed=seed, detail=True)

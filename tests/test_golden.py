@@ -4,8 +4,9 @@ Every config below covers one policy, backend, Byzantine script or
 protocol; a refactor that leaves the program's behaviour alone keeps
 every hash. A change that moves a hash changes report bytes and has to
 say which field changed and why. The `qbc_analyze` reports carry
-floating-point results of numpy's linear algebra, so their hashes hold
-for one numpy/LAPACK build only.
+floating-point results of `qbsim.qbc.linalg`, which uses correctly
+rounded binary64 operations only, in a fixed order, so their hashes
+hold on every CPython build.
 
 Each config pins three hashes: `GOLDEN_V3` the run's report itself,
 `GOLDEN_V2` the schema-2 report rebuilt from it by `oracles.report_v2`,
@@ -130,11 +131,11 @@ GOLDEN = {
     ),
     "qbc-bell-pair": (
         dict(protocol="qbc_analyze", scheme_file="schemes/bell_pair.json"),
-        "a7efbaf1758019f455e0d3ecabf32a31d5b555e591f4537149ed7467716c30b7",
+        "f6410fc3d1023dcbf845ea5aeb139e8ba36077f1b55647432380add593211b61",
     ),
     "qbc-concealing-dim3": (
         dict(protocol="qbc_analyze", scheme_file="schemes/concealing_dim3.json"),
-        "eb6ad6e5ab1405a57e44c9709def780f7c40fa648265465729731f3e77fd3f2e",
+        "498a13bd008a31c4d817e6382f6b81ae304d438be0814ad8ad898beada3dc185",
     ),
     "qbc-product": (
         dict(protocol="qbc_analyze", scheme_file="schemes/product.json"),
@@ -188,9 +189,9 @@ GOLDEN_V2 = {
     "auction-one-miner":
         "1d01c9c7ee8c091eb0d84d0ccd35f41584af4785e6638fa805a4adc821f0a429",
     "qbc-bell-pair":
-        "61af33a5cb2f61a390c03c8243ddef931108cacf796f615452d197424ae2810b",
+        "937dfc5e837704a59c982ed2516ff3c9e9453a34271e81a09da7dd8f033df2bb",
     "qbc-concealing-dim3":
-        "e10074e296f408bde6896bddfc3cdafb37eb91d54adae3d81409ca6910a3550d",
+        "7564f82f1d767e5d7c1a8f280a5da181d16c3b408dc119be7a813ddc87288912",
     "qbc-product":
         "4b457cc4cf48312ea0bc66dbdf8ebfc134ad05e8bfb9ef06b5be8b224787e7ee",
 }
@@ -242,9 +243,9 @@ GOLDEN_V3 = {
     "auction-one-miner":
         "5b4440693e43a05608c9a8b4d53987d32a47fa9e2df4ba58408c76e7294f1376",
     "qbc-bell-pair":
-        "da6efd71ef5a3920c78426fb8aaf9848fcba6c8d99c88d8c1eedffd6b57de65c",
+        "0df4ad20d0318ac0ad4107d6190003b93f792d67521954a9d8a29f8f9a36d4b7",
     "qbc-concealing-dim3":
-        "b68bd7b01a246c7f840ba6296e026517a6fc397dc316b1f7c37f8dc1517a8c7f",
+        "a73553969053e809f964b60882b9fc2ae7ab022555bce963f684fbe7b9eeff22",
     "qbc-product":
         "338c850ddab1035f598f0edda34beed6f8591687246fcd862503c8bfc2a04913",
 }

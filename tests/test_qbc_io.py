@@ -13,11 +13,12 @@ from qbsim.qbc import (
     binding_attack,
     concealing_defect,
     load_scheme,
-    random_scheme,
     scheme_from_dict,
     scheme_to_dict,
 )
 from qbsim.scenario import ScenarioConfig, run_scenario
+
+from oracles import random_scheme
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads(
@@ -85,3 +86,36 @@ def test_inline_scheme_with_nan_is_refused(entry):
         scheme_from_dict(nan_scheme(entry))
     with pytest.raises(EncodingError):
         run_scenario(ScenarioConfig(protocol="qbc_analyze", scheme=nan_scheme(entry)))
+
+
+
+def scheme_with(name: str, path: tuple, value) -> dict:
+    """A shipped scheme with one field or entry replaced."""
+    data = json.loads((REPO / "schemes" / name).read_text())
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+@pytest.mark.parametrize("name,path,value", [
+    ("bell_pair.json", ("dim_a",), 2.9),
+    ("bell_pair.json", ("dim_a",), 2.0),
+    ("bell_pair.json", ("dim_b",), "2"),
+    ("product.json", ("c0", 0, 0), True),
+    ("product.json", ("kraus", 0, 0, 0, 0), True),
+])
+def test_a_scheme_dimension_or_entry_of_the_wrong_type_is_refused(name, path, value):
+    """A dimension must be exactly an int and an amplitude or Kraus entry
+    a real number, bool excluded: nothing is truncated or coerced."""
+    with pytest.raises(EncodingError):
+        scheme_from_dict(scheme_with(name, path, value))
+
+
+def test_a_bool_dimension_is_not_read_as_one():
+    data = scheme_with("product.json", ("dim_a",), True)
+    data["dim_b"] = 4
+    with pytest.raises(EncodingError):
+        scheme_from_dict(data)
