@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bits import BitString
+from .consensus import BOT
 from .encoding import (
     MAX_BID_BITS,
     MSG_OPEN_REQUEST,
@@ -43,6 +44,7 @@ from .runtime import (
     Policy,
     RunParams,
     SimContext,
+    canonical_decimal,
     count_violations,
     finalize,
     make_context,
@@ -68,10 +70,9 @@ _BID_DIGITS = len(str((1 << MAX_BID_BITS) - 1))
 
 
 def _read_bid(text: str) -> int:
-    """A bid in its one spelling: ASCII digits without a leading zero, no
-    more than the widest bid has."""
-    if (not (text.isascii() and text.isdecimal()) or (text[0] == "0" and text != "0")
-            or len(text) > _BID_DIGITS):
+    """A bid in its one spelling (`canonical_decimal`), with no more
+    digits than the widest bid has."""
+    if not canonical_decimal(text, _BID_DIGITS):
         raise QbsimError(f"bids must be at most {_BID_DIGITS} ASCII digits "
                          "without a leading zero")
     return int(text)
@@ -306,7 +307,7 @@ def run_valid_auction(params: AuctionParams) -> AuctionRunResult:
         lambda m: encode_verification_output(outputs[m]))
     decided_body = consensus_result.decisions[reference]
     # no agreement records no outcome rather than a fake one
-    outcome = (VerificationOutput(valid=False, agreed=False) if decided_body == b""
+    outcome = (VerificationOutput(valid=False, agreed=False) if decided_body == BOT
                else output_from_body(decided_body))
 
     cheaters = list(ctx.registry.cheat_detected_committers())

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import BitString, xor_all
+from .consensus import BOT
 from .encoding import decode_ticket_list, encode_open, encode_ticket_list
 from .errors import ConfigError, QbsimError
 from .ledger import RecordKind
@@ -224,7 +225,7 @@ def run_valid_lottery(params: LotteryParams) -> LotteryRunResult:
         decided = consensus_result.decisions[m]
         if decided is None:
             continue
-        if decided == b"":  # no agreement: the run aborts, no list is fabricated
+        if decided == BOT:  # no agreement: the run aborts, no list is fabricated
             verdicts[m] = LotteryOutcome(params.ticket_bits, (), params.cheat_policy,
                                          aborted=True)
             continue

@@ -97,6 +97,13 @@ def _defines(table: dict, name: str, arity: int) -> bool:
     return name in table and len(table[name]) == arity
 
 
+def canonical_decimal(text: str, digits: int) -> bool:
+    """Whether `text` spells a number in its one form: at most `digits`
+    ASCII digits (`int()` may refuse a long text), no leading zero."""
+    return (text.isascii() and text.isdecimal() and (text[0] != "0" or text == "0")
+            and len(text) <= digits)
+
+
 def parse_policy(text: str, role: str, table: dict, convert) -> Policy:
     """The policy `text` names in `table`, each value run through
     `convert`; a name the table lacks, a count of values other than its
@@ -227,7 +234,7 @@ def finalize(ctx: SimContext, params: RunParams, protocol: str, instance_id: int
     for m in miners:
         decided = result.decisions[m]
         if decided:  # None for a Byzantine miner, BOT for no record
-            ledgers[m].append_finalized(kind, decided, instance_id)
+            record = ledgers[m].append_finalized(kind, decided, instance_id)
             ctx.log.append("ledger_append", miner=str(m), kind=kind.value,
-                           height=0, body=decided.hex())
+                           height=record.height, body=record.body.hex())
     return result, ledgers, reference

@@ -33,6 +33,7 @@ from .jsonfile import read_json
 from .keystore import DEFAULT_BUDGET
 from .lottery import LotteryParams, lottery_violations, parse_player_policy, run_valid_lottery
 from .parties import miner
+from .runtime import canonical_decimal
 from .schemacheck import compile_schema
 
 SCHEMA_VERSION = 3
@@ -130,14 +131,11 @@ _INDEX_DIGITS = len(str(MAX_COUNT))  # no party count exceeds MAX_COUNT
 
 def _by_index(texts: dict[str, str], role: str, problems: list, parse) -> dict[int, Any]:
     """Each text parsed and keyed by its party index; keys that are not
-    an index in its one form, ASCII digits without a leading zero (so
-    neither "01" nor an Arabic-Indic digit stands in for "1"), keys with
-    more digits than any index (which `int()` may refuse to read), and
-    texts that do not parse go to `problems`."""
+    an index in its one form (`canonical_decimal`, with no more digits
+    than any index) and texts that do not parse go to `problems`."""
     out = {}
     for key, text in sorted(texts.items()):
-        if (not (key.isascii() and key.isdecimal()) or (key[0] == "0" and key != "0")
-                or len(key) > _INDEX_DIGITS):
+        if not canonical_decimal(key, _INDEX_DIGITS):
             problems.append(f"{role} entry for unknown {role} {key!r}")
             continue
         try:

@@ -144,6 +144,29 @@ def test_ledger_dump_renders_records(tmp_path):
     assert "miner:0" in parsed and "miner:1" in parsed
 
 
+@pytest.mark.parametrize("options,buyers,rendered", [
+    ([], 3, "auction outcome: winner buyer:0 bid 4117098553, "
+            "losing bids [2461080211, 95101803]"),
+    (["--seller-policy", "inflate"], 3, "auction outcome: bot, cheater seller:0"),
+    (["--buyer-policy", "0=change:4:5", "--buyer-policy", "1=change:6:7"], 3,
+     "auction outcome: winner buyer:2 bid 95101803, losing bids []"),
+    (["--buyer-policy", "0=change:4:5", "--buyer-policy", "1=change:6:7"], 2,
+     "auction outcome: no bids"),
+], ids=["winner", "bot", "no-losers", "no-bids"])
+def test_ledger_dump_renders_auction_outcomes(tmp_path, options, buyers, rendered):
+    report_path = tmp_path / "report.json"
+    result = invoke(["auction", "run", "--buyers", str(buyers), "--miners", "2",
+                     "--seed", "5", *options, "--out", str(report_path)])
+    assert result.exit_code == (2 if options else 0)  # 2: the run names its cheaters
+    dump = invoke(["ledger", "dump", "--report", str(report_path)])
+    assert dump.exit_code == 0
+    lines = dump.output.splitlines()
+    for owner in ("miner:0", "miner:1"):
+        at = lines.index(f"== ledger of {owner}")
+        assert lines[at + 1] == "  height 0 kind auction_outcome origin 1"
+        assert lines[at + 3] == f"    rendered:  {rendered}"
+
+
 def src_env() -> dict:
     """The environment of a child Python that imports this checkout's qbsim."""
     src = str(Path(qbsim.__file__).resolve().parents[1])

@@ -14,6 +14,10 @@ and `GOLDEN` the schema-1 report rebuilt from that by
 `oracles.report_v1`. The schema-1 and schema-2 hashes predate the
 versions after them, so they show that no later version dropped a fact
 of an earlier one.
+
+`GOLDEN_STATS` pins the canonical aggregate of a serial batch, the
+bytes `qbsim lottery|auction stats` prints, for configs chosen so that
+every aggregate field moves in some of them.
 """
 
 import hashlib
@@ -22,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from oracles import report_v1, report_v2
+from qbsim.batch import run_batch
 from qbsim.scenario import ScenarioConfig, canonical_report_bytes, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -264,3 +269,52 @@ def test_golden_report_bytes(name, monkeypatch):
     v2 = report_v2(report)
     assert digest(v2) == GOLDEN_V2[name]
     assert digest(report_v1(v2)) == v1_digest
+
+
+STATS_RUNS = 100
+GOLDEN_STATS = {
+    "lottery-honest": (
+        dict(LOTTERY, seed=21),
+        "1e2ca316fded32074743747ada614a5a056e1254723c00c7b118e6362ea9682b",
+    ),
+    "lottery-equivocate-cheat": (
+        dict(LOTTERY, seed=22, backend="cheat:0.5",
+             player_policies={"1": "equivocate:00000000:11111111"}),
+        "dddeae324944f19107b591061f2f6ab691ed36416555c8a5535c4bf8c69a4d14",
+    ),
+    # every run aborts: no decided run, so no frequencies or p-values
+    "lottery-abort-undecided": (
+        dict(LOTTERY, seed=23, cheat_policy="abort",
+             player_policies={"0": "equivocate:00001111:11110000"}),
+        "4eb14d78944c575524f63117e23c0e730c173482f3626f66b50c2816c0291b2a",
+    ),
+    # undetected equivocations decide, detected ones abort: both kinds sum
+    "lottery-abort-some-decide": (
+        dict(LOTTERY, seed=27, cheat_policy="abort", backend="cheat:0.1",
+             player_policies={"2": "equivocate:00000000:11111111"}),
+        "e9a223fa6be0c7374cc354f42d08d7095b551586aecfeac0078ac037adc59a61",
+    ),
+    "auction-honest": (
+        dict(AUCTION, seed=24),
+        "c4f18642bd24071cf819ab150f7600c8c56beee2e38946b43fc5e78d2a05fba7",
+    ),
+    # every buyer is excluded: no bids, no winner
+    "auction-no-bids": (
+        dict(AUCTION, seed=25, buyer_policies={"0": "change:4:5", "1": "change:6:7",
+                                               "2": "change:8:9"}),
+        "f743cfcea746117721fa8bcaf6984106cbfb2c8e76dc3858a1c2dc82277b1b5d",
+    ),
+    # two-bit bids tie often, which leaves drop-loser nothing to forge
+    "auction-drop-loser-byzantine": (
+        dict(AUCTION, seed=26, buyers=2, bid_width=2, miners=4, seller_policy="drop-loser",
+             byzantine_miners={"3": "equivocate"}),
+        "1353f65b2835d89afe9563eca4ec4e9a83ee1fa64eed69cb728e89bf43c3a7e7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STATS))
+def test_golden_stats_bytes(name):
+    data, expected = GOLDEN_STATS[name]
+    agg = run_batch(ScenarioConfig.from_dict(dict(data)), runs=STATS_RUNS, workers=1)
+    assert digest(agg) == expected

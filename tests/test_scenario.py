@@ -292,6 +292,7 @@ def test_config_schema_names_the_policies_the_protocols_define():
                         .joinpath("scenario_config.schema.json").read_text(encoding="utf-8"))
     assert tuple(schema["properties"]["cheat_policy"]["enum"]) == CHEAT_POLICIES
     assert tuple(schema["properties"]["seller_policy"]["enum"]) == SELLER_POLICIES
+    assert tuple(schema["properties"]["protocol"]["enum"]) == scenario.PROTOCOLS
 
 
 def messages_of(log) -> list[tuple[int, int | None]]:
