@@ -240,15 +240,9 @@ def _seller_claim(params: AuctionParams, ctx: SimContext, accepted: dict):
 
 
 def run_auction(params: AuctionParams) -> AuctionRunResult:
-    """The auction, once `params` pass `auction_violations`; a
-    `ConfigError` lists every limit they break."""
+    """The auction on `params`; first a `ConfigError` lists every limit
+    `auction_violations` finds. Every run is entered here."""
     ConfigError.check(auction_violations(params))
-    return run_valid_auction(params)
-
-
-def run_valid_auction(params: AuctionParams) -> AuctionRunResult:
-    """The auction on params already checked, as `ScenarioConfig.params()`
-    returns them."""
     buyers = [buyer(i) for i in range(params.buyers)]
     miners = [miner(j) for j in range(params.miners)]
     s = seller()

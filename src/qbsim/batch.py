@@ -14,9 +14,9 @@ from dataclasses import replace
 from itertools import zip_longest
 from math import erfc, sqrt
 
-from .auction import AuctionParams, run_valid_auction
+from .auction import AuctionParams, run_auction
 from .errors import QbsimError
-from .lottery import LotteryParams, run_valid_lottery
+from .lottery import LotteryParams, run_lottery
 from .rng import derive_seed
 from .scenario import ScenarioConfig
 
@@ -30,11 +30,12 @@ def chisquare(ones: int, n: int) -> float:
 
 def _tally(params: LotteryParams | AuctionParams, run_index: int) -> dict:
     """One run's contribution to the aggregate, under the aggregate's own
-    keys; every count is an int, so a one-run batch prints no booleans."""
+    keys; every count is an int, so a one-run batch prints no booleans.
+    The run goes through `run_lottery`/`run_auction`, which check its
+    limits as they do for every caller."""
     params = replace(params, seed=derive_seed(params.seed, "batch", run_index), detail=False)
     lottery = isinstance(params, LotteryParams)
-    # `config.params()` checked the limits once per batch; seed and detail change none
-    result = run_valid_lottery(params) if lottery else run_valid_auction(params)
+    result = run_lottery(params) if lottery else run_auction(params)
     out = result.outcome
     if lottery:
         tally = {"aborted": int(out.aborted), "decided_runs": int(out.winning is not None),

@@ -167,15 +167,9 @@ def lottery_violations(params: LotteryParams) -> list[str]:
 
 
 def run_lottery(params: LotteryParams) -> LotteryRunResult:
-    """The lottery, once `params` pass `lottery_violations`; a
-    `ConfigError` lists every limit they break."""
+    """The lottery on `params`; first a `ConfigError` lists every limit
+    `lottery_violations` finds. Every run is entered here."""
     ConfigError.check(lottery_violations(params))
-    return run_valid_lottery(params)
-
-
-def run_valid_lottery(params: LotteryParams) -> LotteryRunResult:
-    """The lottery on params already checked, as `ScenarioConfig.params()`
-    returns them."""
     players = [player(i) for i in range(params.players)]
     miners = [miner(j) for j in range(params.miners)]
     ctx = make_context(params.seed, players + miners, params.key_budget, params.detail)

@@ -161,14 +161,15 @@ def count_violations(name: str, value: int, low: int, high: int = MAX_COUNT) -> 
 
 
 def run_violations(params: RunParams, party_blocks: int) -> list[str]:
-    """The limits every run shares: the committee's size, Byzantine
-    miners outside it, unknown script names, a committee without an
-    honest miner to finalize anything, and a key budget below the most
-    one-time key blocks a pair can spend. That is `party_blocks` for a
-    protocol party and a miner, and `consensus.pair_key_blocks` for two
-    miners."""
+    """The limits every run shares: a seed that is no 64-bit unsigned
+    integer, the committee's size, Byzantine miners outside it, unknown
+    script names, a committee without an honest miner to finalize
+    anything, and a key budget below the most one-time key blocks a pair
+    can spend. That is `party_blocks` for a protocol party and a miner,
+    and `consensus.pair_key_blocks` for two miners."""
     miners, byzantine = params.miners, params.byzantine_miners
-    out = count_violations("miners", miners, 1)
+    out = [] if 0 <= params.seed < 1 << 64 else ["seed must lie in [0, 2^64)"]
+    out += count_violations("miners", miners, 1)
     out += [f"byzantine script for unknown miner {m.index}"
             for m in sorted(byzantine) if m.index >= miners]
     out += [f"{m}: unknown script {spec!r} (expected one of {MINER_SCRIPT_NAMES})"

@@ -24,14 +24,14 @@ from .auction import (
     complaint_openings,
     parse_buyer_policy,
     posterior_privacy_violations,
-    run_valid_auction,
+    run_auction,
 )
 from .commitment import parse_backend
 from .encoding import MAX_COUNT
 from .errors import ConfigError, QbsimError, ReportError
 from .jsonfile import read_json
 from .keystore import DEFAULT_BUDGET
-from .lottery import LotteryParams, lottery_violations, parse_player_policy, run_valid_lottery
+from .lottery import LotteryParams, lottery_violations, parse_player_policy, run_lottery
 from .parties import miner
 from .runtime import canonical_decimal
 from .schemacheck import compile_schema
@@ -65,6 +65,13 @@ class ScenarioConfig:
     scheme: dict | None = None
     scheme_file: str | None = None
 
+    def __post_init__(self):
+        # Draft 2020-12 counts `3.0` as an integer: an integral float runs as its int
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                setattr(self, name, int(value))
+
     # ------------------------------------------------------------- codec
 
     def to_dict(self) -> dict[str, Any]:
@@ -72,12 +79,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
-        """A config from its JSON form; the published schema applies first.
-        Draft 2020-12 counts `3.0` as an integer, so integral floats in
-        the integer fields are turned into ints for the run."""
+        """A config from its JSON form, once the published schema finds
+        nothing wrong with `data`; `params()` checks it again before a run."""
         ConfigError.check(_violations("scenario_config.schema.json", data))
-        return cls(**{name: int(value) if name in _INT_FIELDS else value
-                      for name, value in data.items()})
+        return cls(**data)
 
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":
@@ -87,41 +92,45 @@ class ScenarioConfig:
 
     def params(self) -> LotteryParams | AuctionParams | None:
         """The protocol-level parameters of a lottery or auction config,
-        None for `qbc_analyze`. Raises one `ConfigError` that lists every
-        violated constraint, not just the first: texts that do not parse,
-        then the protocol's own limits from its module's check."""
+        None for `qbc_analyze`: the one validator of every config, from a
+        file, CLI options or code. One `ConfigError` lists every violated
+        constraint: texts that do not parse, then the protocol's limits,
+        and when these find nothing, the published schema's, so every
+        config that runs is one that `from_dict` accepts."""
         if self.protocol not in PROTOCOLS:
             raise ConfigError([f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"])
         problems = []
-        if self.seed < 0:
-            problems.append("seed must be non-negative")
         try:
             backend = parse_backend(self.backend)
         except QbsimError as exc:
             problems.append(str(exc))
             backend = None
+        params = None
         if self.protocol == "qbc_analyze":
             if (self.scheme is None) == (self.scheme_file is None):
                 problems.append("qbc_analyze needs exactly one of an inline scheme "
                                 "and a scheme_file")
-            ConfigError.check(problems)
-            return None
-
-        byzantine = {miner(i): name for i, name in
-                     _by_index(self.byzantine_miners, "miner", problems, str).items()}
-        common = dict(miners=self.miners, seed=self.seed, backend=backend,
-                      key_budget=self.key_budget, detail=self.detail_log,
-                      byzantine_miners=byzantine)
-        if self.protocol == "lottery":
-            policies = _by_index(self.player_policies, "player", problems, parse_player_policy)
-            params = LotteryParams(players=self.players, ticket_bits=self.ticket_bits,
-                                   policies=policies, cheat_policy=self.cheat_policy, **common)
-            ConfigError.check(problems + lottery_violations(params))
-            return params
-        policies = _by_index(self.buyer_policies, "buyer", problems, parse_buyer_policy)
-        params = AuctionParams(buyers=self.buyers, bid_width=self.bid_width,
-                               buyer_policies=policies, seller_policy=self.seller_policy, **common)
-        ConfigError.check(problems + auction_violations(params))
+        else:
+            byzantine = {miner(i): name for i, name in
+                         _by_index(self.byzantine_miners, "miner", problems, str).items()}
+            common = dict(miners=self.miners, seed=self.seed, backend=backend,
+                          key_budget=self.key_budget, detail=self.detail_log,
+                          byzantine_miners=byzantine)
+            if self.protocol == "lottery":
+                policies = _by_index(self.player_policies, "player", problems,
+                                     parse_player_policy)
+                params = LotteryParams(players=self.players, ticket_bits=self.ticket_bits,
+                                       policies=policies, cheat_policy=self.cheat_policy,
+                                       **common)
+                problems += lottery_violations(params)
+            else:
+                policies = _by_index(self.buyer_policies, "buyer", problems, parse_buyer_policy)
+                params = AuctionParams(buyers=self.buyers, bid_width=self.bid_width,
+                                       buyer_policies=policies,
+                                       seller_policy=self.seller_policy, **common)
+                problems += auction_violations(params)
+        # vars(self) holds what to_dict() would copy, and the check only reads it
+        ConfigError.check(problems or _violations("scenario_config.schema.json", vars(self)))
         return params
 
 
@@ -195,8 +204,8 @@ def run_scenario(config: ScenarioConfig) -> dict:
         report["cheaters"] = []
         return report
 
-    run = run_valid_lottery if config.protocol == "lottery" else run_valid_auction
-    result = run(params)  # params() checked the protocol's limits
+    run = run_lottery if config.protocol == "lottery" else run_auction
+    result = run(params)
     consistent, divergence = result.honest_ledgers_consistent
     ctx = result.context
     report.update({

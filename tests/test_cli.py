@@ -16,6 +16,7 @@ import qbsim
 from qbsim import cli
 from qbsim.auction import BUYER_POLICIES, SELLER_POLICIES
 from qbsim.cli import entrypoint
+from qbsim.errors import ConfigError
 from qbsim.lottery import PLAYER_POLICIES
 from qbsim.scenario import ScenarioConfig, run_scenario
 from oracles import report_v1, report_v2
@@ -411,6 +412,44 @@ def test_a_config_file_runs_its_own_protocol_under_either_run(tmp_path):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["config"]["seed"] == 4
+
+
+@pytest.mark.parametrize("args", [
+    ("lottery", "run", "--backend", "cheat:0.25"),
+    ("auction", "run", "--miners", "4", "--byzantine", "0=garbage"),
+], ids=["lottery-cheat-backend", "auction-byzantine-miner"])
+def test_a_report_config_runs_again_byte_for_byte(args, tmp_path):
+    """The `config` of a report built from options is a config file that
+    `--config` runs to the same stdout."""
+    first = run_cli(*args)
+    assert first.returncode == 0 and first.stdout
+    path = config_file(tmp_path / "config.json", json.loads(first.stdout)["config"])
+    again = run_cli(args[0], "run", "--config", path)
+    assert again.returncode == 0 and again.stdout == first.stdout
+
+
+@pytest.mark.parametrize("backend", ["cheat: 0.5", "cheat:\u0660.5", "cheat:0.5 "])
+def test_a_backend_the_schema_refuses_exits_one(backend):
+    """`float()` reads each of these, but the published schema does not:
+    refused from the options as from a config file."""
+    done = run_cli("auction", "run", "--backend", backend)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    heading, violation = done.stderr.splitlines()
+    assert heading == "invalid configuration:"
+    assert violation.startswith("  - $.backend: ")
+
+
+@pytest.mark.parametrize("field, value", [("bid_width", True), ("detail_log", "no")])
+def test_a_config_built_in_code_meets_the_schema(field, value):
+    with pytest.raises(ConfigError, match=rf"\$\.{field}: "):
+        run_scenario(ScenarioConfig(protocol="auction", buyers=3, miners=2, **{field: value}))
+
+
+def test_an_integral_float_built_in_code_runs_as_its_int():
+    report = run_scenario(ScenarioConfig(protocol="auction", buyers=3, miners=2.0))
+    assert report["config"]["miners"] == 2 and type(report["config"]["miners"]) is int
+    assert len(report["ledgers"]) == 2
 
 
 def third_party_imports(*argvs: list[str]) -> str:

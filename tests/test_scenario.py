@@ -104,16 +104,18 @@ def count_limit_checks(monkeypatch) -> list:
 
 @pytest.mark.parametrize("config", [lottery_config, auction_config])
 def test_run_scenario_checks_the_limits_once(config, monkeypatch):
+    """Once in `params()`, and once more in the protocol's one entry."""
     calls = count_limit_checks(monkeypatch)
     run_scenario(config())
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("config", [lottery_config, auction_config])
 def test_run_batch_checks_the_limits_once_per_batch(config, monkeypatch):
+    """Once per batch in `params()`, and once more in every run."""
     calls = count_limit_checks(monkeypatch)
     assert run_batch(config(), runs=5)["runs"] == 5
-    assert len(calls) == 1
+    assert len(calls) == 1 + 5
 
 
 def test_library_runs_check_the_limits_themselves(monkeypatch):

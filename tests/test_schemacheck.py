@@ -189,6 +189,7 @@ CONFIG_MUTATIONS = {
     "players as integral float": dict(BASE_CONFIG, players=3.0),
     "missing protocol": {"players": 3},
     "negative seed": dict(BASE_CONFIG, seed=-1),
+    "seed past 64 bits": dict(BASE_CONFIG, seed=1 << 64),
     "bid width past 64": dict(protocol="auction", bid_width=65),
     "bad backend": dict(BASE_CONFIG, backend="sha256"),
     "bad cheat policy": dict(BASE_CONFIG, cheat_policy="retry"),

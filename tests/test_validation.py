@@ -8,6 +8,7 @@ import pytest
 
 from qbsim import auction, lottery
 from qbsim.auction import AuctionParams, run_auction
+from qbsim.batch import run_batch
 from qbsim.cli import entrypoint
 from qbsim.errors import ConfigError
 from qbsim.lottery import LotteryParams, run_lottery
@@ -43,6 +44,8 @@ def test_lottery_counts_past_the_encoding_raise_config_error(field, no_run):
     with pytest.raises(ConfigError, match=field):
         run_scenario(ScenarioConfig(protocol="lottery", **fields))
     with pytest.raises(ConfigError, match=field):
+        run_batch(ScenarioConfig(protocol="lottery", **fields), runs=2)
+    with pytest.raises(ConfigError, match=field):
         run_lottery(LotteryParams(seed=1, **fields))
 
 
@@ -52,6 +55,8 @@ def test_auction_counts_past_the_encoding_raise_config_error(field, no_run):
     fields[field] = TOO_MANY
     with pytest.raises(ConfigError, match=field):
         run_scenario(ScenarioConfig(protocol="auction", **fields))
+    with pytest.raises(ConfigError, match=field):
+        run_batch(ScenarioConfig(protocol="auction", **fields), runs=2)
     with pytest.raises(ConfigError, match=field):
         run_auction(AuctionParams(seed=1, **fields))
 
@@ -71,3 +76,37 @@ def test_cli_config_file_with_a_mistyped_field_exits_one(tmp_path, monkeypatch, 
         entrypoint()
     assert exit_.value.code == 1
     assert "players" in capsys.readouterr().err
+
+
+SEED_PAST_64_BITS = 1 << 64  # the rng reads a seed modulo 2^64: this one would run as seed 0
+
+
+def test_cli_refuses_a_seed_past_64_bits(monkeypatch, capsys, no_run):
+    monkeypatch.setattr(sys, "argv", ["qbsim", "lottery", "run", "--seed", str(SEED_PAST_64_BITS)])
+    with pytest.raises(SystemExit) as exit_:
+        entrypoint()
+    assert exit_.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "seed" in out.err
+
+
+def test_from_dict_refuses_a_seed_past_64_bits():
+    config = {"protocol": "lottery", "players": 3, "ticket_bits": 8, "miners": 2}
+    with pytest.raises(ConfigError, match=r"\$\.seed"):
+        ScenarioConfig.from_dict(dict(config, seed=SEED_PAST_64_BITS))
+    assert ScenarioConfig.from_dict(dict(config, seed=SEED_PAST_64_BITS - 1)).params()
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_PAST_64_BITS], ids=["negative", "past 64 bits"])
+def test_library_entries_refuse_a_seed_outside_64_bits(seed, no_run):
+    with pytest.raises(ConfigError, match="seed"):
+        run_lottery(LotteryParams(players=3, ticket_bits=8, miners=2, seed=seed))
+    with pytest.raises(ConfigError, match="seed"):
+        run_auction(AuctionParams(buyers=3, miners=2, seed=seed))
+
+
+def test_the_largest_64_bit_seed_runs():
+    seed = SEED_PAST_64_BITS - 1
+    lottery_run = run_lottery(LotteryParams(players=3, ticket_bits=8, miners=2, seed=seed))
+    assert lottery_run.outcome.winning
+    assert run_auction(AuctionParams(buyers=3, miners=2, seed=seed)).outcome.valid
