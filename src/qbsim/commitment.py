@@ -16,6 +16,7 @@ them), and a record never reaches both Opened and CheatDetected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,14 +44,18 @@ class Backend:
 
 
 IDEAL = Backend(1.0, "ideal")
+# what `float()` may read of a `cheat:<p>` text: no space, no digit outside
+# ASCII, no `nan` or `inf`, and no final newline
+_PROBABILITY = re.compile("[0-9.eE+-]+")
 
 
 def parse_backend(text: str) -> Backend:
     if text == "ideal":
         return IDEAL
-    if text.startswith("cheat:"):
+    name, _, number = text.partition(":")
+    if name == "cheat" and _PROBABILITY.fullmatch(number):
         try:
-            p = float(text.split(":", 1)[1])
+            p = float(number)
         except ValueError:
             pass  # not a number: named below
         else:

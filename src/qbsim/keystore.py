@@ -6,6 +6,9 @@ configurable budget standing in for the amount of key the pair
 established. In-model the blocks come from a SHAKE-256 expansion keyed
 by the scenario master seed and the pair, which keeps streams
 deterministic per seed and independent of consumption order elsewhere.
+Spending a block and reading it are apart: a block is expanded only
+when `block_at` reads it, which the transport does only for a message
+an adversary hook sees.
 """
 
 from __future__ import annotations
@@ -51,8 +54,10 @@ class KeyStore:
         # both orders of a pair key its one stream, so a lookup is one probe
         self._streams: dict[tuple[PartyId, PartyId], _Stream] = {}
 
-    def consume(self, a: PartyId, b: PartyId) -> tuple[int, bytes]:
-        """Next unused block for the unordered pair; each index is spent once."""
+    def consume(self, a: PartyId, b: PartyId) -> int:
+        """Spend the next unused block of the unordered pair and return its
+        index; each index is spent once. The block itself is not expanded:
+        `block_at` reads it when a tag needs it."""
         stream = self._streams.get((a, b))
         if stream is None:
             stream = self._streams[a, b] = self._streams[b, a] = _Stream(
@@ -62,15 +67,16 @@ class KeyStore:
             raise KeyExhaustionError(
                 f"key budget ({self.budget} blocks) exhausted for {_pair_text(a, b)}")
         stream.issued = index + 1
-        return index, stream.block(index)
+        return index
 
-    def block_at(self, a: PartyId, b: PartyId, index: int) -> None:
-        """Check that block `index` of the pair was issued (receiver-side
-        verification) and return nothing: both ends hold the same issued
-        block, so the receiver's key is the one derived at send."""
+    def block_at(self, a: PartyId, b: PartyId, index: int) -> bytes:
+        """Block `index` of the pair, once it is checked to have been issued:
+        the key of a tag, and at delivery the receiver's check of a tagged
+        message's index. Only here is a SHAKE chunk expanded."""
         stream = self._streams.get((a, b))
         if stream is None or not 0 <= index < stream.issued:
             raise KeyExhaustionError(f"block {index} was never issued for {_pair_text(a, b)}")
+        return stream.block(index)
 
 
 def _pair_text(a: PartyId, b: PartyId) -> str:

@@ -32,12 +32,9 @@ PRIME_32 = 4294967291
 _GROUP = 16
 
 
-@functools.lru_cache(maxsize=128)
 def _chunk_groups(payload: bytes, chunk_bits: int) -> tuple[tuple[int, ...], ...]:
     """The payload cut into `chunk_bits`-wide chunks, most significant
-    first, each with the constant high bit added, in runs of _GROUP.
-    Cached because an honest sender tags one payload for every receiver
-    and each receiver verifies it again."""
+    first, each with the constant high bit added, in runs of _GROUP."""
     high = 1 << chunk_bits
     mask = high - 1
     nbits = len(payload) * 8

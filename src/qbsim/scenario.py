@@ -93,17 +93,22 @@ class ScenarioConfig:
     def params(self) -> LotteryParams | AuctionParams | None:
         """The protocol-level parameters of a lottery or auction config,
         None for `qbc_analyze`: the one validator of every config, from a
-        file, CLI options or code. One `ConfigError` lists every violated
-        constraint: texts that do not parse, then the protocol's limits,
-        and when these find nothing, the published schema's, so every
-        config that runs is one that `from_dict` accepts."""
+        file, CLI options or code. First the published schema's `type` of
+        each field (and of each value of a dict field), so the Python
+        checks read only values of their types. Then one `ConfigError`
+        lists every violated constraint: texts that do not parse, then the
+        protocol's limits, and when these find nothing, the published
+        schema's, so every config that runs is one that `from_dict`
+        accepts."""
         if self.protocol not in PROTOCOLS:
             raise ConfigError([f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}"])
+        # vars(self) holds what to_dict() would copy, and the checks only read it
+        ConfigError.check(_violations("scenario_config.schema.json", vars(self), types_only=True))
         problems = []
         try:
             backend = parse_backend(self.backend)
         except QbsimError as exc:
-            problems.append(str(exc))
+            problems.append(f"$.backend: {exc}")
             backend = None
         params = None
         if self.protocol == "qbc_analyze":
@@ -129,7 +134,6 @@ class ScenarioConfig:
                                        buyer_policies=policies,
                                        seller_policy=self.seller_policy, **common)
                 problems += auction_violations(params)
-        # vars(self) holds what to_dict() would copy, and the check only reads it
         ConfigError.check(problems or _violations("scenario_config.schema.json", vars(self)))
         return params
 
@@ -247,18 +251,29 @@ def canonical_report_bytes(report: dict) -> bytes:
                        check_circular=False) + "\n").encode("ascii")
 
 
+def _types(schema: dict) -> dict:
+    """`schema` cut down to its `type` keywords, each where it stands."""
+    out = {"type": schema["type"]} if "type" in schema else {}
+    if "properties" in schema:
+        out["properties"] = {key: _types(sub) for key, sub in schema["properties"].items()}
+    if isinstance(schema.get("additionalProperties"), dict):
+        out["additionalProperties"] = _types(schema["additionalProperties"])
+    return out
+
+
 @functools.cache
-def _validator(name: str):
-    """One compiled check per published schema: instance -> its
-    `(json_path, message)` violations."""
+def _validator(name: str, types_only: bool):
+    """One compiled check per published schema, or per its `type` keywords
+    alone: instance -> its `(json_path, message)` violations."""
     ref = importlib.resources.files("qbsim.schemas").joinpath(name)
-    return compile_schema(json.loads(ref.read_text(encoding="utf-8")))
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    return compile_schema(_types(schema) if types_only else schema)
 
 
-def _violations(name: str, instance) -> list[str]:
-    """Every violation of a published schema as `"<json_path>: <message>"`,
-    ordered by path."""
-    errors = sorted(_validator(name)(instance), key=lambda error: error[0])
+def _violations(name: str, instance, types_only: bool = False) -> list[str]:
+    """Every violation of a published schema, or of its `type` keywords
+    alone, as `"<json_path>: <message>"`, ordered by path."""
+    errors = sorted(_validator(name, types_only)(instance), key=lambda error: error[0])
     return [f"{path}: {message}" for path, message in errors]
 
 

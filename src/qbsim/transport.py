@@ -1,11 +1,18 @@
 """Deterministic simulated network with authenticated pairwise channels.
 
-Every message is tagged with a one-time MAC keyed from the sending
-pair's key stream. Delivery order is drawn from a seeded scheduler:
+Every message spends one block of the sending pair's one-time key
+stream at send. Delivery order is drawn from a seeded scheduler:
 per-link FIFO, random interleaving across links, so one seed fixes the
 whole global event order. Adversary hooks may drop, modify or delay a
 message at its first delivery attempt; a modified payload simply fails
 verification and is logged as a forgery attempt.
+
+The tag is computed only for a message that a hook sees: just before
+the hook's first look, from the key block its `key_index` names, over
+the payload as it was sent. Such a message is verified when it is
+delivered. A link without a hook is an authentic channel in the model:
+no adversary can act on its messages, so they carry no tag and are
+delivered as they were sent.
 
 A broadcast is one payload sent to several receivers in a row: one
 authenticated message per receiver, as if each were sent alone. In
@@ -47,12 +54,12 @@ class _Link:
 class _Message:
     __slots__ = ("msg_id", "link", "payload", "key_index", "tag", "hook_done", "record")
 
-    def __init__(self, msg_id, link, payload, key_index, tag):
+    def __init__(self, msg_id, link, payload, key_index):
         self.msg_id = msg_id
         self.link = link
         self.payload = payload
         self.key_index = key_index
-        self.tag = tag
+        self.tag = None  # set just before a hook first sees the message
         self.hook_done = False
         self.record = None  # in detail mode, its send record or broadcast entry
 
@@ -87,8 +94,9 @@ class Network:
         self._links: dict[tuple[PartyId, PartyId], _Link] = {}
         self._active: list[_Link] = []  # links with a non-empty FIFO
         self._held: list[tuple[int, _Message]] = []  # (release_step, message)
-        # (r, s) of each message in flight, derived once at send and kept
-        # out of the message object that adversary hooks see
+        # (r, s) of each message in flight that a hook has seen, kept out
+        # of the message object that adversary hooks see: a message is
+        # verified at delivery exactly when it has an entry here
         self._keys: dict[int, tuple[int, int]] = {}
         self._next_id = 0
         self._step = 0
@@ -114,16 +122,14 @@ class Network:
 
     def send_authenticated(self, sender: PartyId, receiver: PartyId, payload: bytes) -> int:
         link = self._links.get((sender, receiver)) or self._link(sender, receiver)
-        key_index, block = self.keystore.consume(sender, receiver)
-        mac, log = self.mac, self.log
-        key = mac.key_from_block(block)
+        key_index = self.keystore.consume(sender, receiver)
+        log = self.log
         msg_id = self._next_id
         self._next_id = msg_id + 1
-        self._keys[msg_id] = key
         if link.pos < 0:  # the FIFO was empty: the link joins the active list
             link.pos = len(self._active)
             self._active.append(link)
-        msg = _Message(msg_id, link, payload, key_index, mac.tag(key, payload))
+        msg = _Message(msg_id, link, payload, key_index)
         link.queue.append(msg)
         self._pending += 1
         to = self._to
@@ -140,7 +146,7 @@ class Network:
 
     def broadcast(self, sender: PartyId, receivers, payload: bytes) -> None:
         """`send_authenticated(sender, receiver, payload)` for each of the
-        `receivers` (a sequence) in turn, so keys, tags, msg ids, seqs and
+        `receivers` (a sequence) in turn, so key blocks, msg ids, seqs and
         scheduler draws are those of the single sends. In detail mode the
         messages share one record, `{event: "broadcast", seq, msg_id,
         sender, payload, to}`: entry k of `to` is `[receiver, key_index]`,
@@ -208,6 +214,10 @@ class Network:
 
         if link.hook is not None and not msg.hook_done:
             msg.hook_done = True
+            if msg.msg_id not in self._keys:  # the first look: tag the payload as sent
+                block = self.keystore.block_at(link.sender, link.receiver, msg.key_index)
+                key = self._keys[msg.msg_id] = self.mac.key_from_block(block)
+                msg.tag = self.mac.tag(key, msg.payload)
             action = link.hook(msg)
             if action is not None and action != "deliver":
                 kind = action[0]
@@ -227,9 +237,14 @@ class Network:
                     raise QbsimError(f"unknown hook action {action!r}")
 
         self._pending -= 1
-        # refuses an unissued index; the key derived at send is the receiver's
-        self.keystore.block_at(link.sender, link.receiver, msg.key_index)
-        ok = self.mac.verify(self._keys.pop(msg.msg_id), msg.payload, msg.tag)
+        # a message a hook saw is checked: its index was issued, and its tag
+        # verifies under the key derived before the hook saw it
+        key = self._keys.pop(msg.msg_id, None)
+        if key is None:
+            ok = True
+        else:
+            self.keystore.block_at(link.sender, link.receiver, msg.key_index)
+            ok = self.mac.verify(key, msg.payload, msg.tag)
         if ok:
             seq = self.log.note("deliver")
             # a delivery is stated once: on its send record or broadcast entry

@@ -41,7 +41,7 @@ def test_hash_payload_matches_reference(prime, payload, r):
 
 @given(st.binary(max_size=300), st.lists(st.integers(min_value=0), min_size=2, max_size=20))
 def test_one_payload_under_many_keys_and_fields_matches_reference(payload, rs):
-    # the chunk cache serves these repeats; each field cuts its own chunks
+    # one payload hashed under many keys; each field cuts its own chunks
     for prime in PRIMES:
         mac = PolyMac(prime)
         for r in rs:

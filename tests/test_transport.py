@@ -1,15 +1,18 @@
 """Authenticated network behavior: determinism, hooks, one-time keys."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import report_v2
+from qbsim import auction, keystore, lottery
 from qbsim.errors import KeyExhaustionError, QbsimError, UnknownPartyError
 from qbsim.eventlog import EventLog
 from qbsim.keystore import KeyStore
 from qbsim.mac import PolyMac
 from qbsim.parties import miner, player
+from qbsim.scenario import ScenarioConfig, canonical_report_bytes, run_scenario
 from qbsim.transport import Delivery, Network
 
 
@@ -138,7 +141,7 @@ def test_one_time_key_blocks_never_reused():
         key = (pair, record["key_index"])
         assert key not in seen
         seen.add(key)
-    assert net.keystore.consume(player(0), miner(0))[0] == 40
+    assert net.keystore.consume(player(0), miner(0)) == 40
 
 
 def test_key_exhaustion_raises():
@@ -150,6 +153,8 @@ def test_key_exhaustion_raises():
 
 
 def test_mac_key_derived_once_per_message(monkeypatch):
+    """A key is derived once for each message a hook sees, from the block
+    its index names, and for no message on a link without a hook."""
     derive, calls = PolyMac.key_from_block, []
     monkeypatch.setattr(PolyMac, "key_from_block",
                         lambda self, block: calls.append(block) or derive(self, block))
@@ -160,7 +165,10 @@ def test_mac_key_derived_once_per_message(monkeypatch):
         net.send_authenticated(player(1), miner(1), bytes([i]))
     delivered = deliver_all(net)
     assert len(delivered) == 5 and all(d.ok for d in delivered)
-    assert len(calls) == log.counters["send"] == 10
+    assert log.counters["send"] == 10
+    store = KeyStore(1, budget=512)
+    assert calls == [store.block_at(player(1), miner(1), store.consume(player(1), miner(1)))
+                     for _ in range(5)]
 
 
 def test_delivery_refuses_a_key_index_never_issued():
@@ -175,23 +183,29 @@ def test_delivery_refuses_a_key_index_never_issued():
         net.deliver_next()
 
 
+def count_calls(monkeypatch, *targets) -> dict:
+    """Each `(owner, name)` in `targets` wrapped to count its calls under
+    `name`; the counts start at 0."""
+    calls = {}
+    for owner, name in targets:
+        original, calls[name] = getattr(owner, name), 0
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_layer_calls_per_message(monkeypatch):
     """The per-layer counts that the benchmark's span tracer reads: one
-    key, one key derivation and one tag per send; one index check and one
-    verification, which tags again, per delivery that reaches verification."""
-    calls = {}
-
-    def count(cls, name):
-        original = getattr(cls, name)
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(cls, name, counted)
-
-    for cls, name in ((KeyStore, "consume"), (KeyStore, "block_at"),
-                      (PolyMac, "key_from_block"), (PolyMac, "tag"), (PolyMac, "verify")):
-        count(cls, name)
+    key block spent per send; for each message a hook sees, one block read,
+    one key derivation and one tag before the hook; and for each of those
+    that reaches verification, one index check and one verification, which
+    tags again. A message on a link without a hook is read, tagged and
+    verified nowhere."""
+    calls = count_calls(monkeypatch, (KeyStore, "consume"), (KeyStore, "block_at"),
+                        (PolyMac, "key_from_block"), (PolyMac, "tag"), (PolyMac, "verify"))
     parties = [miner(i) for i in range(10)]
     net, log = make_net(parties=parties)
     net.set_hook(miner(0), miner(1), lambda m: ("drop",))
@@ -201,11 +215,114 @@ def test_layer_calls_per_message(monkeypatch):
             if sender != receiver:
                 net.send_authenticated(sender, receiver, bytes([sender.index, receiver.index]))
     delivered = deliver_all(net)
-    sends, verified = 90, 89  # the dropped message never reaches verification
-    assert log.counters["send"] == sends and len(delivered) == verified
+    sends, hooked, verified = 90, 2, 1  # the dropped message never reaches verification
+    assert log.counters["send"] == sends and len(delivered) == sends - 1
     assert [d.receiver for d in delivered if not d.ok] == [miner(3)]
-    assert calls == {"consume": sends, "key_from_block": sends, "block_at": verified,
-                     "verify": verified, "tag": sends + verified}
+    assert calls == {"consume": sends, "key_from_block": hooked, "block_at": hooked + verified,
+                     "verify": verified, "tag": hooked + verified}
+
+
+def test_an_unhooked_link_reads_derives_and_tags_nothing(monkeypatch):
+    """A message on a link without a hook is delivered as it was sent: no
+    SHAKE expansion, no key derivation, no tag, no verification."""
+    monkeypatch.setattr(keystore, "hashlib", SimpleNamespace(shake_256=keystore.hashlib.shake_256))
+    calls = count_calls(monkeypatch, (keystore.hashlib, "shake_256"),
+                        (PolyMac, "key_from_block"), (PolyMac, "tag"), (PolyMac, "verify"))
+    net, log = make_net()
+    for i in range(5):
+        net.send_authenticated(player(0), miner(0), bytes([i]))
+        net.broadcast(miner(1), [player(0), player(1), miner(0)], bytes([i]))
+    delivered = deliver_all(net)
+    assert len(delivered) == log.counters["deliver"] == 20 and all(d.ok for d in delivered)
+    assert calls == {"shake_256": 0, "key_from_block": 0, "tag": 0, "verify": 0}
+    run_scenario(ScenarioConfig(protocol="lottery", players=3, ticket_bits=8, miners=4, seed=2))
+    assert calls == {"shake_256": 0, "key_from_block": 0, "tag": 0, "verify": 0}
+
+
+def test_a_hook_set_after_the_send_sees_a_tagged_message():
+    net, log = make_net()
+    msg_id = net.send_authenticated(player(0), miner(0), b"hello")
+    seen = []
+
+    def forge(msg):
+        seen.append((msg.msg_id, msg.tag))
+        return ("modify", b"hellp")
+
+    net.set_hook(player(0), miner(0), forge)
+    d = net.deliver_next()
+    store = KeyStore(1, budget=512)
+    key = PolyMac().key_from_block(store.block_at(player(0), miner(0),
+                                                  store.consume(player(0), miner(0))))
+    assert seen == [(msg_id, PolyMac().tag(key, b"hello"))]
+    assert not d.ok and d.payload is None
+    assert log.counters["auth_failure"] == 1
+
+
+def test_a_hook_can_neither_untag_nor_retag_a_message():
+    """Clearing the tag, or rewriting the payload in place and asking for
+    a second look, does not get a forged payload verified: whether a
+    message is verified, and under which tag, is fixed at the first look."""
+    net, log = make_net()
+
+    def untag(msg):
+        msg.tag = None
+        return ("modify", b"forged")
+
+    looks = []
+
+    def retag(msg):
+        looks.append(msg.tag)
+        if len(looks) == 1:
+            msg.payload, msg.hook_done = b"forged", False
+            return ("delay", 1)
+
+    net.set_hook(player(0), miner(0), untag)
+    net.set_hook(player(0), miner(1), retag)
+    net.send_authenticated(player(0), miner(0), b"hello")
+    net.send_authenticated(player(0), miner(1), b"hello")
+    assert [d.ok for d in deliver_all(net)] == [False, False]
+    assert len(looks) == 2 and looks[0] == looks[1] is not None
+    assert log.counters["auth_failure"] == 2
+
+
+def test_a_delayed_message_verifies_when_it_is_released(monkeypatch):
+    verified = []
+    verify = PolyMac.verify
+    monkeypatch.setattr(PolyMac, "verify", lambda self, key, payload, tag: verified.append(
+        verify(self, key, payload, tag)) or verified[-1])
+    net, log = make_net()
+    net.set_hook(player(0), miner(0), lambda m: ("delay", 2))
+    net.send_authenticated(player(0), miner(0), b"late")
+    assert [net.deliver_next() for _ in range(2)] == [None, None] and verified == []
+    d = net.deliver_next()
+    assert d.ok and d.payload == b"late" and verified == [True]
+    assert log.counters["deliver"] == 1 and "auth_failure" not in log.counters
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(protocol="lottery", players=3, ticket_bits=8, miners=4, seed=5,
+                   byzantine_miners={"3": "equivocate"}),
+    ScenarioConfig(protocol="auction", buyers=3, miners=4, seed=5,
+                   buyer_policies={"0": "complain:5"}),
+], ids=["lottery", "auction"])
+def test_a_pass_through_hook_on_every_link_changes_no_report_byte(monkeypatch, config):
+    """With a hook that passes every message on every link, each message is
+    tagged and verified, and the report is byte for byte the unhooked one."""
+    unhooked = canonical_report_bytes(run_scenario(config))
+    calls = count_calls(monkeypatch, (PolyMac, "tag"), (PolyMac, "verify"))
+    for module in (lottery, auction):
+        def hooked_context(*args, _make=module.make_context, **kwargs):
+            ctx = _make(*args, **kwargs)
+            net = ctx.network
+            for sender in net.parties:
+                for receiver in net.parties - {sender}:
+                    net.set_hook(sender, receiver, lambda msg: None)
+            return ctx
+        monkeypatch.setattr(module, "make_context", hooked_context)
+    report = run_scenario(config)
+    assert canonical_report_bytes(report) == unhooked
+    sends = report["event_counters"]["send"]
+    assert calls == {"tag": 2 * sends, "verify": sends}
 
 
 def test_delivery_refuses_a_negative_key_index():

@@ -110,3 +110,32 @@ def test_the_largest_64_bit_seed_runs():
     lottery_run = run_lottery(LotteryParams(players=3, ticket_bits=8, miners=2, seed=seed))
     assert lottery_run.outcome.winning
     assert run_auction(AuctionParams(buyers=3, miners=2, seed=seed)).outcome.valid
+
+
+LOTTERY = dict(protocol="lottery", players=3, ticket_bits=8, miners=2)
+AUCTION = dict(protocol="auction", buyers=3, miners=2)
+
+
+@pytest.mark.parametrize("fields, violation", [
+    (dict(LOTTERY, players="3"), "$.players: '3' is not of type 'integer'"),
+    (dict(LOTTERY, seed="1"), "$.seed: '1' is not of type 'integer'"),
+    (dict(AUCTION, backend=5), "$.backend: 5 is not of type 'string'"),
+    (dict(LOTTERY, player_policies={"0": 7}), "$.player_policies['0']: 7 is not of type 'string'"),
+    (dict(AUCTION, bid_width=2.5, buyer_policies={"0": "fixed:3"}),
+     "$.bid_width: 2.5 is not of type 'integer'"),
+], ids=["players", "seed", "backend", "player_policies", "bid_width"])
+def test_a_field_of_the_wrong_type_is_one_schema_violation(fields, violation, no_run):
+    """The schema's type of each field is checked before the Python checks
+    read it, so a wrong type is named instead of crashing them."""
+    with pytest.raises(ConfigError) as err:
+        run_scenario(ScenarioConfig(**fields))
+    assert err.value.violations == [violation]
+
+
+def test_a_backend_with_a_final_newline_is_refused(no_run):
+    """`$` in the schema's backend pattern matches before a final newline;
+    `parse_backend` reads only a number in its one spelling."""
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(backend="cheat:0.5\n", **AUCTION).params()
+    assert err.value.violations == [
+        "$.backend: unknown backend 'cheat:0.5\\n' (expected 'ideal' or 'cheat:<p>')"]
