@@ -22,7 +22,7 @@ from fractions import Fraction
 from .bits import BitString, xor_all
 from .consensus import BOT
 from .encoding import decode_ticket_list, encode_open, encode_ticket_list
-from .errors import ConfigError, QbsimError
+from .errors import ConfigError, EncodingError, QbsimError
 from .ledger import RecordKind
 from .parties import PartyId, miner, player
 from .runtime import (
@@ -208,8 +208,18 @@ def run_lottery(params: LotteryParams) -> LotteryRunResult:
         return encode_ticket_list([(i, *miner_views[m].get(i, ("missing", None)))
                                    for i in range(params.players)])
 
+    def decode_full_list(body):
+        # a list an outcome can be read from: one entry per player, in
+        # order, every opened ticket `ticket_bits` long
+        entries = decode_ticket_list(body)
+        if ([i for i, _, _ in entries] != list(range(params.players))
+                or any(t is not None and len(t) != params.ticket_bits for _, _, t in entries)):
+            raise EncodingError(f"ticket list is not {params.players} entries "
+                                f"of {params.ticket_bits}-bit tickets")
+        return entries
+
     consensus_result, ledgers, reference_miner = finalize(
-        ctx, params, "lottery", 0, RecordKind.TICKET_LIST, decode_ticket_list, ticket_list)
+        ctx, params, "lottery", 0, RecordKind.TICKET_LIST, decode_full_list, ticket_list)
     decided_body = consensus_result.decisions[reference_miner]
 
     # phase 3: winner determination from each miner's own ledger copy

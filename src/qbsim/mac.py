@@ -1,10 +1,10 @@
 """One-time message authentication: Wegman-Carter polynomial hashing.
 
 Each message consumes one fresh key block holding two field elements
-(r, s); the tag is Horner evaluation of the payload's chunks at r, plus
-the one-time mask s. Every chunk carries a constant high bit and the
-byte length is appended as a final chunk, which makes the padded chunk
-sequence injective in the payload; two distinct payloads therefore
+(r, s); the tag is Horner evaluation of the payload's chunks at r,
+reduced mod p at every step, plus the one-time mask s. Every chunk
+carries a constant high bit and the byte length is appended as a final
+chunk, which makes the padded chunk sequence injective in the payload; two distinct payloads therefore
 collide for at most (chunks + 2) values of r, giving a forgery bound of
 (chunks + 2) / p per attempt against an adversary without the key.
 
@@ -16,7 +16,6 @@ bound, not a structural weakness.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 # Default field: Mersenne prime 2^61 - 1 (tags serialize in 8 bytes).
@@ -26,31 +25,13 @@ PRIME_16 = 65521
 PRIME_32 = 4294967291
 
 
-# Horner steps between reductions mod p: the accumulator stays below
-# about (_GROUP + 1) * bit_length(p) bits, so a long payload costs linear
-# time, and a payload of at most _GROUP chunks is reduced once, at the end.
-_GROUP = 16
-
-
-def _chunk_groups(payload: bytes, chunk_bits: int) -> tuple[tuple[int, ...], ...]:
-    """The payload cut into `chunk_bits`-wide chunks, most significant
-    first, each with the constant high bit added, in runs of _GROUP."""
-    high = 1 << chunk_bits
-    mask = high - 1
-    nbits = len(payload) * 8
-    nchunks = -(-nbits // chunk_bits)
-    padded = int.from_bytes(payload, "big") << (nchunks * chunk_bits - nbits)
-    chunks = [((padded >> (i * chunk_bits)) & mask) + high for i in range(nchunks - 1, -1, -1)]
-    return tuple(tuple(chunks[i:i + _GROUP]) for i in range(0, nchunks, _GROUP))
-
-
 @dataclass(frozen=True)
 class PolyMac:
     """Polynomial-evaluation one-time MAC over GF(prime)."""
 
     prime: int = DEFAULT_PRIME
 
-    @functools.cached_property
+    @property
     def chunk_bits(self) -> int:
         # High-bit head-room: chunk + 2^chunk_bits stays below the prime.
         return self.prime.bit_length() - 2
@@ -66,15 +47,19 @@ class PolyMac:
         return self.tag((r, 0), payload)
 
     def tag(self, key: tuple[int, int], payload: bytes) -> int:
-        # Horner's rule over the integers, reduced mod p once per group:
-        # equal mod p to reducing after every step
+        # Horner's rule at r over the chunks, most significant first, each
+        # with the constant high bit, then the byte length; plus s
         r, s = key
         p = self.prime
+        width = self.chunk_bits
+        high = 1 << width
+        mask = high - 1
+        nbits = len(payload) * 8
+        top = -(-nbits // width) * width  # bits in the padded chunk sequence
+        padded = int.from_bytes(payload, "big") << (top - nbits)
         acc = 0
-        for group in _chunk_groups(payload, self.chunk_bits):
-            acc %= p
-            for chunk in group:
-                acc = acc * r + chunk
+        for shift in range(top - width, -1, -width):
+            acc = (acc * r + (padded >> shift & mask) + high) % p
         return (acc * r + len(payload) + s) % p
 
     def verify(self, key: tuple[int, int], payload: bytes, tag: int) -> bool:

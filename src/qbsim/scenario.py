@@ -144,11 +144,12 @@ _INDEX_DIGITS = len(str(MAX_COUNT))  # no party count exceeds MAX_COUNT
 
 def _by_index(texts: dict[str, str], role: str, problems: list, parse) -> dict[int, Any]:
     """Each text parsed and keyed by its party index; keys that are not
-    an index in its one form (`canonical_decimal`, with no more digits
-    than any index) and texts that do not parse go to `problems`."""
+    an index in its one form (a `str` that is `canonical_decimal`, with no
+    more digits than any index) and texts that do not parse go to
+    `problems`, keys that are not a `str` after the others."""
     out = {}
-    for key, text in sorted(texts.items()):
-        if not canonical_decimal(key, _INDEX_DIGITS):
+    for key, text in sorted(texts.items(), key=_key_order):
+        if not (isinstance(key, str) and canonical_decimal(key, _INDEX_DIGITS)):
             problems.append(f"{role} entry for unknown {role} {key!r}")
             continue
         try:
@@ -156,6 +157,13 @@ def _by_index(texts: dict[str, str], role: str, problems: list, parse) -> dict[i
         except QbsimError as exc:
             problems.append(f"{role} {key}: {exc}")
     return out
+
+
+def _key_order(item) -> tuple[bool, str]:
+    # a code-built dict may hold keys that are not a `str`, which `<` cannot
+    # compare with one
+    key = item[0]
+    return not isinstance(key, str), str(key)
 
 
 # ------------------------------------------------------------ run report

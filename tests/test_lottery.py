@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qbsim.bits import BitString, xor_all
+from qbsim.commitment import parse_backend
+from qbsim.encoding import encode_ticket_list
 from qbsim.errors import ConfigError, QbsimError
 from qbsim.lottery import (
     LotteryParams,
@@ -145,6 +147,23 @@ def test_equivocator_rejected_and_excluded_under_ideal_backend():
     assert not result.outcome.aborted
     assert result.outcome.included == (0, 2)
     assert_matches_oracle(result, params)
+
+
+def test_a_forged_ticket_list_of_the_wrong_shape_is_a_bot_vote():
+    """A Byzantine miner's list that decodes but holds two entries, one of
+    them 3 bits long, reaches no ledger and crashes no winner
+    determination: the consensus domain is the lists of one entry per
+    player, in order, with every opened ticket `ticket_bits` long."""
+    forged = encode_ticket_list([(0, "opened", BitString.from_text("101")),
+                                 (1, "opened", BitString.from_text("11110000"))])
+    for seed in range(60):
+        params = LotteryParams(
+            players=3, ticket_bits=8, miners=4, seed=seed, backend=parse_backend("cheat:0.5"),
+            policies={0: equivocate("00000000", "00000001")},
+            byzantine_miners={miner(0): lambda phase, round_, recipient: ("value", forged)})
+        result = run_lottery(params)
+        assert all(record.body != forged
+                   for ledger in result.ledgers.values() for record in ledger.records)
 
 
 def test_equivocator_aborts_run_under_abort_policy():

@@ -152,6 +152,28 @@ def test_key_exhaustion_raises():
         net.send_authenticated(player(0), miner(0), b"m")
 
 
+# KeyStore(7) blocks of the pair player:0 / miner:2, on both sides of the
+# 64-block seed boundaries
+PINNED_BLOCKS = {
+    0: "38f37c00025c8531f44524696076c302",
+    1: "c3ab73668f3c055cdf6ae512bd153e26",
+    63: "7e7cdf18973d64ec5545feabac257d65",
+    64: "f8db18320b6fa3af84147336e792c6e1",
+    65: "96ebbb76f98bdd2f31319dd550d7a16f",
+    127: "5ba3c501fe2f9ddae2864721ee48d7ad",
+    128: "9714062939794c4f7a8fc2dedbb11f94",
+}
+
+
+def test_key_blocks_are_pinned_in_both_orders_of_the_pair():
+    store = KeyStore(7)
+    for _ in range(129):
+        store.consume(player(0), miner(2))
+    for index, block in PINNED_BLOCKS.items():
+        assert store.block_at(player(0), miner(2), index).hex() == block
+        assert store.block_at(miner(2), player(0), index).hex() == block
+
+
 def test_mac_key_derived_once_per_message(monkeypatch):
     """A key is derived once for each message a hook sees, from the block
     its index names, and for no message on a link without a hook."""

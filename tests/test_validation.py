@@ -132,6 +132,23 @@ def test_a_field_of_the_wrong_type_is_one_schema_violation(fields, violation, no
     assert err.value.violations == [violation]
 
 
+@pytest.mark.parametrize("fields, violations", [
+    (dict(LOTTERY, player_policies={0: "honest"}), ["player entry for unknown player 0"]),
+    (dict(AUCTION, buyer_policies={2: "fixed:3"}), ["buyer entry for unknown buyer 2"]),
+    (dict(LOTTERY, miners=4, byzantine_miners={1: "silent"}),
+     ["miner entry for unknown miner 1"]),
+    (dict(LOTTERY, player_policies={0: "honest", "1": "honest", "01": "honest"}),
+     ["player entry for unknown player '01'", "player entry for unknown player 0"]),
+], ids=["player", "buyer", "byzantine", "mixed"])
+def test_an_index_key_that_is_not_a_str_is_one_violation(fields, violations, no_run):
+    """The schema cannot type a dict key, so a code-built config may hold
+    an `int` key; it is refused like a key that is no index, in the same
+    error as the other keys, which sort first."""
+    with pytest.raises(ConfigError) as err:
+        run_scenario(ScenarioConfig(**fields))
+    assert err.value.violations == violations
+
+
 def test_a_backend_with_a_final_newline_is_refused(no_run):
     """`$` in the schema's backend pattern matches before a final newline;
     `parse_backend` reads only a number in its one spelling."""
