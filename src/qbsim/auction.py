@@ -23,19 +23,7 @@ from dataclasses import dataclass, field
 
 from .bits import BitString
 from .consensus import BOT
-from .encoding import (
-    MAX_BID_BITS,
-    MSG_OPEN_REQUEST,
-    decode_payload,
-    decode_verification_output,
-    encode_auction_claim,
-    encode_auction_losers,
-    encode_auction_response,
-    encode_auction_vlist,
-    encode_open,
-    encode_open_request,
-    encode_verification_output,
-)
+from .encoding import MAX_BID_BITS, TAGS, decode_payload, decode_verification_output, encode
 from .errors import ConfigError, QbsimError
 from .ledger import RecordKind
 from .parties import PartyId, buyer, miner, seller
@@ -103,44 +91,40 @@ def permute_losing(bids, winner_index: int, rng) -> list[int]:
 
 @dataclass(frozen=True)
 class VerificationOutput:
-    """A miner's verdict: the published tuple, bot blaming the seller, or
-    bot without a cheater when every buyer was excluded and no bid is
-    left. The outcome of a run whose miners agreed on no record is not
-    `agreed`."""
+    """A miner's verdict, its fields those of an `auction_outcome`
+    record: `valid` with the published tuple, `bot` blaming the seller,
+    or `no_bids` when every buyer was excluded and no bid is left. The
+    outcome of a run whose miners agreed on no record is `no_consensus`."""
 
-    valid: bool
-    cheater: PartyId | None = None
+    verdict: str
     winning_bid: int | None = None
     winner: PartyId | None = None
-    losing_bids: tuple = ()
-    agreed: bool = True
+    losing_bids: tuple | None = None
+    cheater: PartyId | None = None
+
+    valid = property(lambda self: self.verdict == "valid")
 
     @classmethod
     def bot(cls, cheater: PartyId) -> "VerificationOutput":
-        return cls(valid=False, cheater=cheater)
+        return cls("bot", cheater=cheater)
 
     @classmethod
     def ok(cls, winning_bid: int, losing_bids, winner: PartyId) -> "VerificationOutput":
-        return cls(valid=True, winning_bid=winning_bid, winner=winner,
-                   losing_bids=tuple(losing_bids))
+        return cls("valid", winning_bid, winner, tuple(losing_bids))
 
     def to_dict(self) -> dict:
-        if not self.agreed:
-            return {"verdict": "no_consensus"}
-        if not self.valid:
-            if self.cheater is None:
-                return {"verdict": "no_bids"}
+        if self.verdict == "bot":
             return {"verdict": "bot", "cheater": str(self.cheater)}
+        if not self.valid:
+            return {"verdict": self.verdict}
         return {"verdict": "valid", "winning_bid": self.winning_bid,
                 "winner": str(self.winner), "losing_bids": list(self.losing_bids)}
 
 
 def output_from_body(body: bytes) -> VerificationOutput:
-    decoded = decode_verification_output(body)
-    if not decoded["valid"]:
-        return VerificationOutput.bot(decoded["cheater"])
-    return VerificationOutput.ok(decoded["winning_bid"], decoded["losing_bids"],
-                                 decoded["winner"])
+    fields = decode_verification_output(body)
+    del fields["kind"]
+    return VerificationOutput(**fields)
 
 
 # ---------------------------------------------------------------- params
@@ -266,7 +250,8 @@ def run_auction(params: AuctionParams) -> AuctionRunResult:
         if open_bids[i] != commit_bids[i]:
             ctx.log.append("bid_change_attempt", buyer=str(b))
         ctx.network.send_authenticated(
-            b, s, encode_open(ids[b][s], BitString.from_int(open_bids[i], width)))
+            b, s, encode("open", commitment_id=ids[b][s],
+                         claimed=BitString.from_int(open_bids[i], width)))
 
     revealed: dict[PartyId, BitString] = {}  # the openings the seller accepted
 
@@ -291,17 +276,17 @@ def run_auction(params: AuctionParams) -> AuctionRunResult:
         buyer(i) for i, policy in params.buyer_policies.items() if policy.name == "complain"})
     outputs: dict[PartyId, VerificationOutput] = {}
     for m in miners:
-        outputs[m] = verification.verify(m, claim) if claim else VerificationOutput(valid=False)
+        outputs[m] = verification.verify(m, claim) if claim else VerificationOutput("no_bids")
         ctx.log.append("miner_verdict", miner=str(m), **outputs[m].to_dict())
 
     # phase 5: consensus on the verification outputs, then publication
     ctx.log.append("phase", protocol="auction", phase=5, name="publication")
     consensus_result, ledgers, reference = finalize(
         ctx, params, "auction", 1, RecordKind.AUCTION_OUTCOME, decode_verification_output,
-        lambda m: encode_verification_output(outputs[m]))
+        lambda m: encode("auction_outcome", **vars(outputs[m])))
     decided_body = consensus_result.decisions[reference]
     # no agreement records no outcome rather than a fake one
-    outcome = (VerificationOutput(valid=False, agreed=False) if decided_body == BOT
+    outcome = (VerificationOutput("no_consensus") if decided_body == BOT
                else output_from_body(decided_body))
 
     cheaters = list(ctx.registry.cheat_detected_committers())
@@ -340,8 +325,8 @@ class _Verification:
         winner, bid, losing = seller_claim
 
         # the seller sends the claim and the permuted losing list
-        net.send_authenticated(s, m, encode_auction_claim(winner, bid))
-        net.send_authenticated(s, m, encode_auction_losers(losing))
+        net.send_authenticated(s, m, encode("auction_claim", winner=winner, bid=bid))
+        net.send_authenticated(s, m, encode("auction_losers", bids=losing))
         inbox = {}
 
         def on_seller_message(delivery):  # auction_claim or auction_losers
@@ -357,7 +342,8 @@ class _Verification:
 
         # step (ii): broadcast the combined list to the buyers
         combined = [claim["bid"], *losers["bids"]]
-        net.broadcast(m, sorted(self.revealed), encode_auction_vlist(claim["bid"], losers["bids"]))
+        net.broadcast(m, sorted(self.revealed), encode(
+            "auction_vlist", winning_bid=claim["bid"], losing_bids=losers["bids"]))
 
         # step (iii): each buyer claims the first slot holding his bid value,
         # or complains that his value is absent; a buyer whose list or
@@ -371,8 +357,9 @@ class _Verification:
                 slots = [msg["winning_bid"], *msg["losing_bids"]]
                 my_bid = self.revealed[b].value
                 complaint = my_bid not in slots or b in self.complainers
-                net.send_authenticated(b, m, encode_auction_response(
-                    complaint, slot=0 if complaint else slots.index(my_bid)))
+                net.send_authenticated(b, m, encode(
+                    "auction_response", complaint=complaint,
+                    slot=0 if complaint else slots.index(my_bid)))
             elif msg["kind"] == "auction_response":
                 responses[delivery.sender] = msg
 
@@ -423,14 +410,15 @@ class _Verification:
             return {}
         net, registry = self.ctx.network, self.ctx.registry
         for b in targets:
-            net.send_authenticated(m, b, encode_open_request(self.ids[b][m]))
+            net.send_authenticated(m, b, encode("open_request", commitment_id=self.ids[b][m]))
         opened: dict[PartyId, int] = {}
 
         def on_request_or_opening(delivery):
             msg = decode_payload(delivery.payload)
             if msg["kind"] == "open_request":
                 b = delivery.receiver
-                net.send_authenticated(b, m, encode_open(msg["commitment_id"], self.revealed[b]))
+                net.send_authenticated(b, m, encode(
+                    "open", commitment_id=msg["commitment_id"], claimed=self.revealed[b]))
             elif msg["kind"] == "open":
                 result = registry.open(msg["commitment_id"], delivery.sender, msg["claimed"])
                 if result.accepted:
@@ -458,7 +446,7 @@ def posterior_privacy_violations(result: AuctionRunResult) -> list[str]:
     for m, led in sorted(result.ledgers.items()):
         for record in led.records:
             decoded = decode_verification_output(record.body)
-            named = decoded["winner"] if decoded["valid"] else decoded["cheater"]
+            named = decoded["winner"] or decoded["cheater"]
             if named in losing:
                 violations.append(
                     f"ledger of {m} names losing buyer {named} at height {record.height}")
@@ -469,7 +457,7 @@ def complaint_openings(result: AuctionRunResult) -> int:
     """Openings demanded during verification, one per open-request
     message, whether sent alone or in a broadcast; zero in every honest
     run."""
-    kind = f"{MSG_OPEN_REQUEST:02x}"
+    kind = f"{TAGS['open_request']:02x}"
     log = result.context.log
     return (sum(rec["payload"].startswith(kind) for rec in log.of_kind("send"))
             + sum(len(rec["to"]) for rec in log.of_kind("broadcast")

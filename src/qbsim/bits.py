@@ -45,13 +45,6 @@ class BitString:
         return cls.from_int(int(text, 2), len(text))
 
     @classmethod
-    def from_bytes(cls, data: bytes, length: int) -> "BitString":
-        value = int.from_bytes(data, "big")
-        if value >> length:
-            raise QbsimError("stray bits beyond the declared length")
-        return cls.from_int(value, length)
-
-    @classmethod
     def random(cls, rng, length: int) -> "BitString":
         # one draw per 32-bit limb, most significant first; another limb
         # width would change every seeded ticket

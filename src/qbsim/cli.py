@@ -194,9 +194,9 @@ def _render_body(kind: str, body: bytes) -> str:
             parts.append(f"player {index}: {shown}")
         return "ticket list [" + "; ".join(parts) + "]"
     decoded = decode_verification_output(body)
-    if not decoded["valid"] and decoded["cheater"] is None:
+    if decoded["verdict"] == "no_bids":
         return "auction outcome: no bids"
-    if not decoded["valid"]:
+    if decoded["verdict"] == "bot":
         return f"auction outcome: bot, cheater {decoded['cheater']}"
     losers = ", ".join(str(v) for v in decoded["losing_bids"])
     return (f"auction outcome: winner {decoded['winner']} "

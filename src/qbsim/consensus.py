@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import decode_payload, encode_consensus
+from .encoding import decode_payload, encode
 from .errors import ConsensusUsageError, EncodingError
 from .transport import Network
 
@@ -142,7 +142,7 @@ def vote(instance_id: int, domain, phase: int, round_: int, payload: bytes):
     if (msg["kind"] != "consensus" or msg["instance"] != instance_id
             or msg["phase"] != phase or msg["round"] != round_):
         return BOT
-    if msg["undecided"]:
+    if msg["value"] is None:
         return None if round_ == 2 else BOT
     return msg["value"] if domain.contains(msg["value"]) else BOT
 
@@ -190,13 +190,15 @@ def run_consensus(inputs: dict, scripts: dict, network: Network, domain,
                     if action[0] == "garbage":
                         payload = b"\xee_not_a_protocol_message"
                     else:
-                        payload = encode_consensus(instance_id, phase, round_, action[1])
+                        payload = encode("consensus", instance=instance_id, phase=phase,
+                                         round=round_, value=action[1])
                     network.send_authenticated(sender, recipient, payload)
             else:
                 value = values[sender]
                 votes[sender][index_of[sender]] = value
                 network.broadcast(sender, others[sender],
-                                  encode_consensus(instance_id, phase, round_, value))
+                                  encode("consensus", instance=instance_id, phase=phase,
+                                         round=round_, value=value))
 
         memo: dict[bytes, bytes | None] = {}
 

@@ -1,254 +1,252 @@
-"""Canonical byte encodings.
-
-Two families live here: ledger record bodies (what consensus decides on
-and miners append) and transport message payloads. Everything is
-big-endian with fixed integer widths and explicitly ordered lists, so a
-given logical content has exactly one encoding.
+"""Canonical byte encodings of ledger record bodies and transport payloads, defined by
+one table: a kind is its tag byte and a list of fields, and `encode` and `decode` both
+walk that list. Integers are big-endian with fixed widths; lists are counted and ordered.
+Each field reader refuses every byte string its writer would not produce, so only the one
+encoding of a content decodes, `encode(**decode(data)) == data` whenever `data` decodes,
+and a decoder raises `EncodingError` and nothing else: a consensus value that does not
+decode is a BOT vote.
 """
 
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 
 from .bits import BitString
 from .errors import EncodingError
 from .parties import CODE_ROLES, ROLE_CODES, PartyId
 
-# widest values the fixed-width fields carry: counts, party indices and
-# bit lengths travel as ">H", bids as ">Q"
-MAX_COUNT = (1 << 8 * struct.calcsize(">H")) - 1
+_H = struct.Struct(">H")
+_BH = struct.Struct(">BH")
+
+# widest values: counts, party indices and bit lengths travel as ">H", bids as ">Q"
+MAX_COUNT = (1 << 8 * _H.size) - 1
 MAX_BID_BITS = 8 * struct.calcsize(">Q")
 
-# ledger record body tags
-TICKET_LIST_TAG = 0x01
-AUCTION_OUTCOME_TAG = 0x02
 
-# per-player ticket status codes
-STATUS_OPENED = 0
-STATUS_CHEAT = 1
-STATUS_MISSING = 2
-_STATUS_NAMES = {STATUS_OPENED: "opened", STATUS_CHEAT: "cheat_detected",
-                 STATUS_MISSING: "missing"}
-_STATUS_CODES = {name: code for code, name in _STATUS_NAMES.items()}
-
-# transport payload kinds
-MSG_COMMIT_NOTIFY = 0x20
-MSG_OPEN = 0x21
-MSG_CONSENSUS = 0x22
-MSG_AUCTION_CLAIM = 0x23
-MSG_AUCTION_LOSERS = 0x24
-MSG_AUCTION_VLIST = 0x25
-MSG_AUCTION_RESPONSE = 0x26
-MSG_OPEN_REQUEST = 0x27
+def _names(fields) -> tuple:
+    return tuple(name for field in fields for name in field.names)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+class _Field:
+    """A field of one value. A field's `names` are its values: `read(data, pos, out)` appends
+    them to the list `out` and returns the end; `write(fields, out)` appends their bytes."""
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise EncodingError("truncated encoding")
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return values if len(values) > 1 else values[0]
-
-    def take_bytes(self, size: int) -> bytes:
-        if self.pos + size > len(self.data):
-            raise EncodingError("truncated encoding")
-        out = self.data[self.pos:self.pos + size]
-        self.pos += size
-        return out
-
-    def finish(self):
-        if self.pos != len(self.data):
-            raise EncodingError(f"{len(self.data) - self.pos} trailing bytes")
+    def __init__(self, name: str):
+        self.names, self.name = (name,), name
 
 
-def encode_party(party: PartyId) -> bytes:
-    return struct.pack(">BH", ROLE_CODES[party.role], party.index)
+class _Ints:
+    """Adjacent fixed-width unsigned integers, read and written by one Struct."""
+
+    def __init__(self, fmt: str, *names: str):
+        layout = struct.Struct(">" + fmt)
+        self.names, self.size, self.unpack, self.pack = (
+            names, layout.size, layout.unpack_from, layout.pack)
+        self.get, self.many = itemgetter(*names), len(names) > 1  # a tuple only if many
+
+    def read(self, data, pos, out):
+        out += self.unpack(data, pos)
+        return pos + self.size
+
+    def write(self, fields, out):
+        out.append(self.pack(*self.get(fields)) if self.many else self.pack(self.get(fields)))
 
 
-def _read_party(reader: _Reader) -> PartyId:
-    code, index = reader.take(">BH")
-    if code not in CODE_ROLES:
-        raise EncodingError(f"unknown role code {code}")
-    return PartyId(CODE_ROLES[code], index)
+class _Code(_Ints):
+    """Integers as in `_Ints`, the one at `at` a code: the position of one of `branches`,
+    each `(label, *fields)`. The code stands for its label, and its branch's fields follow
+    the integers; the fields of the other branches stand for None."""
+
+    def __init__(self, fmt: str, head: tuple, *branches, at: int = -1):
+        super().__init__(fmt, *head)
+        widths = [len(_names(fields)) for _, *fields in branches]
+        self.names += _names(field for _, *fields in branches for field in fields)
+        self.code, self.at = head[at], at % len(head) - len(head)  # `at` from the end of `head`
+        self.branches = [(label, tuple(field.read for field in fields),
+                          (None,) * sum(widths[:code]), (None,) * sum(widths[code + 1:]))
+                         for code, (label, *fields) in enumerate(branches)]
+        self.codes = {label: (code, fields, tuple(name for name in self.names[len(head):]
+                                                  if name not in _names(fields)))
+                      for code, (label, *fields) in enumerate(branches)}
+
+    def read(self, data, pos, out):
+        ints = self.unpack(data, pos)
+        if ints[self.at] >= len(self.branches):
+            raise EncodingError(f"unknown {self.code} code {ints[self.at]}")
+        label, reads, before, after = self.branches[ints[self.at]]
+        out += ints
+        out[self.at] = label
+        out += before
+        pos += self.size
+        for read in reads:
+            pos = read(data, pos, out)
+        out += after
+        return pos
+
+    def write(self, fields, out):
+        ints = list(self.get(fields)) if self.many else [self.get(fields)]
+        if ints[self.at] not in self.codes:
+            raise EncodingError(f"unknown {self.code} {ints[self.at]!r}")
+        ints[self.at], layout, others = self.codes[ints[self.at]]
+        for name in others:
+            if fields.get(name) is not None:
+                raise EncodingError(f"a {fields[self.code]!r} {self.code} carries no {name}")
+        out.append(self.pack(*ints))
+        for field in layout:
+            field.write(fields, out)
 
 
-# ------------------------------------------------------- ticket lists
+class _Bits(_Field):
+    """A BitString: a ">H" length of at least 1, then whole bytes with zero padding bits."""
+
+    def read(self, data, pos, out):
+        (length,) = _H.unpack_from(data, pos)
+        start, end = pos + _H.size, pos + _H.size + (length + 7) // 8
+        value = int.from_bytes(data[start:end], "big")
+        if not length or end > len(data) or value >> length:
+            raise EncodingError(f"{self.names[0]}: no bits, truncated, or padding bits set")
+        out.append(BitString.from_int(value, length))
+        return end
+
+    def write(self, fields, out):
+        bits = fields[self.name]
+        out += (_H.pack(len(bits)), bits.to_bytes())
 
 
-def encode_ticket_list(entries) -> bytes:
-    """entries: ordered list of (player_index, status_name, BitString|None)."""
-    out = [struct.pack(">BH", TICKET_LIST_TAG, len(entries))]
-    last_index = -1
-    for index, status, ticket in entries:
-        if index <= last_index:
-            raise EncodingError("ticket entries must be in ascending player order")
-        last_index = index
-        code = _STATUS_CODES[status]
-        out.append(struct.pack(">HB", index, code))
-        if code == STATUS_OPENED:
-            if ticket is None:
-                raise EncodingError("opened entries carry a ticket")
-            out.append(struct.pack(">H", len(ticket)))
-            out.append(ticket.to_bytes())
-        elif ticket is not None:
-            raise EncodingError("only opened entries carry a ticket")
+class _Party(_Field):
+    """A PartyId: a known role code byte, then a ">H" index."""
+
+    def read(self, data, pos, out):
+        code, index = _BH.unpack_from(data, pos)
+        if code not in CODE_ROLES:
+            raise EncodingError(f"unknown role code {code}")
+        out.append(PartyId(CODE_ROLES[code], index))
+        return pos + _BH.size
+
+    def write(self, fields, out):
+        party = fields[self.name]
+        out.append(_BH.pack(ROLE_CODES[party.role], party.index))
+
+
+class _Value(_Field):
+    """A consensus value: a flag byte, a ">H" size and that many bytes; flag 1, size 0 is None."""
+
+    def read(self, data, pos, out):
+        (flag, size), start = _BH.unpack_from(data, pos), pos + _BH.size
+        if flag > 1 or flag and size or start + size > len(data):
+            raise EncodingError(f"malformed value: flag {flag}, size {size}")
+        out.append(None if flag else data[start:start + size])
+        return start + size
+
+    def write(self, fields, out):
+        value = fields[self.name]
+        out.append(_BH.pack(1, 0) if value is None else _BH.pack(0, len(value)) + value)
+
+
+class _List:
+    """A ">H" count, then that many of the field `item`, each the one value it stands for or
+    the tuple of them. With `ascending`, the items' first values rise strictly."""
+
+    def __init__(self, name: str, item, ascending: bool = False):
+        self.names, self.item, self.ascending = (name,), item, ascending
+        self.single = len(item.names) == 1
+
+    def read(self, data, pos, out):
+        (count,) = _H.unpack_from(data, pos)
+        pos += _H.size
+        items, read = [], self.item.read
+        for _ in range(count):
+            item = []
+            pos = read(data, pos, item)
+            items.append(item[0] if self.single else tuple(item))
+        out.append(self._checked(tuple(items)))
+        return pos
+
+    def write(self, fields, out):
+        items, names, write = self._checked(fields[self.names[0]]), self.item.names, self.item.write
+        out.append(_H.pack(len(items)))
+        for item in items:
+            write({names[0]: item} if self.single else dict(zip(names, item)), out)
+
+    def _checked(self, items):
+        last = -1
+        for item in items if self.ascending else ():
+            if item[0] <= last:
+                raise EncodingError(f"{self.names[0]} must ascend by their first value")
+            last = item[0]
+        return items
+
+
+# The table: tag -> (kind, *fields); ledger record bodies below 0x20, then transport payloads.
+_TABLE = {
+    0x01: ("ticket_list", _List("entries", _Code(
+        "HB", ("index", "status"), ("opened", _Bits("ticket")), ("cheat_detected",), ("missing",)),
+        ascending=True)),
+    0x02: ("auction_outcome", _Code("B", ("verdict",), ("valid", _Ints("Q", "winning_bid"),
+        _Party("winner"), _List("losing_bids", _Ints("Q", "bid"))), ("bot", _Party("cheater")),
+        ("no_bids",))),
+    0x20: ("commit_notify", _Ints("IH", "commitment_id", "bit_length")),
+    0x21: ("open", _Ints("I", "commitment_id"), _Bits("claimed")),
+    0x22: ("consensus", _Ints("IBB", "instance", "phase", "round"), _Value("value")),
+    0x23: ("auction_claim", _Party("winner"), _Ints("Q", "bid")),
+    0x24: ("auction_losers", _List("bids", _Ints("Q", "bid"))),
+    0x25: ("auction_vlist", _Ints("Q", "winning_bid"), _List("losing_bids", _Ints("Q", "bid"))),
+    0x26: ("auction_response", _Code("BH", ("complaint", "slot"), (False,), (True,), at=0)),
+    0x27: ("open_request", _Ints("I", "commitment_id")),
+}
+TAGS = {kind: tag for tag, (kind, *_) in _TABLE.items()}
+_BY_TAG = {bytes([tag]): (kind, tuple(field.read for field in fields), ("kind", *_names(fields)))
+           for tag, (kind, *fields) in _TABLE.items()}
+_BY_KIND = {kind: (bytes([tag]), tuple(field.write for field in fields))
+            for tag, (kind, *fields) in _TABLE.items()}
+
+
+def encode(kind: str, **fields) -> bytes:
+    """The one encoding of `fields` as a `kind`. A field that the
+    selected code branch does not carry is None or left out."""
+    tag, writes = _BY_KIND[kind]
+    out = [tag]
+    try:
+        for write in writes:
+            write(fields, out)
+    except (struct.error, KeyError, TypeError, AttributeError) as exc:  # a missing or bad value
+        raise EncodingError(f"a {kind} cannot carry its fields: {exc!r}") from None
     return b"".join(out)
 
 
-def decode_ticket_list(body: bytes) -> list[tuple[int, str, BitString | None]]:
-    reader = _Reader(body)
-    tag, count = reader.take(">BH")
-    if tag != TICKET_LIST_TAG:
-        raise EncodingError(f"not a ticket list (tag {tag})")
-    entries = []
-    last_index = -1
-    for _ in range(count):
-        index, code = reader.take(">HB")
-        if index <= last_index:
-            raise EncodingError("ticket entries out of order")
-        last_index = index
-        if code not in _STATUS_NAMES:
-            raise EncodingError(f"unknown status code {code}")
-        ticket = None
-        if code == STATUS_OPENED:
-            bitlen = reader.take(">H")
-            if bitlen < 1:
-                raise EncodingError("zero-length ticket")
-            ticket = BitString.from_bytes(reader.take_bytes((bitlen + 7) // 8), bitlen)
-        entries.append((index, _STATUS_NAMES[code], ticket))
-    reader.finish()
-    return entries
-
-
-# -------------------------------------------------- verification output
-
-
-def encode_verification_output(output) -> bytes:
-    """output: auction.VerificationOutput."""
-    if not output.valid and output.cheater is None:  # every bid was excluded
-        return struct.pack(">BB", AUCTION_OUTCOME_TAG, 2)
-    if not output.valid:
-        return struct.pack(">BB", AUCTION_OUTCOME_TAG, 1) + encode_party(output.cheater)
-    parts = [
-        struct.pack(">BB", AUCTION_OUTCOME_TAG, 0),
-        struct.pack(">Q", output.winning_bid),
-        encode_party(output.winner),
-        struct.pack(">H", len(output.losing_bids)),
-    ]
-    parts.extend(struct.pack(">Q", bid) for bid in output.losing_bids)
-    return b"".join(parts)
-
-
-def decode_verification_output(body: bytes) -> dict:
-    reader = _Reader(body)
-    tag, verdict = reader.take(">BB")
-    if tag != AUCTION_OUTCOME_TAG:
-        raise EncodingError(f"not an auction outcome (tag {tag})")
-    if verdict == 1:
-        cheater = _read_party(reader)
-        reader.finish()
-        return {"valid": False, "cheater": cheater}
-    if verdict == 2:
-        reader.finish()
-        return {"valid": False, "cheater": None}
-    if verdict != 0:
-        raise EncodingError(f"unknown verdict {verdict}")
-    winning_bid = reader.take(">Q")
-    winner = _read_party(reader)
-    count = reader.take(">H")
-    losing = tuple(reader.take(">Q") for _ in range(count))
-    reader.finish()
-    return {"valid": True, "winning_bid": winning_bid, "winner": winner,
-            "losing_bids": losing}
-
-
-# ------------------------------------------------- transport payloads
-
-
-def encode_commit_notify(commitment_id: int, bit_length: int) -> bytes:
-    return struct.pack(">BIH", MSG_COMMIT_NOTIFY, commitment_id, bit_length)
-
-
-def encode_open(commitment_id: int, claimed: BitString) -> bytes:
-    return (struct.pack(">BIH", MSG_OPEN, commitment_id, len(claimed))
-            + claimed.to_bytes())
-
-
-def encode_consensus(instance: int, phase: int, round_: int,
-                     value: bytes | None) -> bytes:
-    """value None encodes the 'undecided' marker of the middle round."""
-    if value is None:
-        return struct.pack(">BIBBBH", MSG_CONSENSUS, instance, phase, round_, 1, 0)
-    return struct.pack(">BIBBBH", MSG_CONSENSUS, instance, phase, round_, 0,
-                       len(value)) + value
-
-
-def encode_auction_claim(winner: PartyId, bid: int) -> bytes:
-    return struct.pack(">B", MSG_AUCTION_CLAIM) + encode_party(winner) + struct.pack(">Q", bid)
-
-
-def encode_auction_losers(bids) -> bytes:
-    return struct.pack(">BH", MSG_AUCTION_LOSERS, len(bids)) + b"".join(
-        struct.pack(">Q", b) for b in bids
-    )
-
-
-def encode_auction_vlist(winning_bid: int, losing_bids) -> bytes:
-    return struct.pack(">BQH", MSG_AUCTION_VLIST, winning_bid, len(losing_bids)) + b"".join(
-        struct.pack(">Q", b) for b in losing_bids
-    )
-
-
-def encode_auction_response(complaint: bool, slot: int = 0) -> bytes:
-    return struct.pack(">BBH", MSG_AUCTION_RESPONSE, 1 if complaint else 0, slot)
-
-
-def encode_open_request(commitment_id: int) -> bytes:
-    return struct.pack(">BI", MSG_OPEN_REQUEST, commitment_id)
+def decode(data: bytes) -> dict:
+    """The fields of `data`: its "kind" and the fields `encode` takes."""
+    if data[:1] not in _BY_TAG:
+        raise EncodingError(f"unknown kind tag {data[:1].hex() or '(none)'}")
+    kind, reads, names = _BY_TAG[data[:1]]
+    values, pos = [kind], 1
+    try:
+        for read in reads:
+            pos = read(data, pos, values)
+    except struct.error:
+        raise EncodingError(f"truncated {kind}") from None
+    if pos != len(data):
+        raise EncodingError(f"{len(data) - pos} trailing bytes after a {kind}")
+    return dict(zip(names, values))
 
 
 def decode_payload(payload: bytes) -> dict:
-    """Parse any transport payload into a readable dict (logs, scans)."""
-    if not payload:
-        raise EncodingError("empty payload")
-    reader = _Reader(payload)
-    kind = reader.take(">B")
-    if kind == MSG_COMMIT_NOTIFY:
-        cid, bitlen = reader.take(">IH")
-        out = {"kind": "commit_notify", "commitment_id": cid, "bit_length": bitlen}
-    elif kind == MSG_OPEN:
-        cid, bitlen = reader.take(">IH")
-        bits = BitString.from_bytes(reader.take_bytes((bitlen + 7) // 8), bitlen)
-        out = {"kind": "open", "commitment_id": cid, "claimed": bits}
-    elif kind == MSG_CONSENSUS:
-        instance, phase, round_, flag, size = reader.take(">IBBBH")
-        value = None if flag == 1 else reader.take_bytes(size)
-        out = {"kind": "consensus", "instance": instance, "phase": phase,
-               "round": round_, "undecided": flag == 1, "value": value}
-    elif kind == MSG_AUCTION_CLAIM:
-        winner = _read_party(reader)
-        bid = reader.take(">Q")
-        out = {"kind": "auction_claim", "winner": winner, "bid": bid}
-    elif kind == MSG_AUCTION_LOSERS:
-        count = reader.take(">H")
-        out = {"kind": "auction_losers",
-               "bids": tuple(reader.take(">Q") for _ in range(count))}
-    elif kind == MSG_AUCTION_VLIST:
-        bw, count = reader.take(">QH")
-        out = {"kind": "auction_vlist", "winning_bid": bw,
-               "losing_bids": tuple(reader.take(">Q") for _ in range(count))}
-    elif kind == MSG_AUCTION_RESPONSE:
-        complaint, slot = reader.take(">BH")
-        out = {"kind": "auction_response", "complaint": complaint == 1, "slot": slot}
-    elif kind == MSG_OPEN_REQUEST:
-        out = {"kind": "open_request", "commitment_id": reader.take(">I")}
-    else:
-        raise EncodingError(f"unknown payload kind {kind}")
-    reader.finish()
-    return out
+    """A transport payload's fields (`decode`); a record body is none."""
+    if payload[:1] < b"\x20":
+        raise EncodingError(f"tag {payload[:1].hex() or '(none)'} is no payload kind")
+    return decode(payload)
+
+
+def decode_ticket_list(body: bytes) -> list[tuple[int, str, BitString | None]]:
+    """A ticket-list body's entries: (player index, status, ticket or None)."""
+    if body[:1] != b"\x01":
+        raise EncodingError(f"tag {body[:1].hex() or '(none)'} is no ticket list")
+    return list(decode(body)["entries"])
+
+
+def decode_verification_output(body: bytes) -> dict:
+    """An auction-outcome body's fields (`decode`)."""
+    if body[:1] != b"\x02":
+        raise EncodingError(f"tag {body[:1].hex() or '(none)'} is no auction outcome")
+    return decode(body)

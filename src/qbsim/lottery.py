@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .bits import BitString, xor_all
 from .consensus import BOT
-from .encoding import decode_ticket_list, encode_open, encode_ticket_list
+from .encoding import decode_ticket_list, encode
 from .errors import ConfigError, EncodingError, QbsimError
 from .ledger import RecordKind
 from .parties import PartyId, miner, player
@@ -190,7 +190,7 @@ def run_lottery(params: LotteryParams) -> LotteryRunResult:
             ctx.log.append("equivocate_attempt", player=str(p))
         for m in miners:
             ctx.network.send_authenticated(
-                p, m, encode_open(commitment_ids[i][m], open_tickets[i]))
+                p, m, encode("open", commitment_id=commitment_ids[i][m], claimed=open_tickets[i]))
 
     miner_views: dict[PartyId, dict[int, tuple[str, BitString | None]]] = {
         m: {} for m in miners}
@@ -205,8 +205,8 @@ def run_lottery(params: LotteryParams) -> LotteryRunResult:
 
     # phase 2b: consensus on the ticket list, then append
     def ticket_list(m):
-        return encode_ticket_list([(i, *miner_views[m].get(i, ("missing", None)))
-                                   for i in range(params.players)])
+        return encode("ticket_list", entries=[(i, *miner_views[m].get(i, ("missing", None)))
+                                              for i in range(params.players)])
 
     def decode_full_list(body):
         # a list an outcome can be read from: one entry per player, in

@@ -18,7 +18,7 @@ from .consensus import (
     pair_key_blocks,
     run_consensus,
 )
-from .encoding import MAX_COUNT, decode_payload, encode_commit_notify
+from .encoding import MAX_COUNT, decode_payload, encode
 from .errors import QbsimError
 from .eventlog import EventLog
 from .keystore import DEFAULT_BUDGET, KeyStore
@@ -57,8 +57,8 @@ class SimContext:
         ids = {}
         for receiver in receivers:
             ids[receiver] = self.registry.commit(committer, receiver, value, backend)
-            self.network.send_authenticated(committer, receiver,
-                                            encode_commit_notify(ids[receiver], len(value)))
+            self.network.send_authenticated(committer, receiver, encode(
+                "commit_notify", commitment_id=ids[receiver], bit_length=len(value)))
         return ids
 
     def adjudicate(self, delivery) -> OpenResult | None:

@@ -15,12 +15,7 @@ from qbsim.auction import (
     run_auction,
 )
 from qbsim.commitment import parse_backend
-from qbsim.encoding import (
-    MSG_AUCTION_RESPONSE,
-    MSG_AUCTION_VLIST,
-    decode_payload,
-    encode_open_request,
-)
+from qbsim.encoding import TAGS, decode_payload, encode
 from qbsim.errors import ConfigError, QbsimError
 from qbsim.parties import buyer, miner, seller
 from qbsim.runtime import Policy
@@ -311,12 +306,12 @@ def miner_linked_bids(result, m) -> dict:
     sends delivered to it, each naming a slot of that list."""
     log, name = result.context.log, str(m)
     (vlist,) = [decode_payload(bytes.fromhex(rec["payload"])) for rec in log.of_kind("broadcast")
-                if rec["sender"] == name and rec["payload"].startswith(f"{MSG_AUCTION_VLIST:02x}")]
+                if rec["sender"] == name and rec["payload"].startswith(f"{TAGS['auction_vlist']:02x}")]
     slots = [vlist["winning_bid"], *vlist["losing_bids"]]
     linked = {}
     for rec in log.of_kind("send"):
         if (rec["receiver"] == name and "delivered" in rec
-                and rec["payload"].startswith(f"{MSG_AUCTION_RESPONSE:02x}")):
+                and rec["payload"].startswith(f"{TAGS['auction_response']:02x}")):
             msg = decode_payload(bytes.fromhex(rec["payload"]))
             if not msg["complaint"]:
                 linked[rec["sender"]] = slots[msg["slot"]]
@@ -378,7 +373,7 @@ def test_scans_read_the_messages_of_broadcast_records(monkeypatch):
     def make_context_with_broadcasts(*args, **kwargs):
         ctx = make_context(*args, **kwargs)
         ctx.network.broadcast(seller(), [buyer(0), buyer(2)], b"\x00leak")
-        ctx.network.broadcast(miner(1), [buyer(1), buyer(2)], encode_open_request(0))
+        ctx.network.broadcast(miner(1), [buyer(1), buyer(2)], encode("open_request", commitment_id=0))
         return ctx
 
     monkeypatch.setattr(auction, "make_context", make_context_with_broadcasts)

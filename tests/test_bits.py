@@ -48,12 +48,6 @@ def test_length_mismatch():
 
 
 @given(bit_lists)
-def test_bytes_roundtrip(bits):
-    b = BitString(bits)
-    assert BitString.from_bytes(b.to_bytes(), len(b)) == b
-
-
-@given(bit_lists)
 def test_iteration_matches_indexing(bits):
     b = BitString(bits)
     assert list(b) == bits

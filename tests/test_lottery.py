@@ -7,7 +7,7 @@ import pytest
 
 from qbsim.bits import BitString, xor_all
 from qbsim.commitment import parse_backend
-from qbsim.encoding import encode_ticket_list
+from qbsim.encoding import encode
 from qbsim.errors import ConfigError, QbsimError
 from qbsim.lottery import (
     LotteryParams,
@@ -149,13 +149,21 @@ def test_equivocator_rejected_and_excluded_under_ideal_backend():
     assert_matches_oracle(result, params)
 
 
-def test_a_forged_ticket_list_of_the_wrong_shape_is_a_bot_vote():
-    """A Byzantine miner's list that decodes but holds two entries, one of
-    them 3 bits long, reaches no ledger and crashes no winner
-    determination: the consensus domain is the lists of one entry per
-    player, in order, with every opened ticket `ticket_bits` long."""
-    forged = encode_ticket_list([(0, "opened", BitString.from_text("101")),
-                                 (1, "opened", BitString.from_text("11110000"))])
+THREE_BITS, EIGHT_BITS = BitString.from_text("101"), BitString.from_text("11110000")
+
+
+@pytest.mark.parametrize("forged", [
+    encode("ticket_list", entries=[(0, "opened", THREE_BITS), (1, "opened", EIGHT_BITS)]),
+    # the third entry a 3-bit ticket in the byte 0xff: its padding bits are set
+    encode("ticket_list", entries=[(0, "opened", EIGHT_BITS), (1, "opened", EIGHT_BITS),
+                                   (2, "opened", THREE_BITS)])[:-1] + b"\xff",
+], ids=["two-entries", "stray-padding"])
+def test_a_forged_ticket_list_of_the_wrong_shape_is_a_bot_vote(forged):
+    """A Byzantine miner's list that holds two entries, one of them 3 bits
+    long, or whose last ticket has stray padding bits, reaches no ledger
+    and crashes no winner determination: the consensus domain is the
+    lists that decode, with one entry per player, in order, and every
+    opened ticket `ticket_bits` long."""
     for seed in range(60):
         params = LotteryParams(
             players=3, ticket_bits=8, miners=4, seed=seed, backend=parse_backend("cheat:0.5"),
