@@ -37,6 +37,12 @@ def test_ticket_list_rejects_unordered_and_junk():
     with pytest.raises(EncodingError):
         encode("ticket_list", entries=[(1, "opened", t), (0, "opened", t)])
     with pytest.raises(EncodingError):
+        encode("ticket_list", entries=[(0, "opened", t), (0, "opened", t)])
+    with pytest.raises(EncodingError):
+        encode("ticket_list", entries=[(0, "missing", t)])
+    with pytest.raises(EncodingError):
+        decode_ticket_list(bytes.fromhex("01" "0001" "0000" "03"))  # status code 3
+    with pytest.raises(EncodingError):
         decode_ticket_list(b"\xff\x00\x01")
     with pytest.raises(EncodingError):
         decode_ticket_list(encode("ticket_list", entries=[(0, "opened", t)]) + b"\x00")
@@ -74,6 +80,12 @@ def test_payload_decoders():
     assert v["winning_bid"] == 7 and v["losing_bids"] == (3, 5)
     r = decode_payload(encode("auction_response", complaint=False, slot=2))
     assert not r["complaint"] and r["slot"] == 2
+    with pytest.raises(EncodingError):  # the undecided flag with a size and its byte
+        decode_payload(bytes.fromhex("22" "00000000" "01" "02" "01" "0001" "ab"))
+    with pytest.raises(EncodingError):
+        decode_payload(bytes.fromhex("26" "02" "0000"))  # complaint byte 2
+    with pytest.raises(EncodingError):
+        decode_verification_output(b"\x02\x03")  # verdict code 3
     with pytest.raises(EncodingError):
         decode_payload(b"\xee garbage")
     with pytest.raises(EncodingError):
