@@ -11,7 +11,9 @@ perfectly binding: any opening that differs from the committed value
 is rejected outright.
 
 Detection events are logged for the rest of the protocol (miners act on
-them), and a record never reaches both Opened and CheatDetected.
+them), and a record never reaches both Opened and CheatDetected. Session
+`id` draws its detections from its own substream `(seed, "registry", id)`,
+so the order in which openings are delivered decides nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .bits import BitString
 from .errors import CommitmentStateError, QbsimError
 from .eventlog import EventLog
 from .parties import PartyId
+from .rng import generator
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,8 @@ class _Record:
 class CommitmentRegistry:
     """All commitment sessions of one scenario instance."""
 
-    def __init__(self, rng, log: EventLog):
-        self._rng = rng
+    def __init__(self, seed: int, log: EventLog):
+        self._seed = seed
         self._log = log
         self._records: dict[int, _Record] = {}
         self._next_id = 0
@@ -151,7 +154,10 @@ class CommitmentRegistry:
         p = record.backend.detection_prob_per_bit
         # at p = 1 every draw would detect: no draw can change the outcome;
         # below it every flipped bit takes its draw, detected or not
-        if p == 1.0 or any([self._rng.random() < p for _ in range(flipped)]):
+        if p == 1.0:
+            return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION))
+        rng = generator(self._seed, "registry", record.id)
+        if any([rng.random() < p for _ in range(flipped)]):
             return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION))
         # cheat slipped through: the receiver accepts the claimed value
         return self._finish(record, OpenResult.accept(claimed))

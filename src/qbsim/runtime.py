@@ -74,7 +74,7 @@ def make_context(seed: int, parties, key_budget: int, detail: bool) -> SimContex
     log = EventLog(detail=detail)
     network = Network(parties, KeyStore(seed, budget=key_budget),
                       scheduler_seed=derive_seed(seed, "scheduler"), log=log)
-    registry = CommitmentRegistry(generator(seed, "registry"), log)
+    registry = CommitmentRegistry(seed, log)
     return SimContext(seed=seed, log=log, network=network, registry=registry)
 
 

@@ -101,7 +101,7 @@ def test_criterion_2_lottery_unforgeability():
         assert rejected_runs == 1_000
 
         log = EventLog(detail=False)
-        registry = CommitmentRegistry(generator(911, "registry"), log)
+        registry = CommitmentRegistry(911, log)
         backend = parse_backend("cheat:0.5")
         committed = BitString.from_text("00000000")
         claimed = BitString.from_text("11111111")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qbsim import commitment
 from qbsim.bits import BitString
 from qbsim.commitment import (
     IDEAL,
@@ -17,11 +18,12 @@ from qbsim.commitment import (
 from qbsim.errors import CommitmentStateError, QbsimError
 from qbsim.eventlog import EventLog
 from qbsim.parties import miner, player
+from qbsim.rng import generator
 
 
 def make_registry(seed=1, detail=True):
     log = EventLog(detail=detail)
-    return CommitmentRegistry(np.random.default_rng(seed), log), log
+    return CommitmentRegistry(seed, log), log
 
 
 def test_commit_reveals_only_id_and_length():
@@ -187,15 +189,18 @@ def test_parse_backend():
             Backend(p, "cheat")
 
 
-def test_open_draws_from_the_registry_rng_only_when_p_below_one():
-    rng = np.random.default_rng(3)
-    reg = CommitmentRegistry(rng, EventLog(detail=False))
+def test_open_draws_from_the_registry_rng_only_when_p_below_one(monkeypatch):
+    """No substream is made at p = 1; below it a flipped opening draws
+    from its session's own substream `(seed, "registry", id)`."""
+    made = []
+    monkeypatch.setattr(commitment, "generator",
+                        lambda *path: made.append(path) or generator(*path))
+    reg = CommitmentRegistry(3, EventLog(detail=False))
     committed, claimed = BitString.from_text("0000"), BitString.from_text("1111")
     for backend in (IDEAL, parse_backend("cheat:1")):
-        state = rng.bit_generator.state
         cid = reg.commit(player(0), miner(0), committed, backend)
         assert not reg.open(cid, player(0), claimed).accepted
-        assert rng.bit_generator.state == state
+        assert made == []
     cid = reg.commit(player(0), miner(0), committed, parse_backend("cheat:0.5"))
     reg.open(cid, player(0), claimed)
-    assert rng.bit_generator.state != state
+    assert made == [(3, "registry", cid)]

@@ -292,7 +292,7 @@ GOLDEN_STATS = {
     "lottery-abort-some-decide": (
         dict(LOTTERY, seed=27, cheat_policy="abort", backend="cheat:0.1",
              player_policies={"2": "equivocate:00000000:11111111"}),
-        "e9a223fa6be0c7374cc354f42d08d7095b551586aecfeac0078ac037adc59a61",
+        "a65c26ecefaba9f86d10757055efd93dfd1dc0d7af6b49262fb9416a82d4c18c",
     ),
     "auction-honest": (
         dict(AUCTION, seed=24),
