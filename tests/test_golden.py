@@ -17,7 +17,9 @@ of an earlier one.
 
 `GOLDEN_STATS` pins the canonical aggregate of a serial batch, the
 bytes `qbsim lottery|auction stats` prints, for configs chosen so that
-every aggregate field moves in some of them.
+every aggregate field moves in some of them. Each entry also states the
+case it exists for as a predicate on its aggregate, checked before the
+digest, so a regenerated digest cannot silently drop the case.
 """
 
 import hashlib
@@ -272,42 +274,54 @@ def test_golden_report_bytes(name, monkeypatch):
 
 
 STATS_RUNS = 100
+# name -> (config, the case the entry exists for as a predicate on its
+# aggregate, digest); a regeneration that loses the case fails the test
 GOLDEN_STATS = {
+    # every run decides and names no cheater
     "lottery-honest": (
         dict(LOTTERY, seed=21),
+        lambda agg: agg["decided_runs"] == agg["runs"] and agg["runs_with_cheaters"] == 0,
         "1e2ca316fded32074743747ada614a5a056e1254723c00c7b118e6362ea9682b",
     ),
+    # the equivocator is named and excluded, so runs still decide
     "lottery-equivocate-cheat": (
         dict(LOTTERY, seed=22, backend="cheat:0.5",
              player_policies={"1": "equivocate:00000000:11111111"}),
+        lambda agg: agg["runs_with_cheaters"] > 0 and agg["decided_runs"] > 0,
         "dddeae324944f19107b591061f2f6ab691ed36416555c8a5535c4bf8c69a4d14",
     ),
     # every run aborts: no decided run, so no frequencies or p-values
     "lottery-abort-undecided": (
         dict(LOTTERY, seed=23, cheat_policy="abort",
              player_policies={"0": "equivocate:00001111:11110000"}),
+        lambda agg: agg["decided_runs"] == 0 and "bit_one_frequencies" not in agg,
         "4eb14d78944c575524f63117e23c0e730c173482f3626f66b50c2816c0291b2a",
     ),
     # undetected equivocations decide, detected ones abort: both kinds sum
     "lottery-abort-some-decide": (
         dict(LOTTERY, seed=27, cheat_policy="abort", backend="cheat:0.1",
              player_policies={"2": "equivocate:00000000:11111111"}),
+        lambda agg: agg["decided_runs"] > 0 and agg["aborted"] > 0,
         "a65c26ecefaba9f86d10757055efd93dfd1dc0d7af6b49262fb9416a82d4c18c",
     ),
+    # every run has a winner and names no cheater
     "auction-honest": (
         dict(AUCTION, seed=24),
+        lambda agg: agg["bot_runs"] == 0 and agg["runs_with_cheaters"] == 0,
         "c4f18642bd24071cf819ab150f7600c8c56beee2e38946b43fc5e78d2a05fba7",
     ),
     # every buyer is excluded: no bids, no winner
     "auction-no-bids": (
         dict(AUCTION, seed=25, buyer_policies={"0": "change:4:5", "1": "change:6:7",
                                                "2": "change:8:9"}),
+        lambda agg: agg["winner_counts"] == {},
         "f743cfcea746117721fa8bcaf6984106cbfb2c8e76dc3858a1c2dc82277b1b5d",
     ),
     # two-bit bids tie often, which leaves drop-loser nothing to forge
     "auction-drop-loser-byzantine": (
         dict(AUCTION, seed=26, buyers=2, bid_width=2, miners=4, seller_policy="drop-loser",
              byzantine_miners={"3": "equivocate"}),
+        lambda agg: agg["degenerate_runs"] > 0 and agg["bot_runs"] > 0,
         "1353f65b2835d89afe9563eca4ec4e9a83ee1fa64eed69cb728e89bf43c3a7e7",
     ),
 }
@@ -315,6 +329,7 @@ GOLDEN_STATS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STATS))
 def test_golden_stats_bytes(name):
-    data, expected = GOLDEN_STATS[name]
+    data, case, expected = GOLDEN_STATS[name]
     agg = run_batch(ScenarioConfig.from_dict(dict(data)), runs=STATS_RUNS, workers=1)
+    assert case(agg), agg
     assert digest(agg) == expected
