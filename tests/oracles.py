@@ -196,14 +196,10 @@ def _numpy_seed_sequence(master_seed, *path) -> np.random.SeedSequence:
 
 
 def numpy_generator(master_seed, *path) -> np.random.Generator:
-    """The substream `qbsim.rng.generator` names, built by numpy itself."""
+    """A numpy generator keyed by a seed and a path, for test drivers
+    that draw with numpy's `choice`: a path item is read as the entropy
+    words of a SeedSequence."""
     return np.random.Generator(np.random.PCG64(_numpy_seed_sequence(master_seed, *path)))
-
-
-def numpy_derive_seed(master_seed, *path) -> int:
-    """`qbsim.rng.derive_seed` by numpy's SeedSequence."""
-    state = _numpy_seed_sequence(master_seed, *path).generate_state(1, np.uint64)[0]
-    return int(state) & 0x7FFFFFFFFFFFFFFF
 
 
 # ------------------------------------------------ commitment-scheme oracles

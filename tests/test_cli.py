@@ -146,11 +146,11 @@ def test_ledger_dump_renders_records(tmp_path):
 
 
 @pytest.mark.parametrize("options,buyers,rendered", [
-    ([], 3, "auction outcome: winner buyer:0 bid 4117098553, "
-            "losing bids [2461080211, 95101803]"),
+    ([], 3, "auction outcome: winner buyer:2 bid 3099746643, "
+            "losing bids [1175868917, 1449575484]"),
     (["--seller-policy", "inflate"], 3, "auction outcome: bot, cheater seller:0"),
     (["--buyer-policy", "0=change:4:5", "--buyer-policy", "1=change:6:7"], 3,
-     "auction outcome: winner buyer:2 bid 95101803, losing bids []"),
+     "auction outcome: winner buyer:2 bid 3099746643, losing bids []"),
     (["--buyer-policy", "0=change:4:5", "--buyer-policy", "1=change:6:7"], 2,
      "auction outcome: no bids"),
 ], ids=["winner", "bot", "no-losers", "no-bids"])

@@ -40,78 +40,78 @@ FIXED_BIDS = {"0": "fixed:30", "1": "fixed:200", "2": "fixed:90"}
 GOLDEN = {
     "lottery-exclude-honest-ideal": (
         dict(LOTTERY, seed=1),
-        "a4fda4e2d27a4e2525059c87557e3a55b30694088864b54a9744895844d93058",
+        "76d213e95e5e24b714461a02505d09223b26a30f2dbed9b55e7adab577f39b4d",
     ),
     "lottery-exclude-fixed-equivocate-cheat": (
         dict(LOTTERY, seed=2, backend="cheat:0.5",
              player_policies={"0": "fixed:11110000",
                               "2": "equivocate:00000000:11111111"}),
-        "9d75f6befb52be3c9449a4dcf0310dde1208e14576918d2d345b808a29e5a234",
+        "51227ea57530766751d055f6f01bc4cfa31a4e26306a1250d5387ed175de4623",
     ),
     "lottery-abort-equivocate-ideal": (
         dict(LOTTERY, seed=3, cheat_policy="abort",
              player_policies={"1": "equivocate:10101010:01010101"}),
-        "598148769837e5e5acf1eedba3ea23ed69dd48d235c8b9fc4c659ddd6149f2aa",
+        "10b37246677b620ce991d6da3f65c9c0bc94dd48a9adaad80c733c8d97e9262a",
     ),
     "lottery-abort-fixed-cheat": (
         dict(LOTTERY, seed=4, cheat_policy="abort", backend="cheat:0.5",
              player_policies={"1": "fixed:00000001"}),
-        "813bec14ec916b59f519d63c3678e6a137f75ebe77b9730bee915b18715ab8d5",
+        "cf5cad330ccb2375bfc651c433e54583beeab2efdeffd1e507c1680292145084",
     ),
     "auction-honest": (
         dict(AUCTION, seed=5),
-        "f0cfb991aafda193359f827a82fe0421b93b969dce8d3a209b801159ad5dde65",
+        "bb1bece08159590d8d6d16751b5d57e9cb500c05dd0a0fa3923b8cd7d92e7a9b",
     ),
     "auction-wrong-winner": (
         dict(AUCTION, seed=6, seller_policy="wrong-winner", buyer_policies=FIXED_BIDS),
-        "4b76ee830897716e48cec1076b945eba4716848d17ecd8d36f4abc75539d12b0",
+        "c2a6129bed7844401baad9c517458e7761efcab491d995be492b0c4df5cffa98",
     ),
     "auction-inflate": (
         dict(AUCTION, seed=7, seller_policy="inflate", buyer_policies=FIXED_BIDS),
-        "5d00245e20e0484c698fb4a22af274c6d2622629a41bea4d4d7d463a43e436a6",
+        "2afec244a70e4fbc25c0f93f1bed547713001db3af9de719b4116c804a58ca98",
     ),
     "auction-drop-loser": (
         dict(AUCTION, seed=8, seller_policy="drop-loser", buyer_policies=FIXED_BIDS),
-        "8e4b363fe6a199910ccdebe04570672a2257161b216348e4cd6f26effc335faa",
+        "ce4fd0bc548738024102401e47c736ce0940cb47bffdc7f3ad97de9bcdb7200a",
     ),
     "auction-change-ideal": (
         dict(AUCTION, seed=9, buyer_policies={"0": "change:40:250", "1": "fixed:100"}),
-        "4400baf076d168e2f1f86c027818fe248389795c658f5042d93f16d6dfbf66cf",
+        "ee8cd3a2b15e780f33be58b959eeda05b5c4160e1a8d57dc422f2d508826570f",
     ),
     "auction-change-cheat": (
         dict(AUCTION, seed=10, backend="cheat:0.5",
              buyer_policies={"2": "change:10:20"}),
-        "7380a041e6d8a339200a5c43f23accfd4b1221c9f56f3b582d9264af47965ed7",
+        "0f7f0cdcf76543a7672903e5670d4e607e0a50bb52f1e6eddb44663892fd4529",
     ),
     "auction-complain": (
         dict(AUCTION, seed=11, buyer_policies={"0": "complain:50", "1": "fixed:60"}),
-        "ef86775261d13a6ba571fc73436d3dff9174747f8e3832e338976c3ab7c8d4df",
+        "ad1f31422e52932c341881d4b3b626105b89a963cb66ad2d37bbf00d563886d9",
     ),
     "lottery-byzantine-silent": (
         dict(LOTTERY, seed=12, miners=4, byzantine_miners={"1": "silent"}),
-        "322e58b4890ea1eba6d60f79397e4b7955f235ef8fe78bd665bcd8f6f8336e3b",
+        "2f953536a4fac3ba213e9e39758e2013ff9b29c4fed1d4b51cff12a1bb08a63c",
     ),
     "auction-byzantine-garbage": (
         dict(AUCTION, seed=13, miners=4, byzantine_miners={"3": "garbage"}),
-        "97c9e1cc484be4d4494494f3fd63dbe20428268ad45b2666d613c2a4eeb99f37",
+        "8da27dd109d1b7e717654a8a9085a628ab02d567460dfef5e0073e1e5feb3b4e",
     ),
     "lottery-byzantine-equivocate": (
         dict(LOTTERY, seed=14, miners=4, byzantine_miners={"0": "equivocate"},
              player_policies={"2": "equivocate:00001111:11110000"}),
-        "0b0e88e64ddc83ba349c95d502eef62328e6254c82263dba9ba3eef0aa557061",
+        "4f98e623d62b326a27a70a0ffd5ea817392f47ca700d4c91d1acfb56e6c8271a",
     ),
     "lottery-boundary-guarantees-void": (
         dict(LOTTERY, seed=15, miners=3, byzantine_miners={"1": "garbage"}),
-        "ab1ac9b6001af22276c551073c64cce2836b104c2187c6dea9a7c43045dff3f6",
+        "c3da320fd115c19ab9c33cc3879543785b40cd336cc193dd8891e0ddde3ebe2b",
     ),
     "auction-boundary-guarantees-void": (
         dict(AUCTION, seed=18, miners=3, byzantine_miners={"0": "garbage"}),
-        "7f733b5f774a1e84230c4826abce4a3999e239e8d998a8051a39dc10772aa49f",
+        "5f4e5c838ac77704f92e8157c2536da1a25ae20728b1fe11b14c4a29d71934bd",
     ),
     "lottery-summary-log": (
         dict(LOTTERY, seed=16, detail_log=False,
              player_policies={"0": "equivocate:00000000:11111111"}),
-        "da454a90914137a886254b81403db5c962cdf6147525f4764e204c6dea5e8f0a",
+        "1279be3edde4a1ed20f3f4534cbde04a342e2089cb5c94b055d4f832e5961ce5",
     ),
     "auction-summary-log": (
         dict(AUCTION, seed=17, detail_log=False, seller_policy="drop-loser",
@@ -121,20 +121,20 @@ GOLDEN = {
     "lottery-equivocate-cheat-1": (
         dict(LOTTERY, seed=19, backend="cheat:1",
              player_policies={"1": "equivocate:11001100:00110011"}),
-        "638447d9ae4e62c8feb921856a4e5879debe22a07c4b85af7b9cfc7efca3866d",
+        "93f49ed65496ead18e50183d743a39bd954b4e2a6b836b89eef1df961db2bfef",
     ),
     "auction-change-cheat-1": (
         dict(AUCTION, seed=20, backend="cheat:1",
              buyer_policies={"1": "change:70:140", "2": "fixed:90"}),
-        "1885918f7050f46c063c0d051d848b8761bebdc453ce060ff5c34bed4b20f77e",
+        "3745ab3d5d85c8fe19fb68e07bea29bb69bade4a6582f4264b35396208b25557",
     ),
     "lottery-one-miner": (
         dict(LOTTERY, seed=21, miners=1),
-        "9e166d04da91cebdd72c816d13bb18ecb1d7e64b2143e6908fb81f6890eff323",
+        "554f0e60123ff50c3d9917285620da56e1fb77a3bae04b78f644b5fae1330859",
     ),
     "auction-one-miner": (
         dict(AUCTION, seed=22, miners=1),
-        "3836c10cda093653a3f0db487da11a1a7fff3d1533f3d02178dfdb49ce53844c",
+        "854ebf7e327bc3ab0ad8eba8346063298c15d824d672889f3bc4a352a5993720",
     ),
     "qbc-bell-pair": (
         dict(protocol="qbc_analyze", scheme_file="schemes/bell_pair.json"),
@@ -152,49 +152,49 @@ GOLDEN = {
 
 GOLDEN_V2 = {
     "lottery-exclude-honest-ideal":
-        "5b19e5035c40285e82b0188985c8659b0ad51ddb8784c9325b683b80b83fd29c",
+        "23ed58fecbf4d8fe8215c447a7be051338a64b312868654f04886daadc39c01f",
     "lottery-exclude-fixed-equivocate-cheat":
-        "292f01229eee9e65941544d5d41267286ed803b27ad2c1c35e106f011bb5ee56",
+        "ca351c8302c80bfe08aa24cc6f82e096fc5528201b0055794d717201b6bab8fa",
     "lottery-abort-equivocate-ideal":
-        "be7c3826793c2c7de8b28b3f589cae0d3fb0b186c386728f40f2ee27eb829ec6",
+        "a5a6a3a4667063c4694835c919e1340d5b6d6d0df5d60cf0ad82c4f9eada7db9",
     "lottery-abort-fixed-cheat":
-        "a3b8f0c43eb2627247396e0a284ce369894e1dd4e54f1fb3e67db1b730b0a84c",
+        "a1d380a04a0704a4316b4505e9a3d7b3c5768246b6481f7ad5d4b6b76a506e0d",
     "auction-honest":
-        "9559e5354e07fcf5448725e7db0df973d72f5f744735814efe2e014a956a0828",
+        "bdc91fd329edfc30569e860b24121403a2c697afc354d66ff83ee6116b4dea30",
     "auction-wrong-winner":
-        "c255b85c6cb9d015b2f760883192ec5fb5a5eb57dd7e2cbadde16b482fbdc309",
+        "112f714b3526ee4e7771af3c1c7f19526a617843c8e3f929ad62ac3ae5424d94",
     "auction-inflate":
-        "8af702ca63e56d319293d8dd879ecb3640c2f5462b49f09471ca7ce2485c9604",
+        "4e9be8b0029114f4cece2537a23a53aed35d55d421b718ffca3e768b37b26c0e",
     "auction-drop-loser":
-        "7f0751b7a3a20e4c348ac7c6193b60dcb72c11142e93524e503865001d5a9cc4",
+        "0e7fe27558d7f9422ef4fefb6b62ff3a3d00d1a838e2c8e10c0dac95b3cde6c3",
     "auction-change-ideal":
-        "10e97b77904976ed7f2c1f11c4c18aee73b75e4c963ed85635b030f4fbe46474",
+        "df1975ea2fc15647526041c3c62ac9b1068633abedfdf712acdce58bfc9f4589",
     "auction-change-cheat":
-        "f686d6bce3f10c60d3d8e9c4a79468b9d66a19036eb6acda38725851f459e6bd",
+        "c062f7d09a71511f62ec55f35f42a73ed5b9ec154bb24568e249783b6c175f1b",
     "auction-complain":
-        "5bb7dfa0e3096f3420445600f70ff970f244a9fe3b1148ee83cbc6eb3418be3a",
+        "30279e2ca7bc8f86917261329b50c82cce56fa61055bc486421b82c4344e3e6e",
     "lottery-byzantine-silent":
-        "db15c9b5cef2101f046b88f72769a296c99d2be1c65d48f32d0df83a03823227",
+        "78a9a98b5ba13cf3ebc554da9873d2f8dd97a16aefc24f6e56956dfce1cf69e0",
     "auction-byzantine-garbage":
-        "3407f75a016bdba3e79c3f3bd5c47edb03700a7eb271a4f97fb444811ce17b11",
+        "34b7d22e78cc66e11fcc14933566c896955c130ab24ac11ac85a707b33771ff9",
     "lottery-byzantine-equivocate":
-        "c55d377f234b4847d52edda7df15c200554ea1875a4cda737dd8e6bd751daab8",
+        "705141c93f9ff0621a3831f72b39bc617bd14dbf55512e28da8e93b1f5d6d427",
     "lottery-boundary-guarantees-void":
-        "a1d1c402ee7e3d77ba7a7e6dc65239656ea897c8987099723d0a3a651d623f50",
+        "7effa88fcc65eb7f1bbbe3fa8f95925d27c07c1861509fb6261970b528e1b2d9",
     "auction-boundary-guarantees-void":
-        "05101406ad2ef9828daf98f74360bb160f6e31ba358af103378f27547bdc13fd",
+        "aba71a93026093bb5d5e02848bca92c857d54aa1c1f437b3957ae150f7dcfec9",
     "lottery-summary-log":
-        "e6d8704544d8cd7f1859fdd2385f434c567530749eebb3a3a4d70df0cd14330c",
+        "86197df3aa13944245d283ad6d7a6d498db14237988937074cb6880f58fe4b1e",
     "auction-summary-log":
         "e4f924b239c29e5375ed7d369e2554e34de72e8ce08af77d2e91e511adb955c2",
     "lottery-equivocate-cheat-1":
-        "b946718884ecdd0ce52a54293a5dab4274f8489fba83c9d0bda31064f8abdd15",
+        "ef003551d7a06d206817a4cf61fc8f200d22fe8a493e7fe8b75434ff2f70aa80",
     "auction-change-cheat-1":
-        "df00571dcafbcab3102054f468878cff0a52f9c672ec0de04f27ea66ca70e672",
+        "4dd48a6673077f3a55d71d4b1300b751d7f13b1c5cf78cf2128b181e3f4bcec8",
     "lottery-one-miner":
-        "5d7ab0db8c84510cf51caa01e01b1222f47c801d8c1354bfebac2cfd1504d644",
+        "481ec9ff473d01c275f16db7969c836c0561bfd73b88be7ee7349ed2e4419268",
     "auction-one-miner":
-        "1d01c9c7ee8c091eb0d84d0ccd35f41584af4785e6638fa805a4adc821f0a429",
+        "f5665f6ac1206de666e4f0d80bc31be2f279867edd7a718152e9a0d2f6a097c2",
     "qbc-bell-pair":
         "937dfc5e837704a59c982ed2516ff3c9e9453a34271e81a09da7dd8f033df2bb",
     "qbc-concealing-dim3":
@@ -206,49 +206,49 @@ GOLDEN_V2 = {
 
 GOLDEN_V3 = {
     "lottery-exclude-honest-ideal":
-        "646b7d3c692215de70baafb261576f81d3c00e3fb99ee6b3adf57ce324a22531",
+        "0dbaf441fdb6ad24ffcbf70e5f64123c800bd006b6980d0c310532df4279967a",
     "lottery-exclude-fixed-equivocate-cheat":
-        "34d245735ff043c586e9597661a7fb22f211dc2c2d9e13f73a7fd56acf7b7bbd",
+        "defeaf0480c6571af733c0af858925f35ae84a9a2a48a031de46a73d0487cc55",
     "lottery-abort-equivocate-ideal":
-        "575dadad7fda696e695a30e639cd8afc3b9406fb811f1ecabef3f9aee4437d3e",
+        "97cd56b7a81abe5cd1797c949646a6162cb9e31f656c385f968cb0caeba810f2",
     "lottery-abort-fixed-cheat":
-        "e58962e2ba95c98f9bd98b832d630efd82b100e980f613aaf590b1800d1d1c2d",
+        "862ea67b822ae028f9982957ba222ee679bf1f2187890b4c6d68cc4ee7be8a45",
     "auction-honest":
-        "63b646a10d203a63d7d5a9064936a8baa24c0ddf69a52f5fb0184c02bd9abd97",
+        "b0a9faa4edef4df74cada336fa4d3b25a3cbcfe0f85197d87ec372933d44d0ca",
     "auction-wrong-winner":
-        "b511f9dd73958264a7a106b3438e5100b6ef0b863c5beb998769bd3fe66997ce",
+        "70383bd87f031821f12f20bd7bf4670fad0aa256504ba6ddaf59200d4f156aab",
     "auction-inflate":
-        "216bd06d5da0f318c98111d6697ba02d98a57591ce9603f48e5bfd60590799df",
+        "4903320d0ffa199e0e2643bae5fc6cfa98384bfb023f9fedcb0f9cb6c966431d",
     "auction-drop-loser":
-        "029763e0487ca200f59689bbcbe8ce5157c3f164e1108ec67f14be7555a4196a",
+        "7c25c8a5233bdc65953c31eb2fc2d828fbf409e107f01ae39c6ce27db98b2690",
     "auction-change-ideal":
-        "1e850e88d7c513676e50eec8e6eabbe7cd303ee61d363086d64be9abf6c7d7f2",
+        "ebd977a1556a11a0e2b20a25df6b4d44b9acd87d607a54ddb55d0bbe3fdf024b",
     "auction-change-cheat":
-        "b7d93f73dfdf1b43bb16bef876a0cfb1098fe1c38863b253f16670dcee0a71fb",
+        "2a60600f39c34c2202684e315f6bee81ba278858a9505e18345e76b87ddf9893",
     "auction-complain":
-        "20888eedc76670082246d41275294b5553a161130b9f2c588c4f9def9f1fe489",
+        "e7bc0f4786cfb7a5cdc259fd7466d3b53d06b42252541def80584f62c8f0a93f",
     "lottery-byzantine-silent":
-        "1ed4b03d5add0906ecc1bd4f8c3f8013ac29d0d40217ed612ab7870c9c01727e",
+        "88f45bc85463ea4c4480caaae67438c07f9ce02d65b318b845dafb405b77b1e0",
     "auction-byzantine-garbage":
-        "5f8799eac0bc8920723229dcb447c95dbcaa825c9e187e31357f4e11f2054f67",
+        "51d40d2c140e5c21f936e4e041a221eb05bc4e6c11caf0f1029e967e7d36c8d7",
     "lottery-byzantine-equivocate":
-        "583a13a4f43a3dd4885f23e92f1041dfbedfc59bfea908f0460739fe376bedc8",
+        "4afa5ad3693ccb516968c524fe875923022793938272688daaca6b2d65b9333e",
     "lottery-boundary-guarantees-void":
-        "8312a965c40e140eee139bc1e8ae77ae4937d10d29f051e00eb40051a8ea66b3",
+        "4a15fdb10ec7202c0ce5d4f6ab82439fedbabb2be7bd1c0b33f8669b6c26334c",
     "auction-boundary-guarantees-void":
-        "134b3e2a97201fc2673532d4e779bcf525a07495c684054ef126c36ee9901557",
+        "705daf1ee9bfd2e12a9f6840478b7ef66b7947e14fec4ee207a41d2afb61ebfb",
     "lottery-summary-log":
-        "1b0a816de2fd6221a0c38f950281442f1fbb23949049a1c949b84e06694299ce",
+        "5e1751f7e98e4e9d352199b44f5aefb6c24293aaa60838c8e324a3faa752874b",
     "auction-summary-log":
         "9776f2421aa78d031a6e8b9b91ab13ebb0dca18c78499fcd4cb2df739ba539e3",
     "lottery-equivocate-cheat-1":
-        "42be26e07455208d7fcb483d9f8d7353291c264be926d70a147d72ea1e318de9",
+        "1cdf7232900dd9dd93af90a4aeb6cd74f15c9ccccf88eb9abe2e1b914fb5500e",
     "auction-change-cheat-1":
-        "37531f47676b31e9f51a3fd357e070389b96f2a027d3c9ae5d39676370099db9",
+        "5fed45c55f61cab90bc928b362b1494779c5cfe8d363f4c9365fd278b8e5b04b",
     "lottery-one-miner":
-        "5b668cdd8b1d7a84d9a833c15f37a8abc72e39865aa40643f73e7b8ffd921f6a",
+        "76c8c8bbecec1814048865dec5800849674370d23916cefef39c973c4436bf54",
     "auction-one-miner":
-        "5b4440693e43a05608c9a8b4d53987d32a47fa9e2df4ba58408c76e7294f1376",
+        "e61c06f28748e41246618ed055bb9d350be3782ae1a281ae80c60e0a78ff149d",
     "qbc-bell-pair":
         "0df4ad20d0318ac0ad4107d6190003b93f792d67521954a9d8a29f8f9a36d4b7",
     "qbc-concealing-dim3":
@@ -281,14 +281,14 @@ GOLDEN_STATS = {
     "lottery-honest": (
         dict(LOTTERY, seed=21),
         lambda agg: agg["decided_runs"] == agg["runs"] and agg["runs_with_cheaters"] == 0,
-        "1e2ca316fded32074743747ada614a5a056e1254723c00c7b118e6362ea9682b",
+        "32308a4386e254fcd050570f7363d7bca95529044a411c76c0f279a12db1ec6e",
     ),
     # the equivocator is named and excluded, so runs still decide
     "lottery-equivocate-cheat": (
         dict(LOTTERY, seed=22, backend="cheat:0.5",
              player_policies={"1": "equivocate:00000000:11111111"}),
         lambda agg: agg["runs_with_cheaters"] > 0 and agg["decided_runs"] > 0,
-        "dddeae324944f19107b591061f2f6ab691ed36416555c8a5535c4bf8c69a4d14",
+        "dbf636a95e3accdf1cb3444f564c2dbb9e87eddcd75cf40c3a1917ce4c45aa54",
     ),
     # every run aborts: no decided run, so no frequencies or p-values
     "lottery-abort-undecided": (
@@ -302,13 +302,13 @@ GOLDEN_STATS = {
         dict(LOTTERY, seed=27, cheat_policy="abort", backend="cheat:0.1",
              player_policies={"2": "equivocate:00000000:11111111"}),
         lambda agg: agg["decided_runs"] > 0 and agg["aborted"] > 0,
-        "a65c26ecefaba9f86d10757055efd93dfd1dc0d7af6b49262fb9416a82d4c18c",
+        "8ccccb7c084b7145abbc3175b5e9cfdc3da417babe996c871efb691bca9082d7",
     ),
     # every run has a winner and names no cheater
     "auction-honest": (
         dict(AUCTION, seed=24),
         lambda agg: agg["bot_runs"] == 0 and agg["runs_with_cheaters"] == 0,
-        "c4f18642bd24071cf819ab150f7600c8c56beee2e38946b43fc5e78d2a05fba7",
+        "90f5f024f6b893f551697748fc31e0cae3705e19505be73e5d2d70c2226fbdee",
     ),
     # every buyer is excluded: no bids, no winner
     "auction-no-bids": (
@@ -322,7 +322,7 @@ GOLDEN_STATS = {
         dict(AUCTION, seed=26, buyers=2, bid_width=2, miners=4, seller_policy="drop-loser",
              byzantine_miners={"3": "equivocate"}),
         lambda agg: agg["degenerate_runs"] > 0 and agg["bot_runs"] > 0,
-        "1353f65b2835d89afe9563eca4ec4e9a83ee1fa64eed69cb728e89bf43c3a7e7",
+        "218076323e2b1afc789b70b63ff3faaf260df3b74bac5a20199fa02ef2a1cdf1",
     ),
 }
 

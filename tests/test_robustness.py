@@ -30,7 +30,7 @@ def cli(monkeypatch, *argv):
 def split_config(protocol, **counts):
     """Past f < n/3 on this seed the reference miner 1 decides BOT while
     miner 2 decides a record."""
-    return ScenarioConfig(protocol=protocol, miners=3, seed=5,
+    return ScenarioConfig(protocol=protocol, miners=3, seed=1,
                           byzantine_miners={"0": "equivocate"}, **counts)
 
 
@@ -48,7 +48,7 @@ def test_lottery_split_bot_decision_ends_in_a_report(monkeypatch):
     validate_report(report)
     assert any(rec["event"] == "consensus_no_agreement" for rec in report["event_log"])
     assert cli(monkeypatch, "lottery", "run", "-n", "3", "-m", "1", "-k", "3",
-               "--byzantine", "0=equivocate", "-s", "5") == 0
+               "--byzantine", "0=equivocate", "-s", "1") == 0
 
 
 def test_auction_split_bot_decision_appends_the_decided_record():
