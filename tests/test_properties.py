@@ -28,7 +28,12 @@ def policies(table, value, flips=False):
     """Each policy of a protocol's table as a config text, its values
     drawn from `value`; with `flips`, a policy's values differ, so one
     that opens another value than it committed always does."""
-    return st.one_of([st.lists(value, min_size=len(slots), max_size=len(slots), unique=flips).map(
+    def drawn(count):
+        if flips:
+            return st.lists(value, min_size=count, max_size=count, unique=True)
+        return st.tuples(*[value] * count)
+
+    return st.one_of([drawn(len(slots)).map(
         lambda values, name=name: ":".join([name, *map(str, values)]))
         for name, slots in table.items()])
 
