@@ -25,7 +25,6 @@ from .bits import BitString
 from .consensus import BOT
 from .encoding import MAX_BID_BITS, TAGS, decode_payload, decode_verification_output, encode
 from .errors import ConfigError, QbsimError
-from .ledger import RecordKind
 from .parties import PartyId, buyer, miner, seller
 from .runtime import (
     FinalizedRun,
@@ -282,7 +281,7 @@ def run_auction(params: AuctionParams) -> AuctionRunResult:
     # phase 5: consensus on the verification outputs, then publication
     ctx.log.append("phase", protocol="auction", phase=5, name="publication")
     consensus_result, ledgers, reference = finalize(
-        ctx, params, "auction", 1, RecordKind.AUCTION_OUTCOME, decode_verification_output,
+        ctx, params, "auction", 1, decode_verification_output,
         lambda m: encode("auction_outcome", **vars(outputs[m])))
     decided_body = consensus_result.decisions[reference]
     # no agreement records no outcome rather than a fake one

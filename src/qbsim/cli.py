@@ -17,11 +17,10 @@ from dataclasses import fields
 from .auction import BUYER_POLICIES, SELLER_POLICIES
 from .batch import run_batch
 from .consensus import MINER_SCRIPT_NAMES
-from .encoding import decode_ticket_list, decode_verification_output
+from .encoding import decode
 from .errors import ConfigError, QbsimError, ReportError
 from .jsonfile import read_json
 from .keystore import DEFAULT_BUDGET
-from .ledger import RecordKind
 from .lottery import CHEAT_POLICIES, PLAYER_POLICIES
 from .runtime import policy_usages
 from .scenario import (ScenarioConfig, canonical_report_bytes, emit_report, run_scenario,
@@ -185,15 +184,23 @@ def _qbc_analyze(opts, given):
     return _finish_run(config, opts["out"])
 
 
-def _render_body(kind: str, body: bytes) -> str:
-    if kind == RecordKind.TICKET_LIST.value:
-        entries = decode_ticket_list(body)
-        parts = []
-        for index, status, ticket in entries:
-            shown = ticket.text if ticket is not None else status
-            parts.append(f"player {index}: {shown}")
+def _render(record: dict) -> list[str]:
+    """A report's ledger record as three lines; a body that does not decode
+    to the record's stated kind is refused."""
+    decoded = decode(bytes.fromhex(record["body"]))  # the schema admits whole hex bytes only
+    if decoded["kind"] != record["kind"]:
+        raise QbsimError(f"a record of kind {record['kind']} holds a {decoded['kind']} body")
+    return [f"  height {record['height']} kind {record['kind']} "
+            f"origin {record['origin_consensus']}",
+            f"    canonical: {record['body']}",
+            f"    rendered:  {_render_body(decoded)}"]
+
+
+def _render_body(decoded: dict) -> str:
+    if decoded["kind"] == "ticket_list":
+        parts = [f"player {index}: {ticket.text if ticket is not None else status}"
+                 for index, status, ticket in decoded["entries"]]
         return "ticket list [" + "; ".join(parts) + "]"
-    decoded = decode_verification_output(body)
     if decoded["verdict"] == "no_bids":
         return "auction outcome: no bids"
     if decoded["verdict"] == "bot":
@@ -220,14 +227,12 @@ def _ledger_dump(opts, given):
     if opts["as_json"]:
         sys.stdout.buffer.write(canonical_report_bytes(ledgers))
         return
+    lines = []  # every record is rendered before the first line is printed
     for owner in sorted(ledgers):
-        print(f"== ledger of {owner}")
+        lines.append(f"== ledger of {owner}")
         for record in ledgers[owner]:
-            body = bytes.fromhex(record["body"])  # the schema admits whole hex bytes only
-            print(f"  height {record['height']} kind {record['kind']} "
-                  f"origin {record['origin_consensus']}")
-            print(f"    canonical: {record['body']}")
-            print(f"    rendered:  {_render_body(record['kind'], body)}")
+            lines += _render(record)
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 def entrypoint():

@@ -10,17 +10,18 @@ p: each flipped bit escapes detection independently with probability
 perfectly binding: any opening that differs from the committed value
 is rejected outright.
 
-Detection events are logged for the rest of the protocol (miners act on
-them), and a record never reaches both Opened and CheatDetected. Session
-`id` draws its detections from its own substream `(seed, "registry", id)`,
-so the order in which openings are delivered decides nothing.
+A session's id is its position in the order of commits. Its state goes
+from "committed" to "opened" or to "cheat_detected", once, and each
+step is logged for the rest of the protocol (miners act on detections).
+Session `id` draws its detections from its own substream
+`(seed, "registry", id)`, so the order in which openings are delivered
+decides nothing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .bits import BitString
 from .errors import CommitmentStateError, QbsimError
@@ -66,12 +67,6 @@ def parse_backend(text: str) -> Backend:
     raise QbsimError(f"unknown backend {text!r} (expected 'ideal' or 'cheat:<p>')")
 
 
-class CommitmentStatus(Enum):
-    COMMITTED = "committed"
-    OPENED = "opened"
-    CHEAT_DETECTED = "cheat_detected"
-
-
 REJECT_EQUIVOCATION = "equivocation"
 REJECT_UNKNOWN = "unknown_commitment"
 REJECT_WRONG_PARTY = "wrong_party"
@@ -93,25 +88,24 @@ class OpenResult:
 
 
 class _Record:
-    __slots__ = ("id", "committer", "receiver", "value", "status", "backend")
+    __slots__ = ("committer", "receiver", "value", "state", "backend")
 
-    def __init__(self, id_, committer, receiver, value, backend):
-        self.id = id_
+    def __init__(self, committer, receiver, value, backend):
         self.committer = committer
         self.receiver = receiver
         self.value = value
-        self.status = CommitmentStatus.COMMITTED
+        self.state = "committed"
         self.backend = backend
 
 
 class CommitmentRegistry:
-    """All commitment sessions of one scenario instance."""
+    """All commitment sessions of one scenario instance; a session's id
+    is its position in the order of commits."""
 
     def __init__(self, seed: int, log: EventLog):
         self._seed = seed
         self._log = log
-        self._records: dict[int, _Record] = {}
-        self._next_id = 0
+        self._records: list[_Record] = []
 
     # ------------------------------------------------------------ commit
 
@@ -119,29 +113,26 @@ class CommitmentRegistry:
                backend: Backend) -> int:
         if len(value) < 1:
             raise QbsimError("cannot commit a zero-length value")
-        record = _Record(self._next_id, committer, receiver, value, backend)
-        self._next_id += 1
-        self._records[record.id] = record
+        commitment_id = len(self._records)
+        self._records.append(_Record(committer, receiver, value, backend))
         if self._log.detail:
-            self._log.append("commit", id=record.id, committer=str(committer),
+            self._log.append("commit", id=commitment_id, committer=str(committer),
                              receiver=str(receiver), backend=str(backend),
                              length=len(value))
         else:
             self._log.note("commit")
-        return record.id
+        return commitment_id
 
     # -------------------------------------------------------------- open
 
     def open(self, commitment_id: int, caller: PartyId, claimed: BitString) -> OpenResult:
-        record = self._records.get(commitment_id)
-        if record is None:
+        if not 0 <= commitment_id < len(self._records):
             return OpenResult.reject(REJECT_UNKNOWN)
+        record = self._records[commitment_id]
         if caller != record.committer:
             return OpenResult.reject(REJECT_WRONG_PARTY)
-        if record.status is not CommitmentStatus.COMMITTED:
-            raise CommitmentStateError(
-                f"commitment {commitment_id} already {record.status.value}"
-            )
+        if record.state != "committed":
+            raise CommitmentStateError(f"commitment {commitment_id} already {record.state}")
 
         flipped = (
             record.value.hamming_distance(claimed)
@@ -149,38 +140,31 @@ class CommitmentRegistry:
             else max(len(claimed), len(record.value))  # length change: every bit suspect
         )
         if flipped == 0:
-            return self._finish(record, OpenResult.accept(record.value))
+            return self._finish(commitment_id, OpenResult.accept(record.value))
 
         p = record.backend.detection_prob_per_bit
         # at p = 1 every draw would detect: no draw can change the outcome;
         # below it every flipped bit takes its draw, detected or not
         if p == 1.0:
-            return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION))
-        rng = generator(self._seed, "registry", record.id)
+            return self._finish(commitment_id, OpenResult.reject(REJECT_EQUIVOCATION))
+        rng = generator(self._seed, "registry", commitment_id)
         if any([rng.random() < p for _ in range(flipped)]):
-            return self._finish(record, OpenResult.reject(REJECT_EQUIVOCATION))
+            return self._finish(commitment_id, OpenResult.reject(REJECT_EQUIVOCATION))
         # cheat slipped through: the receiver accepts the claimed value
-        return self._finish(record, OpenResult.accept(claimed))
+        return self._finish(commitment_id, OpenResult.accept(claimed))
 
-    def _finish(self, record: _Record, result: OpenResult) -> OpenResult:
-        # declared_equivocation is a fixed report field: no caller declares one
-        if result.accepted:
-            record.status = CommitmentStatus.OPENED
-            if self._log.detail:
-                self._log.append("open", id=record.id, committer=str(record.committer),
-                                 receiver=str(record.receiver), result="accepted",
-                                 declared_equivocation=False)
-            else:
-                self._log.note("open")
+    def _finish(self, commitment_id: int, result: OpenResult) -> OpenResult:
+        record = self._records[commitment_id]
+        record.state, event, outcome = (
+            ("opened", "open", {"result": "accepted"}) if result.accepted
+            else ("cheat_detected", "cheat_detected", {"reason": result.reason}))
+        if self._log.detail:
+            # declared_equivocation is a fixed report field: no caller declares one
+            self._log.append(event, id=commitment_id, committer=str(record.committer),
+                             receiver=str(record.receiver), **outcome,
+                             declared_equivocation=False)
         else:
-            record.status = CommitmentStatus.CHEAT_DETECTED
-            if self._log.detail:
-                self._log.append("cheat_detected", id=record.id,
-                                 committer=str(record.committer),
-                                 receiver=str(record.receiver), reason=result.reason,
-                                 declared_equivocation=False)
-            else:
-                self._log.note("cheat_detected")
+            self._log.note(event)
         return result
 
     # ------------------------------------------------------------ status
@@ -188,8 +172,4 @@ class CommitmentRegistry:
     def cheat_detected_committers(self) -> set[PartyId]:
         """Committers with at least one detected equivocation; the event
         log carries the same information for miners to act on."""
-        return {
-            r.committer
-            for r in self._records.values()
-            if r.status is CommitmentStatus.CHEAT_DETECTED
-        }
+        return {r.committer for r in self._records if r.state == "cheat_detected"}

@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from .bits import BitString
 from .errors import EncodingError
-from .parties import CODE_ROLES, ROLE_CODES, PartyId
+from .parties import ROLES, PartyId
 
 # widest values: counts, party indices and bit lengths travel as ">H", bids as ">Q"
 MAX_COUNT = (1 << 8 * struct.calcsize(">H")) - 1
@@ -35,19 +35,20 @@ class _Int:
 
 
 class _Party(_Int):
-    """A PartyId: a known role code byte, then a ">H" index."""
+    """A PartyId: its role's code byte, the role's position in `ROLES`, then a ">H" index."""
 
     fmt = "BH"
+    codes = {role: code for code, role in enumerate(ROLES)}
 
     def lift(self, head, at, data, pos, out):
-        if head[at] not in CODE_ROLES:
+        if head[at] >= len(ROLES):
             raise EncodingError(f"{self.name}: unknown role code {head[at]}")
-        out[self.name] = PartyId(CODE_ROLES[head[at]], head[at + 1])
+        out[self.name] = PartyId(ROLES[head[at]], head[at + 1])
         return pos
 
     def lower(self, fields, ints):
         party = fields[self.name]
-        ints += (ROLE_CODES[party.role], party.index)
+        ints += (self.codes[party.role], party.index)
         return b""
 
 
@@ -186,7 +187,9 @@ class _Layout:
         return self.pack(*ints) + tail
 
 
-# The table: tag -> (kind, *fields); ledger record bodies below 0x20, then transport payloads.
+# The table: tag -> (kind, *fields). Ledger record bodies take the tags below _PAYLOADS and
+# transport payloads the tags from it on.
+_PAYLOADS = b"\x20"
 _TABLE = {
     0x01: ("ticket_list", _List("entries", _Int("index", "H"), _Code(
         "status", ("opened", _Bits("ticket")), ("cheat_detected",), ("missing",)),
@@ -207,6 +210,9 @@ _TABLE = {
 TAGS = {kind: tag for tag, (kind, *_) in _TABLE.items()}
 _BY_KIND = {kind: _Layout(fields, tag) for tag, (kind, *fields) in _TABLE.items()}
 _BY_TAG = {bytes([tag]): (kind, _BY_KIND[kind]) for kind, tag in TAGS.items()}
+# a ledger record's tag byte -> its kind
+RECORD_KINDS = {tag: kind for tag, (kind, _) in _BY_TAG.items() if tag < _PAYLOADS}
+_TICKET_LIST, _AUCTION_OUTCOME = (bytes([TAGS[k]]) for k in ("ticket_list", "auction_outcome"))
 
 
 def encode(kind: str, **fields) -> bytes:
@@ -234,20 +240,20 @@ def decode(data: bytes) -> dict:
 
 def decode_payload(payload: bytes) -> dict:
     """A transport payload's fields (`decode`); a record body is none."""
-    if payload[:1] < b"\x20":
+    if payload[:1] < _PAYLOADS:
         raise EncodingError(f"tag {payload[:1].hex() or '(none)'} is no payload kind")
     return decode(payload)
 
 
 def decode_ticket_list(body: bytes) -> list[tuple[int, str, BitString | None]]:
     """A ticket-list body's entries: (player index, status, ticket or None)."""
-    if body[:1] != b"\x01":
+    if body[:1] != _TICKET_LIST:
         raise EncodingError(f"tag {body[:1].hex() or '(none)'} is no ticket list")
     return list(decode(body)["entries"])
 
 
 def decode_verification_output(body: bytes) -> dict:
     """An auction-outcome body's fields (`decode`)."""
-    if body[:1] != b"\x02":
+    if body[:1] != _AUCTION_OUTCOME:
         raise EncodingError(f"tag {body[:1].hex() or '(none)'} is no auction outcome")
     return decode(body)

@@ -1,35 +1,35 @@
-"""Per-miner append-only replicated logs of consensus-finalized records."""
+"""Per-miner append-only replicated logs of consensus-finalized records.
+A record's kind is the record kind its body's tag byte names in the
+wire-format table (`encoding.RECORD_KINDS`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
+from .encoding import RECORD_KINDS
 from .errors import LedgerError
-
-
-class RecordKind(Enum):
-    TICKET_LIST = "ticket_list"
-    AUCTION_OUTCOME = "auction_outcome"
 
 
 @dataclass(frozen=True)
 class LedgerRecord:
     height: int
-    kind: RecordKind
     body: bytes
     origin_consensus: int
 
     def __post_init__(self):
         if self.height < 0:
             raise LedgerError(f"negative height {self.height}")
-        if not self.body:
-            raise LedgerError("record body must be non-empty")
+        if self.body[:1] not in RECORD_KINDS:
+            raise LedgerError(f"tag {self.body[:1].hex() or '(none)'} names no record kind")
+
+    @property
+    def kind(self) -> str:
+        return RECORD_KINDS[self.body[:1]]
 
     def to_dict(self) -> dict:
         return {
             "height": self.height,
-            "kind": self.kind.value,
+            "kind": self.kind,
             "body": self.body.hex(),
             "origin_consensus": self.origin_consensus,
         }
@@ -49,11 +49,10 @@ class MinerLedger:
     def height(self) -> int:
         return len(self._records)
 
-    def append_finalized(self, kind: RecordKind, body: bytes,
-                         origin_consensus: int) -> LedgerRecord:
+    def append_finalized(self, body: bytes, origin_consensus: int) -> LedgerRecord:
         """Append `body`, this miner's consensus decision for instance
         `origin_consensus`, at the next height."""
-        record = LedgerRecord(len(self._records), kind, body, origin_consensus)
+        record = LedgerRecord(len(self._records), body, origin_consensus)
         self._records.append(record)
         return record
 
@@ -68,9 +67,7 @@ def ledgers_consistent(ledgers) -> tuple[bool, int | None]:
     for other in ledgers[1:]:
         records = other.records
         for height in range(max(len(reference), len(records))):
-            if height >= len(reference) or height >= len(records):
-                return False, height
-            a, b = reference[height], records[height]
-            if (a.kind, a.body, a.origin_consensus) != (b.kind, b.body, b.origin_consensus):
+            # a missing record, another body or another origin; the kind is the body's
+            if reference[height:height + 1] != records[height:height + 1]:
                 return False, height
     return True, None

@@ -23,7 +23,6 @@ from .bits import BitString, xor_all
 from .consensus import BOT
 from .encoding import decode_ticket_list, encode
 from .errors import ConfigError, EncodingError, QbsimError
-from .ledger import RecordKind
 from .parties import PartyId, miner, player
 from .runtime import (
     FinalizedRun,
@@ -219,7 +218,7 @@ def run_lottery(params: LotteryParams) -> LotteryRunResult:
         return entries
 
     consensus_result, ledgers, reference_miner = finalize(
-        ctx, params, "lottery", 0, RecordKind.TICKET_LIST, decode_full_list, ticket_list)
+        ctx, params, "lottery", 0, decode_full_list, ticket_list)
     decided_body = consensus_result.decisions[reference_miner]
 
     # phase 3: winner determination from each miner's own ledger copy

@@ -1,28 +1,18 @@
-"""Party identities: players, buyers, the seller, miners."""
+"""Party identities: players, buyers, the seller, miners. A role is its
+name; its one-byte wire code is its position in `ROLES`."""
 
 from __future__ import annotations
 
-from enum import Enum
 from operator import itemgetter
 
 from .errors import QbsimError
 
-
-class Role(Enum):
-    PLAYER = "player"
-    BUYER = "buyer"
-    SELLER = "seller"
-    MINER = "miner"
-
-
-# Stable one-byte codes for canonical encodings.
-ROLE_CODES = {Role.PLAYER: 0, Role.BUYER: 1, Role.SELLER: 2, Role.MINER: 3}
-CODE_ROLES = {code: role for role, code in ROLE_CODES.items()}
-_ROLE_OF = {role.value: role for role in Role}
+# A role's canonical code is its position: append a new role, never reorder.
+ROLES = ("player", "buyer", "seller", "miner")
 
 
 class PartyId(tuple):
-    """A party: the tuple `(role value, index)`, e.g. `("miner", 3)`.
+    """A party: the tuple `(role, index)`, e.g. `("miner", 3)`.
 
     Identities key every queue, stream and ledger dict on the message
     path, so they hash, compare and sort as plain tuples, in C. A party
@@ -31,15 +21,17 @@ class PartyId(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, role: Role, index: int):
+    def __new__(cls, role: str, index: int):
+        if role not in ROLES:
+            raise QbsimError(f"unknown role {role!r} (expected one of {', '.join(ROLES)})")
         if index < 0:
             raise QbsimError(f"party index must be non-negative, got {index}")
-        return tuple.__new__(cls, (role.value, index))
+        return tuple.__new__(cls, (role, index))
 
     def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return self.role, self[1]
+        return tuple(self)
 
-    role = property(lambda self: _ROLE_OF[self[0]])
+    role = property(itemgetter(0))
     index = property(itemgetter(1))
 
     def __str__(self) -> str:
@@ -47,16 +39,16 @@ class PartyId(tuple):
 
 
 def player(i: int) -> PartyId:
-    return PartyId(Role.PLAYER, i)
+    return PartyId("player", i)
 
 
 def buyer(i: int) -> PartyId:
-    return PartyId(Role.BUYER, i)
+    return PartyId("buyer", i)
 
 
 def seller() -> PartyId:
-    return PartyId(Role.SELLER, 0)
+    return PartyId("seller", 0)
 
 
 def miner(i: int) -> PartyId:
-    return PartyId(Role.MINER, i)
+    return PartyId("miner", i)

@@ -23,7 +23,6 @@ from .measures import (
     partial_trace_a,
     trace_distance,
 )
-from .schemes import bell_pair_scheme, product_scheme
 from .io import load_scheme, scheme_from_dict, scheme_to_dict
 
 __all__ = [
@@ -34,13 +33,11 @@ __all__ = [
     "PureState",
     "QbcScheme",
     "apply_open",
-    "bell_pair_scheme",
     "binding_attack",
     "concealing_defect",
     "distance_up_to_phase",
     "load_scheme",
     "partial_trace_a",
-    "product_scheme",
     "scheme_from_dict",
     "scheme_to_dict",
     "trace_distance",

@@ -1,7 +1,7 @@
 """Scheme description files.
 
 A scheme file is JSON with dims, the two amplitude vectors as
-[real, imag] pairs, and a list of Kraus matrices; see
+[real, imag] pairs, and a list of Kraus matrices, and no other key; see
 schemas/qbc_scheme.schema.json for the exact shape. A dimension must be
 an int and every entry a real number; neither is coerced.
 """
@@ -29,6 +29,9 @@ def _pairs(vector) -> list[list[float]]:
     return [[z.real, z.imag] for z in vector]
 
 
+_KEYS = ("dim_a", "dim_b", "c0", "c1", "kraus")  # every key a scheme file may hold
+
+
 def scheme_to_dict(scheme: QbcScheme) -> dict[str, Any]:
     return {
         "dim_a": scheme.dims.dim_a,
@@ -45,6 +48,8 @@ def scheme_to_dict(scheme: QbcScheme) -> dict[str, Any]:
 def scheme_from_dict(data: dict[str, Any]) -> QbcScheme:
     try:
         dim_a, dim_b = data["dim_a"], data["dim_b"]
+        if unknown := [key for key in data if key not in _KEYS]:
+            raise EncodingError(f"malformed scheme description: unknown key {unknown[0]!r}")
         if type(dim_a) is not int or type(dim_b) is not int:
             raise EncodingError("malformed scheme description: dimensions must be integers, "
                                 f"got {dim_a!r} and {dim_b!r}")

@@ -22,7 +22,7 @@ from .encoding import MAX_COUNT, decode_payload, encode
 from .errors import QbsimError
 from .eventlog import EventLog
 from .keystore import DEFAULT_BUDGET, KeyStore
-from .ledger import MinerLedger, RecordKind, ledgers_consistent
+from .ledger import MinerLedger, ledgers_consistent
 from .parties import PartyId, miner
 from .rng import derive_seed, generator
 from .transport import Network
@@ -205,9 +205,9 @@ class FinalizedRun:
 
 
 def finalize(ctx: SimContext, params: RunParams, protocol: str, instance_id: int,
-             kind: RecordKind, decode, propose):
+             decode, propose):
     """Agree on one record among the miners and append it to the ledger
-    of every miner that decided it.
+    of every miner that decided it; the record's kind is its body's.
 
     Honest miners propose `propose(m)`, Byzantine ones follow their
     scripts (a script name is built from `consensus.SCRIPTS`, a callable
@@ -235,7 +235,7 @@ def finalize(ctx: SimContext, params: RunParams, protocol: str, instance_id: int
     for m in miners:
         decided = result.decisions[m]
         if decided:  # None for a Byzantine miner, BOT for no record
-            record = ledgers[m].append_finalized(kind, decided, instance_id)
-            ctx.log.append("ledger_append", miner=str(m), kind=kind.value,
+            record = ledgers[m].append_finalized(decided, instance_id)
+            ctx.log.append("ledger_append", miner=str(m), kind=record.kind,
                            height=record.height, body=record.body.hex())
     return result, ledgers, reference

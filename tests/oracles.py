@@ -3,20 +3,24 @@
 Everything here reimplements the checked computation from scratch
 (struct-level parsing, straight-line arithmetic) so a transcription bug
 in the package cannot hide behind its own code paths. The fixtures are
-ExplicitDomain, a small consensus domain the tests can enumerate, and the
-numpy constructors of random states and commitment schemes.
+ExplicitDomain, a small consensus domain the tests can enumerate, the
+numpy constructors of random states and commitment schemes, and the
+shipped scheme files.
 """
 
 import copy
 import hashlib
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from qbsim.consensus import BOT
 from qbsim.errors import DimensionMismatchError
-from qbsim.qbc import DensityOperator, HilbertDims, OpenOperation, PureState, QbcScheme
+from qbsim.qbc import DensityOperator, HilbertDims, OpenOperation, PureState, QbcScheme, load_scheme
+
+SCHEMES = Path(__file__).resolve().parent.parent / "schemes"
 
 
 class ExplicitDomain:
@@ -265,3 +269,9 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
         raise DimensionMismatchError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     product = _psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix)
     return float(np.clip(np.linalg.svd(product, compute_uv=False).sum(), 0.0, 1.0))
+
+
+def shipped_scheme(name: str) -> QbcScheme:
+    """The scheme file `schemes/<name>.json`: `bell_pair` and `product` are
+    the textbook schemes at the two ends of the concealing/binding trade-off."""
+    return load_scheme(str(SCHEMES / f"{name}.json"))

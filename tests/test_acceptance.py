@@ -29,10 +29,8 @@ from qbsim.qbc import (
     DensityOperator,
     HilbertDims,
     QbcScheme,
-    bell_pair_scheme,
     binding_attack,
     concealing_defect,
-    product_scheme,
     trace_distance,
 )
 from qbsim.rng import generator
@@ -48,6 +46,7 @@ from oracles import (
     numpy_generator,
     random_density_matrix,
     random_scheme,
+    shipped_scheme,
 )
 
 
@@ -295,13 +294,13 @@ def test_criterion_8_qbc_model():
             assert 1 - f <= d + 1e-9
             assert d <= np.sqrt(max(0.0, 1 - f * f)) + 1e-9
 
-        bell = bell_pair_scheme()
+        bell = shipped_scheme("bell_pair")
         assert concealing_defect(bell) <= 1e-10
         attack = binding_attack(bell)
         assert attack.strength <= 1e-6
         assert attack.witness_residual <= 1e-6  # witness maps c0 onto c1
 
-        prod = product_scheme()
+        prod = shipped_scheme("product")
         assert abs(concealing_defect(prod) - 1.0) <= 1e-10
         assert abs(binding_attack(prod).strength - 1.0) <= 1e-6
 

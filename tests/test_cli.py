@@ -18,7 +18,7 @@ from qbsim.auction import BUYER_POLICIES, SELLER_POLICIES
 from qbsim.cli import entrypoint
 from qbsim.errors import ConfigError
 from qbsim.lottery import PLAYER_POLICIES
-from qbsim.scenario import ScenarioConfig, run_scenario
+from qbsim.scenario import ScenarioConfig, run_scenario, validate_report
 from oracles import report_v1, report_v2
 from test_qbc_io import REPO, nan_scheme
 
@@ -204,6 +204,28 @@ def test_ledger_dump_of_a_malformed_report_exits_one_with_one_error_line(name, t
     assert done.stdout == ""  # nothing is dumped from a report that fails the schema
 
 
+UNRENDERABLE_RECORDS = {
+    "a truncated body": (lambda record: record.update(body="0100"), "truncated ticket_list"),
+    "a body of another kind": (lambda record: record.update(kind="auction_outcome"),
+                               "a record of kind auction_outcome holds a ticket_list body"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNRENDERABLE_RECORDS))
+def test_ledger_dump_of_a_record_it_cannot_render_prints_nothing(name, tmp_path):
+    """Every record is rendered before the first line is printed, so a
+    record whose body is not of its stated kind leaves stdout empty."""
+    change, error = UNRENDERABLE_RECORDS[name]
+
+    def restate(report):
+        change(report["ledgers"]["miner:0"][0])
+        validate_report(report)  # the schema still admits the record
+        return report
+
+    report_path = saved_report(tmp_path, restate)
+    assert_one_error_line(run_cli("ledger", "dump", "--report", str(report_path)), error)
+
+
 def test_cli_import_loads_no_scipy():
     """scipy and jsonschema (with its `referencing`/`rpds` chain) are test
     dependencies only; the CLI's import path must not need them."""
@@ -341,6 +363,15 @@ def test_a_file_that_cannot_be_read_or_written_exits_one_with_one_error_line(nam
     assert_one_error_line(run_cli(*UNREADABLE_OR_UNWRITABLE[name](tmp_path)))
 
 
+def test_a_scheme_key_outside_the_schema_exits_one_in_a_file_and_inline(tmp_path):
+    data = json.loads((SCHEMES / "bell_pair.json").read_text())
+    data["dim_c"] = 3
+    scheme = config_file(tmp_path / "scheme.json", data)
+    assert_one_error_line(run_cli("qbc", "analyze", scheme), "unknown key 'dim_c'")
+    config = config_file(tmp_path / "config.json", {"protocol": "qbc_analyze", "scheme": data})
+    assert_one_error_line(run_cli("lottery", "run", "--config", config), "unknown key 'dim_c'")
+
+
 def test_an_index_key_too_long_for_int_exits_one_with_one_violation(tmp_path):
     """A key of more digits than `int()` reads from text is an unknown
     player like any other: one violation under the `ConfigError`
@@ -357,7 +388,8 @@ def test_an_index_key_too_long_for_int_exits_one_with_one_violation(tmp_path):
 
 
 def saved_report(tmp_path, restate) -> Path:
-    """A lottery report as an earlier schema version states it, saved."""
+    """A lottery report as `restate` states it (an earlier schema version,
+    or a changed record), saved."""
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(restate(run_scenario(ScenarioConfig.from_dict(dict(
         protocol="lottery", players=2, ticket_bits=4, miners=2, seed=3))))))

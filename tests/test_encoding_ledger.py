@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbsim.bits import BitString
 from qbsim.encoding import (
+    RECORD_KINDS,
     TAGS,
     decode_payload,
     decode_ticket_list,
@@ -12,8 +13,8 @@ from qbsim.encoding import (
     encode,
 )
 from qbsim.errors import EncodingError, LedgerError
-from qbsim.ledger import LedgerRecord, MinerLedger, RecordKind, ledgers_consistent
-from qbsim.parties import buyer, miner, seller
+from qbsim.ledger import LedgerRecord, MinerLedger, ledgers_consistent
+from qbsim.parties import PartyId, buyer, miner, seller
 
 
 ticket_entry = st.tuples(
@@ -90,6 +91,15 @@ def test_payload_decoders():
         decode_payload(b"\xee garbage")
     with pytest.raises(EncodingError):
         decode_payload(b"")
+
+
+@pytest.mark.parametrize("role, code", [("player", 0), ("buyer", 1), ("seller", 2), ("miner", 3)])
+def test_a_role_travels_as_its_pinned_code(role, code):
+    """Runs carry only buyers and the seller in a party field, so no golden
+    pins the other codes; each is the role's position in `ROLES`."""
+    data = encode("auction_claim", winner=PartyId(role, 2), bid=7)
+    assert data.hex() == f"23{code:02x}0002" "0000000000000007"
+    assert decode_payload(data)["winner"] == PartyId(role, 2)
 
 
 @pytest.mark.parametrize("decoder, hexdata", [
@@ -169,18 +179,29 @@ def test_the_fuzz_corpus_holds_every_kind():
 def test_ledger_append_heights():
     led = MinerLedger()
     body = encode("ticket_list", entries=[(0, "opened", BitString.from_text("01"))])
-    r0 = led.append_finalized(RecordKind.TICKET_LIST, body, 0)
+    r0 = led.append_finalized(body, 0)
     assert r0.height == 0
-    r1 = led.append_finalized(RecordKind.TICKET_LIST, body, 1)
+    r1 = led.append_finalized(body, 1)
     assert r1.height == 1
     assert led.height == 2
 
 
 def test_ledger_record_validation():
     with pytest.raises(LedgerError):
-        LedgerRecord(-1, RecordKind.TICKET_LIST, b"x", 0)
+        LedgerRecord(-1, b"x", 0)
     with pytest.raises(LedgerError):
-        LedgerRecord(0, RecordKind.TICKET_LIST, b"", 0)
+        LedgerRecord(0, b"", 0)
+    with pytest.raises(LedgerError, match="tag 27 names no record kind"):
+        LedgerRecord(0, encode("open_request", commitment_id=1), 0)
+
+
+def test_a_record_kind_is_the_kind_its_body_tag_names():
+    assert list(RECORD_KINDS.values()) == ["ticket_list", "auction_outcome"]
+    led = MinerLedger()
+    tickets = led.append_finalized(encode("ticket_list", entries=[]), 0)
+    outcome = led.append_finalized(encode("auction_outcome", verdict="no_bids"), 1)
+    assert (tickets.kind, outcome.kind) == ("ticket_list", "auction_outcome")
+    assert outcome.to_dict()["kind"] == "auction_outcome"
 
 
 def test_ledgers_consistent_and_divergence_point():
@@ -188,13 +209,13 @@ def test_ledgers_consistent_and_divergence_point():
     other = encode("ticket_list", entries=[(0, "opened", BitString.from_text("10"))])
     a, b = MinerLedger(), MinerLedger()
     for led in (a, b):
-        led.append_finalized(RecordKind.TICKET_LIST, body, 0)
+        led.append_finalized(body, 0)
     assert ledgers_consistent([a, b]) == (True, None)
-    a.append_finalized(RecordKind.TICKET_LIST, body, 1)
-    b.append_finalized(RecordKind.TICKET_LIST, other, 1)
+    a.append_finalized(body, 1)
+    b.append_finalized(other, 1)
     assert ledgers_consistent([a, b]) == (False, 1)
     # length divergence
     c = MinerLedger()
-    c.append_finalized(RecordKind.TICKET_LIST, body, 0)
+    c.append_finalized(body, 0)
     assert ledgers_consistent([a, c]) == (False, 1)
     assert ledgers_consistent([a]) == (True, None)

@@ -114,6 +114,18 @@ def test_a_scheme_dimension_or_entry_of_the_wrong_type_is_refused(name, path, va
         scheme_from_dict(scheme_with(name, path, value))
 
 
+def test_a_key_the_schema_refuses_is_refused_in_a_file_and_inline(tmp_path):
+    data = scheme_with("bell_pair.json", ("dim_c",), 3)
+    with pytest.raises(jsonschema.ValidationError, match="'dim_c' was unexpected"):
+        jsonschema.validate(data, SCHEMA)
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(EncodingError, match="unknown key 'dim_c'"):
+        load_scheme(str(path))
+    with pytest.raises(EncodingError, match="unknown key 'dim_c'"):
+        run_scenario(ScenarioConfig(protocol="qbc_analyze", scheme=data))
+
+
 def test_a_bool_dimension_is_not_read_as_one():
     data = scheme_with("product.json", ("dim_a",), True)
     data["dim_b"] = 4

@@ -24,9 +24,8 @@ from qbsim.qbc import (
     partial_trace_a,
     trace_distance,
 )
-from qbsim.qbc.schemes import bell_pair_scheme, product_scheme
-
-from oracles import exactly_concealing_scheme, fidelity, random_pure_state, random_scheme
+from oracles import (exactly_concealing_scheme, fidelity, random_pure_state, random_scheme,
+                     shipped_scheme)
 
 
 # ---------------------------------------------------------------- oracles
@@ -213,7 +212,7 @@ def test_fidelity_symmetry():
 
 
 def test_bell_scheme_is_perfectly_concealing_and_not_binding():
-    scheme = bell_pair_scheme()
+    scheme = shipped_scheme("bell_pair")
     assert concealing_defect(scheme) < 1e-10
     report = binding_attack(scheme)
     assert report.strength < 1e-6
@@ -225,7 +224,7 @@ def test_bell_scheme_is_perfectly_concealing_and_not_binding():
 
 
 def test_product_scheme_is_fully_revealing_and_perfectly_binding():
-    scheme = product_scheme()
+    scheme = shipped_scheme("product")
     assert abs(concealing_defect(scheme) - 1.0) < 1e-12
     assert abs(binding_attack(scheme).strength - 1.0) < 1e-12
 
@@ -290,7 +289,7 @@ def test_identity_open_preserves_projectors():
 
 
 def test_open_keeps_orthogonal_product_states_distinguishable():
-    scheme = product_scheme()
+    scheme = shipped_scheme("product")
     d = trace_distance(
         apply_open(scheme.open_op, scheme.c0), apply_open(scheme.open_op, scheme.c1)
     )

@@ -9,6 +9,7 @@ import pytest
 from qbsim.auction import SELLER_POLICIES
 from qbsim.batch import run_batch
 from qbsim.consensus import MINER_SCRIPT_NAMES
+from qbsim.encoding import RECORD_KINDS
 from qbsim.errors import ConfigError
 from qbsim import auction, lottery, scenario
 from qbsim.lottery import CHEAT_POLICIES
@@ -18,6 +19,7 @@ from qbsim.scenario import (
     run_scenario,
     validate_report,
 )
+from oracles import shipped_scheme
 from test_golden import GOLDEN
 
 
@@ -174,10 +176,10 @@ def test_adversarial_reports_validate_and_note_cheaters():
 
 
 def test_qbc_analyze_scenario_inline_scheme():
-    from qbsim.qbc import bell_pair_scheme, scheme_to_dict
+    from qbsim.qbc import scheme_to_dict
 
     config = ScenarioConfig(protocol="qbc_analyze",
-                            scheme=scheme_to_dict(bell_pair_scheme()))
+                            scheme=scheme_to_dict(shipped_scheme("bell_pair")))
     report = run_scenario(config)
     validate_report(report)
     analysis = report["analysis"]
@@ -189,9 +191,10 @@ def test_qbc_analyze_scenario_inline_scheme():
 def test_qbc_analyze_refuses_an_inline_scheme_next_to_a_scheme_file():
     """The inline scheme would run while the report's config names the
     file: one violation, not a report of the wrong scheme."""
-    from qbsim.qbc import product_scheme, scheme_to_dict
+    from qbsim.qbc import scheme_to_dict
 
-    config = ScenarioConfig(protocol="qbc_analyze", scheme=scheme_to_dict(product_scheme()),
+    config = ScenarioConfig(protocol="qbc_analyze",
+                            scheme=scheme_to_dict(shipped_scheme("product")),
                             scheme_file="schemes/bell_pair.json")
     with pytest.raises(ConfigError) as err:
         run_scenario(config)
@@ -295,6 +298,13 @@ def test_config_schema_names_the_policies_the_protocols_define():
     assert tuple(schema["properties"]["cheat_policy"]["enum"]) == CHEAT_POLICIES
     assert tuple(schema["properties"]["seller_policy"]["enum"]) == SELLER_POLICIES
     assert tuple(schema["properties"]["protocol"]["enum"]) == scenario.PROTOCOLS
+
+
+def test_report_schema_names_the_record_kinds_of_the_wire_table():
+    schema = json.loads(importlib.resources.files("qbsim.schemas")
+                        .joinpath("run_report.schema.json").read_text(encoding="utf-8"))
+    record = schema["properties"]["ledgers"]["additionalProperties"]["items"]
+    assert record["properties"]["kind"]["enum"] == list(RECORD_KINDS.values())
 
 
 def messages_of(log) -> list[tuple[int, int | None]]:
